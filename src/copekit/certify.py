@@ -1,19 +1,26 @@
 """Contextuality certification by rank separation.
 
 An operational theory is noncontextual exactly when its matrix admits an
-equirank nonnegative factorization.  The certifier layers three kinds of
-evidence, strongest available first:
+equirank nonnegative factorization.  The certifier tries its tiers cheapest
+first; the first two are sound, so they never fire on a noncontextual
+matrix, and their order changes no verdict and no evidence:
 
-1. a verified equirank model (noncontextual, constructive);
-2. vertex forcing: when every vertex of the span-simplex polytope is a
-   column of the merged matrix and there are more vertices than the rank,
-   every equirank left factor must contain all those vertices as columns,
-   whose unique convex representations force disjointly supported state
-   columns and hence a state rank above rank(C) - contextual;
-3. a unique-zero (Sperner) witness whose span bound exceeds the rank -
+1. vertex forcing (exact backend): when every vertex of the span-simplex
+   polytope is a column of the merged matrix and there are more vertices
+   than the rank, every equirank left factor must contain all those
+   vertices as columns, whose unique convex representations force
+   disjointly supported state columns and hence a state rank above
+   rank(C) - contextual;
+2. a unique-zero (Sperner) witness whose span bound exceeds the rank -
    contextual;
-4. on small exact instances, an exhaustive decision; otherwise the verdict
-   is an honest Undetermined carrying the searched inner-dimension range.
+3. the complete vertex-program decision (exact backend, within its
+   guards), solved once: an infeasible program comes with a Farkas vector
+   excluding every inner dimension - contextual;
+4. a verified equirank model (noncontextual, constructive): the search
+   over inner dimensions, which returns the decision's model once the scan
+   reaches its inner dimension, or that model itself when the scan ends
+   below it; otherwise the verdict is an honest Undetermined carrying the
+   searched inner-dimension range.
 """
 
 from __future__ import annotations
@@ -223,27 +230,19 @@ def certify(
 ) -> Certificate:
     """Full certification pipeline.
 
-    Tier order: equirank model search (noncontextual), vertex forcing
-    (contextual), Sperner separation (contextual), exhaustive decision
-    within guards, otherwise Undetermined with the searched range.
-    Every noncontextual verdict is re-verified before being returned.
+    Tier order: vertex forcing (contextual, exact backend), Sperner
+    separation (contextual), the complete vertex-program decision (exact
+    backend, within its guards; solved once), equirank model search
+    (noncontextual), otherwise Undetermined with the searched range.  The
+    two contextual tiers are sound, so they never fire on a noncontextual
+    matrix and running them first changes no verdict.  A proven absence is
+    returned at once; otherwise the decision is handed to the search, which
+    returns its model when the scan reaches that inner dimension.  Every
+    noncontextual verdict is re-verified before being returned.
     """
     opts = opts or NmfOptions()
     r = cope_mod.rank(c)
     bound = max_k if max_k is not None else r + 3
-    notes: list[str] = []
-
-    model = enmf(c, opts, max_k=bound)
-    if model is not None:
-        report = classify_model(c, model)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-            raise AssertionError("equirank search returned an unverifiable model")
-        return Certificate(
-            verdict=NONCONTEXTUAL,
-            evidence=EnmfModel(model),
-            rank=r,
-            searched_k_range=(r, bound),
-        )
 
     if c.backend.is_exact:
         try:
@@ -261,34 +260,20 @@ def certify(
 
     witness = sperner_submatrix(c)
     if witness is not None and witness.factor_span_lower_bound > r:
-        notes.append(_SIDEDNESS_NOTE)
         return Certificate(
             verdict=CONTEXTUAL,
             evidence=SpernerSeparation(witness, r),
             rank=r,
             searched_k_range=(r, bound),
-            notes=tuple(notes),
+            notes=(_SIDEDNESS_NOTE,),
         )
 
+    decision = None
     if c.backend.is_exact:
         try:
             decision = decide_enmf_existence(c)
         except GuardExceeded:
             decision = None
-        if isinstance(decision, ExistenceResult):
-            report = classify_model(c, decision.model)
-            if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-                raise AssertionError("existence decision returned an unverifiable model")
-            return Certificate(
-                verdict=NONCONTEXTUAL,
-                evidence=EnmfModel(decision.model),
-                rank=r,
-                searched_k_range=(r, bound),
-                notes=(
-                    "model found by the complete vertex program; its inner dimension "
-                    "may exceed the searched range",
-                ),
-            )
         if isinstance(decision, AbsenceResult):
             farkas = "farkas: " + " ".join(str(y) for y in decision.farkas)
             return Certificate(
@@ -298,14 +283,40 @@ def certify(
                 searched_k_range=(r, bound),
             )
 
-    notes.append(
-        "no equirank model found up to the searched inner dimension and no "
-        "nonexistence proof applies; larger inner dimensions remain open"
-    )
+    model = enmf(c, opts, max_k=bound, decision=decision)
+    if model is not None:
+        report = classify_model(c, model)
+        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
+            raise AssertionError("equirank search returned an unverifiable model")
+        return Certificate(
+            verdict=NONCONTEXTUAL,
+            evidence=EnmfModel(model),
+            rank=r,
+            searched_k_range=(r, bound),
+        )
+
+    if isinstance(decision, ExistenceResult):
+        report = classify_model(c, decision.model)
+        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
+            raise AssertionError("existence decision returned an unverifiable model")
+        return Certificate(
+            verdict=NONCONTEXTUAL,
+            evidence=EnmfModel(decision.model),
+            rank=r,
+            searched_k_range=(r, bound),
+            notes=(
+                "model found by the complete vertex program; its inner dimension "
+                "may exceed the searched range",
+            ),
+        )
+
     return Certificate(
         verdict=UNDETERMINED,
         evidence=None,
         rank=r,
         searched_k_range=(r, bound),
-        notes=tuple(notes),
+        notes=(
+            "no equirank model found up to the searched inner dimension and no "
+            "nonexistence proof applies; larger inner dimensions remain open",
+        ),
     )

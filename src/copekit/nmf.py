@@ -28,6 +28,7 @@ from . import cope as cope_mod
 from . import planar
 from . import rational_linalg as rla
 from .cope import CopeMatrix
+from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, classify_model, make_model
 from .polytope import GuardExceeded, affine_chart, span_simplex_polytope
 
@@ -360,8 +361,15 @@ def nmf(c: CopeMatrix, opts: NmfOptions) -> Optional[ModelFactorization]:
     return candidates[0] if candidates else None
 
 
+_DECIDE = object()
+
+
 def enmf(
-    c: CopeMatrix, opts: NmfOptions, max_k: Optional[int] = None
+    c: CopeMatrix,
+    opts: NmfOptions,
+    max_k: Optional[int] = None,
+    *,
+    decision=_DECIDE,
 ) -> Optional[ModelFactorization]:
     """Equirank nonnegative factorization search.
 
@@ -370,7 +378,10 @@ def enmf(
     rank(c).  On the exact backend the complete vertex-program decision
     short-circuits the scan: a proven absence returns None immediately,
     and a proven model is returned once the scan reaches its inner
-    dimension.  A returned model always classifies as noncontextual
+    dimension.  A caller that has already run
+    ``enmf_decision.decide_enmf_existence`` passes its result as
+    ``decision`` (None when it hit a guard); without it the decision is
+    computed here.  A returned model always classifies as noncontextual
     ontological.
     """
     r = cope_mod.rank(c)
@@ -378,13 +389,11 @@ def enmf(
 
     decided_model: Optional[ModelFactorization] = None
     if c.backend.is_exact:
-        from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-        from .polytope import GuardExceeded
-
-        try:
-            decision = decide_enmf_existence(c)
-        except GuardExceeded:
-            decision = None
+        if decision is _DECIDE:
+            try:
+                decision = decide_enmf_existence(c)
+            except GuardExceeded:
+                decision = None
         if isinstance(decision, AbsenceResult):
             return None
         if isinstance(decision, ExistenceResult):

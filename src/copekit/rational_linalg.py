@@ -1,15 +1,19 @@
 """Exact linear algebra over rationals.
 
-Everything here operates on lists of lists of :class:`fractions.Fraction`
-and is deliberately dependency-free: certificates produced elsewhere in the
-package are re-checked with these routines, so they must be exact.  Sizes
-are desk-scale (tens of rows), so asymptotics do not matter; correctness
-and termination do.
+Everything here takes lists of lists of :class:`fractions.Fraction` and is
+deliberately dependency-free: certificates produced elsewhere in the
+package are re-checked with these routines, so they must be exact.  The
+vertex linear program of the existence decision reaches a few hundred rows
+and columns, and there per-entry cost matters: ``rank`` and the simplex in
+``lp_feasibility`` work fraction-free, on integer rows (Bareiss), rather
+than on Fraction entries.  The simplex checks both of its answers exactly
+before returning them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
 
 Row = list
@@ -44,16 +48,18 @@ def mat_vec(a: Matrix, v: Sequence) -> Row:
     return [sum(x * y for x, y in zip(row, v)) for row in a]
 
 
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """Integer numerators and a positive common denominator for ``values``."""
+    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fracs if x))
+    return [x.numerator * (den // x.denominator) if x else 0 for x in fracs], den
+
+
 def rank(a: Matrix) -> int:
     """Rank via fraction-free (Bareiss) elimination on an integerized copy."""
     if not a or not a[0]:
         return 0
-    denom_lcm = 1
-    for row in a:
-        for x in row:
-            f = Fraction(x)
-            denom_lcm = denom_lcm * f.denominator // _gcd(denom_lcm, f.denominator)
-    m = [[int(Fraction(x) * denom_lcm) for x in row] for row in a]
+    m = [_integer_row(row)[0] for row in a]
     n_rows, n_cols = len(m), len(m[0])
     prev = 1
     r = 0
@@ -75,12 +81,6 @@ def rank(a: Matrix) -> int:
         if r == n_rows:
             break
     return r
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a if a else 1
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
@@ -174,89 +174,147 @@ def invert(a: Matrix) -> Optional[Matrix]:
     return [row[n:] for row in red[:n]]
 
 
+def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
+    g = gcd(*row, den)
+    if g == 1:
+        return row, den
+    return [x // g for x in row], den // g
+
+
+def _eliminate(row: list[int], den: int, pivot_row: list[int], col: int) -> tuple[list[int], int]:
+    """Row minus a multiple of the pivot row, zeroing ``row[col]``.
+
+    Rows are integer vectors over positive denominators; the update is
+    (p * row - f * pivot_row) / (den * p) with p, f first divided by their
+    gcd, so a unit pivot costs no multiplication of ``row``.
+    """
+    p, f = pivot_row[col], row[col]
+    g = gcd(p, f)
+    p, f = p // g, f // g
+    if p == 1:
+        return _reduced([x - f * y if y else x for x, y in zip(row, pivot_row)], den)
+    return _reduced([p * x - f * y for x, y in zip(row, pivot_row)], den * p)
+
+
+def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
+    """Exactly verify y^T a_eq <= 0 and y^T b_eq > 0; raise AssertionError otherwise.
+
+    Works on integer rows scaled by positive factors, which keeps every
+    sign, and touches only the rows with a nonzero weight.
+    """
+    weighted = [(_integer_row(list(a_eq[i]) + [b_eq[i]]), yv) for i, yv in enumerate(y) if yv]
+    scale = lcm(*(den * yv.denominator for (_, den), yv in weighted))
+    sums = [0] * (len(a_eq[0]) + 1)
+    for (row, den), yv in weighted:
+        w = yv.numerator * (scale // (den * yv.denominator))
+        for j, v in enumerate(row):
+            if v:
+                sums[j] += w * v
+    if any(s > 0 for s in sums[:-1]):
+        raise AssertionError("invalid Farkas certificate (column test)")
+    if sums[-1] <= 0:
+        raise AssertionError("invalid Farkas certificate (rhs test)")
+
+
+def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
+    """Exactly verify x >= 0 and a_eq x = b_eq; raise AssertionError otherwise."""
+    if any(v < 0 for v in x):
+        raise AssertionError("invalid primal point (sign test)")
+    support = [(j, v) for j, v in enumerate(x) if v]
+    for row, bv in zip(a_eq, b_eq):
+        if sum(Fraction(row[j]) * v for j, v in support if row[j]) != Fraction(bv):
+            raise AssertionError("invalid primal point (equality test)")
+
+
 def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optional[Row]]:
     """Exact feasibility of {x >= 0 : a_eq x = b_eq} with dual certificate.
 
-    Phase-1 simplex with Bland's rule (guaranteed termination), all
-    arithmetic in Fractions.  Returns (x, None) on feasibility and
-    (None, y) on infeasibility, where y is a verified Farkas vector:
-    y^T a_eq <= 0 componentwise and y^T b_eq > 0.
+    Phase-1 simplex with Bland's rule (guaranteed termination).  Each
+    tableau row is kept fraction-free, as a Python ``int`` vector over its
+    own positive denominator, reduced by the gcd after every update (the
+    integer pivoting of Bareiss elimination, row by row).  Scaling a row
+    changes neither the sign of an entry nor a ratio of two entries of it,
+    so Bland's choices, the pivot sequence and the answer are exactly those
+    of the textbook all-``Fraction`` tableau.  Returns (x, None) on
+    feasibility and (None, y) on infeasibility, where y is a Farkas vector:
+    y^T a_eq <= 0 componentwise and y^T b_eq > 0.  Both answers are
+    verified exactly before they are returned.
     """
     m = len(a_eq)
     if m == 0:
         return [], None
     n = len(a_eq[0])
-    # Normalize rows so the right-hand side is nonnegative.
-    rows = []
-    rhs = []
-    flipped = []
-    for row, bv in zip(a_eq, b_eq):
-        bv = Fraction(bv)
-        if bv < 0:
-            rows.append([-Fraction(x) for x in row])
-            rhs.append(-bv)
-            flipped.append(True)
-        else:
-            rows.append([Fraction(x) for x in row])
-            rhs.append(bv)
-            flipped.append(False)
-    # Tableau columns: n structural + m artificial + 1 rhs.
-    tab = [rows[i] + [F1 if j == i else F0 for j in range(m)] + [rhs[i]] for i in range(m)]
-    basis = [n + i for i in range(m)]
-    # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row.
-    cost = [F0] * (n + m + 1)
-    for i in range(m):
-        for j in range(n + m + 1):
-            cost[j] -= tab[i][j]
-    for j in range(n, n + m):
-        cost[j] += F1
-
     total = n + m
+    # Tableau columns: n structural + m artificial + 1 rhs.  Rows are
+    # normalized so the right-hand side is nonnegative.
+    rows: list[list[int]] = []
+    dens: list[int] = []
+    flipped = []
+    for i, (row_values, bv) in enumerate(zip(a_eq, b_eq)):
+        row, den = _integer_row(list(row_values) + [bv])
+        flip = row[n] < 0
+        if flip:
+            row = [-v for v in row]
+        flipped.append(flip)
+        artificial = [0] * m
+        artificial[i] = den
+        row, den = _reduced(row[:n] + artificial + [row[n]], den)
+        rows.append(row)
+        dens.append(den)
+    basis = [n + i for i in range(m)]
+    # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row
+    # over one denominator: minus the column sums, plus one per artificial.
+    cost_den = lcm(*dens)
+    cost = [0] * (total + 1)
+    for row, den in zip(rows, dens):
+        scale = cost_den // den
+        for j, v in enumerate(row):
+            if v:
+                cost[j] -= scale * v
+    for j in range(n, total):
+        cost[j] += cost_den
+    cost, cost_den = _reduced(cost, cost_den)
+
     while True:
-        enter = None
-        for j in range(total):
-            if cost[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(total) if cost[j] < 0), None)
         if enter is None:
             break
+        # Ratio test rhs_i / a_i,enter; the row denominator cancels, and
+        # ratios are compared by cross-multiplication.
         leave = None
-        best = None
         for i in range(m):
-            if tab[i][enter] > 0:
-                ratio = tab[i][-1] / tab[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+            a = rows[i][enter]
+            if a > 0:
+                if leave is None:
+                    leave = i
+                    continue
+                lhs = rows[i][-1] * rows[leave][enter]
+                rhs = rows[leave][-1] * a
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no unbounded pivot")
-        piv = tab[leave][enter]
-        tab[leave] = [x / piv for x in tab[leave]]
+        pivot_row = rows[leave]
+        p = pivot_row[enter]
+        # The pivot row divided by its (positive) pivot entry.
+        rows[leave], dens[leave] = _reduced(pivot_row, p)
         for i in range(m):
-            if i != leave and tab[i][enter] != 0:
-                f = tab[i][enter]
-                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
-        if cost[enter] != 0:
-            f = cost[enter]
-            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+            if i != leave and rows[i][enter]:
+                rows[i], dens[i] = _eliminate(rows[i], dens[i], pivot_row, enter)
+        cost, cost_den = _eliminate(cost, cost_den, pivot_row, enter)
         basis[leave] = enter
 
-    objective = -cost[-1]
-    if objective != 0:
+    if cost[-1] != 0:
         # Duals from the artificial reduced costs: cost[n+i] = 1 - y_i.
-        y_norm = [F1 - cost[n + i] for i in range(m)]
-        y = [-yv if flip else yv for yv, flip in zip(y_norm, flipped)]
-        # The certificate must verify exactly; fail loudly otherwise.
-        for j in range(n):
-            if sum(y[i] * Fraction(a_eq[i][j]) for i in range(m)) > 0:
-                raise AssertionError("invalid Farkas certificate (column test)")
-        if sum(y[i] * Fraction(b_eq[i]) for i in range(m)) <= 0:
-            raise AssertionError("invalid Farkas certificate (rhs test)")
+        y = [(-1 if flip else 1) * (1 - Fraction(cost[n + i], cost_den))
+             for i, flip in enumerate(flipped)]
+        _check_farkas(a_eq, b_eq, y)
         return None, y
     x = [F0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tab[i][-1]
+            x[var] = Fraction(rows[i][-1], dens[i])
+    _check_primal(a_eq, b_eq, x)
     return x, None
 
 

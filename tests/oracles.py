@@ -123,3 +123,88 @@ def random_cope(rng: random.Random, max_blocks=3, max_outcomes=3, max_cols=6, ma
             cols.append([Fraction(p, den) for p in parts])
         blocks.append([[cols[j][i] for j in range(n_cols)] for i in range(size)])
     return cope_matrix(blocks, backend=rational())
+
+
+def reference_lp_feasibility(a_eq, b_eq):
+    """Dense all-Fraction phase-1 simplex with Bland's rule.
+
+    The reference for ``rational_linalg.lp_feasibility``: the same pivot
+    rule on the textbook tableau, with every entry a Fraction, so the
+    library kernel must return an identical (x, None) or (None, y).
+    """
+    m = len(a_eq)
+    if m == 0:
+        return [], None
+    n = len(a_eq[0])
+    # Normalize rows so the right-hand side is nonnegative.
+    rows = []
+    rhs = []
+    flipped = []
+    for row, bv in zip(a_eq, b_eq):
+        bv = Fraction(bv)
+        if bv < 0:
+            rows.append([-Fraction(x) for x in row])
+            rhs.append(-bv)
+            flipped.append(True)
+        else:
+            rows.append([Fraction(x) for x in row])
+            rhs.append(bv)
+            flipped.append(False)
+    # Tableau columns: n structural + m artificial + 1 rhs.
+    tab = [rows[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [rhs[i]] for i in range(m)]
+    basis = [n + i for i in range(m)]
+    # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row.
+    cost = [Fraction(0)] * (n + m + 1)
+    for i in range(m):
+        for j in range(n + m + 1):
+            cost[j] -= tab[i][j]
+    for j in range(n, n + m):
+        cost[j] += Fraction(1)
+
+    total = n + m
+    while True:
+        enter = None
+        for j in range(total):
+            if cost[j] < 0:
+                enter = j
+                break
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if tab[i][enter] > 0:
+                ratio = tab[i][-1] / tab[i][enter]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best = ratio
+                    leave = i
+        if leave is None:
+            raise AssertionError("phase-1 objective is bounded below; no unbounded pivot")
+        piv = tab[leave][enter]
+        tab[leave] = [x / piv for x in tab[leave]]
+        for i in range(m):
+            if i != leave and tab[i][enter] != 0:
+                f = tab[i][enter]
+                tab[i] = [x - f * y for x, y in zip(tab[i], tab[leave])]
+        if cost[enter] != 0:
+            f = cost[enter]
+            cost = [x - f * y for x, y in zip(cost, tab[leave])]
+        basis[leave] = enter
+
+    objective = -cost[-1]
+    if objective != 0:
+        # Duals from the artificial reduced costs: cost[n+i] = 1 - y_i.
+        y_norm = [Fraction(1) - cost[n + i] for i in range(m)]
+        y = [-yv if flip else yv for yv, flip in zip(y_norm, flipped)]
+        # The certificate must verify exactly; fail loudly otherwise.
+        for j in range(n):
+            if sum(y[i] * Fraction(a_eq[i][j]) for i in range(m)) > 0:
+                raise AssertionError("invalid Farkas certificate (column test)")
+        if sum(y[i] * Fraction(b_eq[i]) for i in range(m)) <= 0:
+            raise AssertionError("invalid Farkas certificate (rhs test)")
+        return None, y
+    x = [Fraction(0)] * n
+    for i, var in enumerate(basis):
+        if var < n:
+            x[var] = tab[i][-1]
+    return x, None

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -8,24 +9,34 @@ from copekit import (
     NONCONTEXTUAL,
     UNDETERMINED,
     EnmfModel,
+    ExhaustiveAbsence,
     FragmentRestriction,
     GuardExceeded,
     ModelKind,
     NmfOptions,
     SpernerSeparation,
     VertexForcing,
+    boxworld,
+    cardinal_directions,
     certify,
     classify_model,
     cope_matrix,
     discrete_qubit,
+    emit_certificate,
+    enmf,
     exhaustive_enmf_decision,
+    extended_boxworld,
     generic_directions,
     rank,
+    rational,
     restrict_fragment,
+    spekkens,
+    sperner_submatrix,
     vertex_forcing_certificate,
 )
 from copekit.certify import Exists, NotExists
 from copekit.cope import PreconditionError
+from copekit.enmf_decision import decide_enmf_existence
 
 from oracles import random_cope
 
@@ -224,3 +235,81 @@ def test_noncontextual_certificates_always_reverify():
             assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
         elif cert.verdict == CONTEXTUAL:
             assert cert.evidence is not None
+
+
+# --- one vertex program per certify ----------------------------------------------
+
+
+def _count_lp_solves(monkeypatch):
+    from copekit import rational_linalg
+
+    calls = []
+    solve = rational_linalg.lp_feasibility
+
+    def counted(a_eq, b_eq):
+        calls.append(len(a_eq))
+        return solve(a_eq, b_eq)
+
+    monkeypatch.setattr(rational_linalg, "lp_feasibility", counted)
+    return calls
+
+
+def test_absence_solves_the_vertex_program_once(monkeypatch):
+    # Drawn by the acceptance-8 recipe (random_cope at seed 808): neither
+    # vertex forcing nor a Sperner witness decides it.
+    c = cope_matrix(
+        [
+            [[1, H, 1, 0, 0], [0, H, 0, 1, 1]],
+            [[H, 1, H, 1, H], [H, 0, H, 0, H]],
+        ],
+        backend=rational(),
+    )
+    assert vertex_forcing_certificate(c) is None
+    witness = sperner_submatrix(c)
+    assert witness is None or witness.factor_span_lower_bound <= rank(c)
+    calls = _count_lp_solves(monkeypatch)
+    cert = certify(c)
+    assert isinstance(cert.evidence, ExhaustiveAbsence)
+    assert len(calls) == 1
+
+
+def test_forcing_decides_boxworld_without_a_vertex_program(monkeypatch, boxworld_matrix):
+    calls = _count_lp_solves(monkeypatch)
+    cert = certify(boxworld_matrix)
+    assert isinstance(cert.evidence, VertexForcing)
+    assert calls == []
+
+
+def test_enmf_accepts_a_precomputed_decision(monkeypatch, spekkens_matrix):
+    decision = decide_enmf_existence(spekkens_matrix)
+    calls = _count_lp_solves(monkeypatch)
+    model = enmf(spekkens_matrix, NmfOptions(), decision=decision)
+    assert calls == []
+    report = classify_model(spekkens_matrix, model)
+    assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
+
+
+# --- certificate bytes -----------------------------------------------------------
+
+# sha256 of emit_certificate(certify(c), c) (no wall time), recorded before the
+# vertex-program kernel and the tier order changed: faster must mean the same
+# certificate, sooner.
+CERTIFICATE_DIGESTS = {
+    "spekkens": "e46ef10000273e01a77a728bd03f80bf699d7a9f57fc9a5886fce5cdeceaf638",
+    "boxworld": "06c1803575e1c98ee0a659f448fe9b2f945de302e3f5221021e66589d6410abf",
+    "extended_boxworld": "adf8908e34693b1bcf5b41c8eadda092814a4a6fe919f830b2465a02362aff96",
+    "cardinal_qubit": "b4f7a3680945060e865d5f9d57cf90f573d4289000cd2d44c68fbccd631fff63",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
+def test_certificate_bytes_are_pinned(name):
+    theories = {
+        "spekkens": spekkens,
+        "boxworld": boxworld,
+        "extended_boxworld": extended_boxworld,
+        "cardinal_qubit": lambda: discrete_qubit(cardinal_directions()),
+    }
+    c = theories[name]()
+    digest = hashlib.sha256(emit_certificate(certify(c), c)).hexdigest()
+    assert digest == CERTIFICATE_DIGESTS[name]

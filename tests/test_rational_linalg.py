@@ -2,8 +2,13 @@ import random
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from copekit import boxworld, extended_boxworld, merge_measurements, spekkens, span_simplex_polytope
 from copekit import rational_linalg as rla
+from copekit.enmf_decision import _vertex_lp
+
+from oracles import reference_lp_feasibility
 
 
 def _random_fraction_matrix(rng, m, n, den=5):
@@ -92,6 +97,69 @@ def test_lp_feasibility_matches_scipy_and_farkas_verifies():
             for j in range(n):
                 assert sum(farkas[i] * a[i][j] for i in range(m)) <= 0
             assert sum(farkas[i] * b[i] for i in range(m)) > 0
+
+
+def _random_lp(rng):
+    """Small LP with rational entries, mixed-sign rhs, zero and repeated rows."""
+    m, n = rng.randint(1, 6), rng.randint(1, 7)
+    a = [
+        [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.7 else Fraction(0)
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+    b = [Fraction(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(m)]
+    shape = rng.random()
+    if shape < 0.15:
+        i = rng.randrange(m)
+        a[i] = [Fraction(0)] * n
+        b[i] = Fraction(0) if rng.random() < 0.5 else b[i]
+    elif shape < 0.3 and m > 1:
+        a[-1] = list(a[0])
+        b[-1] = b[0]
+    elif shape < 0.45:
+        b = [Fraction(0)] * m
+    return a, b
+
+
+def test_lp_feasibility_is_identical_to_the_fraction_reference():
+    rng = random.Random(2024)
+    outcomes = set()
+    for _ in range(600):
+        a, b = _random_lp(rng)
+        got = rla.lp_feasibility(a, b)
+        assert got == reference_lp_feasibility(a, b)
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
+    assert rla.lp_feasibility([], []) == reference_lp_feasibility([], [])
+
+
+@pytest.mark.parametrize("theory", [spekkens, boxworld, extended_boxworld])
+def test_lp_feasibility_is_identical_on_vertex_programs(theory):
+    merged = merge_measurements(theory())
+    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    assert rla.lp_feasibility(a, b) == reference_lp_feasibility(a, b)
+
+
+def test_primal_check_rejects_a_corrupted_solution(monkeypatch):
+    a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
+    b = [Fraction(1), Fraction(0)]
+    x, _ = rla.lp_feasibility(a, b)
+    with pytest.raises(AssertionError, match="primal point .sign"):
+        rla._check_primal(a, b, [-x[0], x[1]])
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla._check_primal(a, b, [x[0], x[1] + 1])
+
+    # A kernel that solves for the wrong right-hand side must not return.
+    integer_row = rla._integer_row
+
+    def shifted_rhs(values):
+        row, den = integer_row(values)
+        row[-1] += den
+        return row, den
+
+    monkeypatch.setattr(rla, "_integer_row", shifted_rhs)
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla.lp_feasibility(a, b)
 
 
 def test_convex_combination_basic():
