@@ -2,27 +2,25 @@
 
 Positive results must be *sound*: every model returned here has been
 re-verified against the source matrix (exactly, on the rational backend).
-The search itself is allowed to be heuristic - alternating nonnegative
-least squares with multiplicative-update polishing over seeded restarts,
-followed by rational snapping and exact re-verification - plus a family of
-deterministic geometric routes for the equirank case: when the span-simplex
-polytope is itself a simplex, when the extremal columns already form one,
-when some subset of polytope vertices encloses every column, and (rank 3)
-the exact planar nested-triangle construction.  Absence of a model is
-reported as ``None`` and proves nothing.
+The search itself is allowed to be heuristic - seeded restarts of
+multiplicative updates, run together as one batched update and each
+polished by nonnegative least squares, followed by rational snapping and
+exact re-verification - plus a family of deterministic geometric routes
+for the equirank case: when the span-simplex polytope is itself a
+simplex, when the extremal columns already form one, when some subset of
+polytope vertices encloses every column, and (rank 3) the exact planar
+nested-triangle construction.  Absence of a model is reported as ``None``
+and proves nothing.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
 import numpy as np
-import scipy.optimize
 
 from . import cope as cope_mod
 from . import planar
@@ -50,17 +48,6 @@ class NmfOptions:
             raise ValueError("inner_dim must be >= 1")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
-
-
-def _thread_cap() -> int:
-    raw = os.environ.get("COPEKIT_THREADS", "")
-    try:
-        cap = int(raw)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        cap = min(4, os.cpu_count() or 1)
-    return cap
 
 
 def _ones(n: int, exact: bool):
@@ -99,28 +86,6 @@ def _trivial_padded(c: CopeMatrix, k: int) -> Optional[ModelFactorization]:
 # ---------------------------------------------------------------------------
 # Deterministic equirank routes (exact backend)
 # ---------------------------------------------------------------------------
-
-
-def _distinct_columns(stacked, n_cols):
-    cols = [tuple(stacked[i][j] for i in range(len(stacked))) for j in range(n_cols)]
-    seen = []
-    for col in cols:
-        if col not in seen:
-            seen.append(col)
-    return seen
-
-
-def _extremal_distinct_columns(cols):
-    out = []
-    for j, col in enumerate(cols):
-        others = [c for i, c in enumerate(cols) if i != j]
-        if not others:
-            out.append(col)
-            continue
-        targets = [[o[i] for o in others] for i in range(len(col))]
-        if rla.convex_combination(targets, list(col)) is None:
-            out.append(col)
-    return out
 
 
 def _model_from_simplex(c: CopeMatrix, merged: CopeMatrix, points) -> Optional[ModelFactorization]:
@@ -167,8 +132,8 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
             return model
 
     stacked = merged.stacked()
-    cols = _distinct_columns(stacked, merged.n_preparations)
-    extremal = _extremal_distinct_columns(cols)
+    cols = list(dict.fromkeys(zip(*stacked)))
+    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(c.backend, cols, j)]
     if len(extremal) == r:
         model = _model_from_simplex(c, merged, extremal)
         if model is not None:
@@ -202,19 +167,44 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
 # ---------------------------------------------------------------------------
 
 
-def _mu_anls(arr: np.ndarray, k: int, seed: int, iterations: int):
-    """One restart: multiplicative updates plus an NNLS polish."""
-    rng = np.random.default_rng(seed)
+def _restarts(arr: np.ndarray, k: int, seeds: list, iterations: int) -> list:
+    """Seeded restarts as one batched multiplicative update, each NNLS-polished.
+
+    Restart s starts from ``default_rng(s)`` and runs the Lee-Seung updates
+    on its slice of an ``(S, m, k) x (S, k, n)`` stack; every 32 iterations
+    the restarts that already reproduce ``arr`` to 1e-13 leave the stack.
+    Each slice sees the same matrix products as a restart run on its own,
+    so the result does not depend on which other seeds share the batch.
+    Returns ``(residual, w, h)`` per seed, in seed order.
+    """
     m, n = arr.shape
-    scale = max(arr.mean(), 1e-3)
-    w = rng.uniform(0.2, 1.0, (m, k)) * np.sqrt(scale)
-    h = rng.uniform(0.2, 1.0, (k, n)) * np.sqrt(scale)
+    scale = np.sqrt(max(arr.mean(), 1e-3))
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    w = np.stack([rng.uniform(0.2, 1.0, (m, k)) for rng in rngs]) * scale
+    h = np.stack([rng.uniform(0.2, 1.0, (k, n)) for rng in rngs]) * scale
+    w_out, h_out = np.empty_like(w), np.empty_like(h)
+    active = np.arange(len(seeds))
     tiny = 1e-12
     for it in range(iterations):
-        h *= (w.T @ arr) / (w.T @ w @ h + tiny)
-        w *= (arr @ h.T) / (w @ h @ h.T + tiny)
-        if it % 32 == 31 and np.abs(arr - w @ h).max() < 1e-13:
-            break
+        w_t = w.transpose(0, 2, 1)
+        h *= (w_t @ arr) / (w_t @ w @ h + tiny)
+        h_t = h.transpose(0, 2, 1)
+        w *= (arr @ h_t) / (w @ h @ h_t + tiny)
+        if it % 32 == 31:
+            done = np.abs(arr - w @ h).max(axis=(1, 2)) < 1e-13
+            w_out[active[done]], h_out[active[done]] = w[done], h[done]
+            w, h, active = w[~done], h[~done], active[~done]
+            if not active.size:
+                break
+    w_out[active], h_out[active] = w, h
+    return [_nnls_polish(arr, w_s, h_s) for w_s, h_s in zip(w_out, h_out)]
+
+
+def _nnls_polish(arr: np.ndarray, w: np.ndarray, h: np.ndarray):
+    """Two alternating NNLS sweeps; returns ``(residual, w, h)``."""
+    import scipy.optimize
+
+    m, n = arr.shape
     for _ in range(2):
         for j in range(n):
             h[:, j] = scipy.optimize.nnls(w, arr[:, j])[0]
@@ -300,8 +290,9 @@ def search_candidates(
 ) -> list[ModelFactorization]:
     """All verified ontological models found at inner dimension k.
 
-    Deterministic candidates come first; heuristic restarts are ordered by
-    (residual, seed) so concurrent and serial runs pick the same winner.
+    Deterministic candidates come first; heuristic restarts follow, ordered
+    by (residual, seed), so the winner is the best fit and ties go to the
+    lowest seed.
     With ``need_equirank`` the heuristic phase still runs when none of the
     deterministic candidates is equirank.
     """
@@ -328,14 +319,7 @@ def search_candidates(
 
     arr = c.as_array()
     seeds = [opts.seed + i for i in range(opts.max_restarts)]
-    workers = min(_thread_cap(), len(seeds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(lambda s: (s, _mu_anls(arr, k, s, opts.max_iterations)), seeds)
-            )
-    else:
-        results = [(s, _mu_anls(arr, k, s, opts.max_iterations)) for s in seeds]
+    results = list(zip(seeds, _restarts(arr, k, seeds, opts.max_iterations)))
     results.sort(key=lambda item: (item[1][0], item[0]))
 
     for seed, (residual, w, h) in results:

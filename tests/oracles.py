@@ -10,6 +10,9 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import numpy as np
+import scipy.optimize
+
 from copekit import rational_linalg as rla
 from copekit.backend import rational
 from copekit.cope import cope_matrix
@@ -208,3 +211,35 @@ def reference_lp_feasibility(a_eq, b_eq):
         if var < n:
             x[var] = tab[i][-1]
     return x, None
+
+
+def reference_mu_anls(arr, k: int, seed: int, iterations: int):
+    """One multiplicative-update restart run on its own, then an NNLS polish.
+
+    The reference for the batched restarts of ``nmf.search_candidates``:
+    the same seeded start, updates and early exit, one restart at a time,
+    so the batched kernel must return an identical ``(residual, w, h)``.
+    The fourth value is the number of update iterations run.
+    """
+    rng = np.random.default_rng(seed)
+    m, n = arr.shape
+    scale = max(arr.mean(), 1e-3)
+    w = rng.uniform(0.2, 1.0, (m, k)) * np.sqrt(scale)
+    h = rng.uniform(0.2, 1.0, (k, n)) * np.sqrt(scale)
+    tiny = 1e-12
+    ran = iterations
+    for it in range(iterations):
+        h *= (w.T @ arr) / (w.T @ w @ h + tiny)
+        w *= (arr @ h.T) / (w @ h @ h.T + tiny)
+        if it % 32 == 31 and np.abs(arr - w @ h).max() < 1e-13:
+            ran = it + 1
+            break
+    for _ in range(2):
+        for j in range(n):
+            h[:, j] = scipy.optimize.nnls(w, arr[:, j])[0]
+        for i in range(m):
+            w[i, :] = scipy.optimize.nnls(h.T, arr[i, :])[0]
+        h = np.maximum(h, 0.0)
+        w = np.maximum(w, 0.0)
+    residual = float(np.abs(arr - w @ h).max())
+    return residual, w, h, ran

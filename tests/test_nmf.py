@@ -1,20 +1,26 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from copekit import (
     ModelKind,
     NmfOptions,
+    cardinal_directions,
     classify_model,
     cope_matrix,
+    discrete_qubit,
     enmf,
     nmf,
     rank,
 )
 from copekit.nmf import equirank_simplex_model
 
-from oracles import random_cope
+from oracles import random_cope, reference_mu_anls
 
 H = Fraction(1, 2)
 
@@ -124,22 +130,44 @@ def test_search_candidates_deterministic(spekkens_matrix):
     assert a.effects == b.effects and a.states == b.states
 
 
-def test_deterministic_across_thread_counts(monkeypatch):
-    # The selected restart is (residual, seed)-minimal, so serial and
-    # concurrent runs agree.
-    rng = random.Random(61)
-    c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=4, max_den=2)
-    k = max(rank(c), 2)
-    monkeypatch.setenv("COPEKIT_THREADS", "1")
-    serial = nmf(c, _opts(k, restarts=4, iterations=150))
-    monkeypatch.setenv("COPEKIT_THREADS", "4")
-    threaded = nmf(c, _opts(k, restarts=4, iterations=150))
-    if serial is None:
-        assert threaded is None
-    else:
-        assert threaded is not None
-        assert serial.effects == threaded.effects
-        assert serial.states == threaded.states
+def test_batched_restarts_match_reference():
+    # Every restart of the batch equals the same seed run on its own, bit
+    # for bit, whether it leaves the stack early or runs all iterations.
+    import numpy as np
+
+    from copekit.nmf import _restarts
+
+    rng = random.Random(1)
+    cases = []
+    for _ in range(6):
+        c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=4, max_den=2)
+        cases += [(c.as_array(), k) for k in range(rank(c), rank(c) + 3)]
+    cardinal = discrete_qubit(cardinal_directions()).as_array()
+    cases += [(cardinal, k) for k in range(4, 8)]
+    seeds = list(range(6))
+    ran_full = set()
+    for arr, k in cases:
+        for seed, got in zip(seeds, _restarts(arr, k, seeds, 400)):
+            residual, w, h, ran = reference_mu_anls(arr, k, seed, 400)
+            assert got[0] == residual
+            assert np.array_equal(got[1], w) and np.array_equal(got[2], h)
+            ran_full.add(ran == 400)
+    assert ran_full == {True, False}
+
+
+def test_import_does_not_load_scipy_optimize():
+    import copekit
+
+    src = Path(copekit.__file__).resolve().parents[1]
+    probe = "import sys, copekit, copekit.cli; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
 
 
 def test_exact_lift_repairs_noisy_factor(spekkens_matrix):
