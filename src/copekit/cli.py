@@ -5,7 +5,8 @@ no input path is given, commands read stdin, so generation and analysis
 compose: ``copekit generate --theory boxworld | copekit certify``.
 
 Exit codes: 0 success / noncontextual, 10 contextual, 20 undetermined,
-2 usage or document errors, 3 computation guard exceeded.
+2 usage or document errors, 3 computation guard exceeded, 1 internal
+check failed (a bug, reported without a traceback).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .models import (
     trivial_ontological,
 )
 from .nmf import NmfOptions, enmf, nmf
-from .polytope import GuardExceeded
+from .polytope import GuardExceeded, _independent_rows
 from .theories import (
     boxworld,
     cardinal_directions,
@@ -40,6 +41,7 @@ from .theories import (
 )
 
 EXIT_OK = 0
+EXIT_INTERNAL = 1
 EXIT_USAGE = 2
 EXIT_GUARD = 3
 EXIT_CONTEXTUAL = 10
@@ -175,30 +177,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _independent_state_columns(model) -> list[int]:
     """Lexicographically first set of linearly independent state columns."""
-    from . import rational_linalg as rla
-    import numpy as np
-
     r = model.inner_dim
-    chosen: list[int] = []
+    columns = [list(col) for col in zip(*model.states)]
     if model.backend.is_exact:
-        cols: list[list] = []
-        for j in range(model.n_preparations):
-            cand = cols + [[model.states[l][j] for l in range(r)]]
-            if rla.rank(cand) > len(cols):
-                cols = cand
-                chosen.append(j)
-                if len(chosen) == r:
-                    break
-    else:
-        arr = model.states_array()
-        mat = np.zeros((r, 0))
-        for j in range(arr.shape[1]):
-            cand = np.column_stack([mat, arr[:, j]])
-            if np.linalg.matrix_rank(cand, tol=1e-9) > mat.shape[1]:
-                mat = cand
-                chosen.append(j)
-                if len(chosen) == r:
-                    break
+        return _independent_rows(columns, r)
+    chosen: list[int] = []
+    for j in range(len(columns)):
+        if cope_mod.float_rank([columns[i] for i in chosen + [j]], model.backend.eps) > len(chosen):
+            chosen.append(j)
+            if len(chosen) == r:
+                break
     return chosen
 
 
@@ -376,6 +364,9 @@ def run_cli(argv=None) -> int:
     except (KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except AssertionError as exc:
+        print(f"error: internal check failed: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def main() -> None:

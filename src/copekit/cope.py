@@ -11,12 +11,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import rational_linalg as rla
 from .backend import Backend, rational
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class PreconditionError(ValueError):
@@ -84,6 +85,8 @@ class CopeMatrix:
         raise IndexError("row index out of range")
 
     def as_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.stacked()], dtype=float)
 
     def equals(self, other: "CopeMatrix") -> bool:
@@ -184,15 +187,27 @@ def validate(c: CopeMatrix) -> list[Violation]:
     return out
 
 
+def float_rank(rows, eps: float) -> int:
+    """Numerical rank: the singular values above ``eps`` times the largest.
+
+    The one float-rank rule of the package; 0 for an empty or zero matrix.
+    """
+    import numpy as np
+
+    arr = np.array(rows, dtype=float)
+    if arr.size == 0:
+        return 0
+    sv = np.linalg.svd(arr, compute_uv=False)
+    if sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > eps * sv[0]))
+
+
 def rank(c: CopeMatrix) -> int:
     """Rank of the stacked matrix (exact elimination or SVD thresholding)."""
     if c.backend.is_exact:
         return rla.rank(c.stacked())
-    arr = c.as_array()
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > c.backend.eps * sv[0]))
+    return float_rank(c.as_array(), c.backend.eps)
 
 
 @dataclass(frozen=True)
@@ -272,12 +287,10 @@ def _is_extremal(be: Backend, vectors: list, j: int) -> bool:
         return rla.convex_combination(cols, target) is None
     import scipy.optimize
 
-    a_eq = np.array([[float(v[i]) for v in others] for i in range(len(target))] + [[1.0] * len(others)])
-    b_eq = np.array([float(x) for x in target] + [1.0])
     res = scipy.optimize.linprog(
-        c=np.zeros(len(others)),
-        A_eq=a_eq,
-        b_eq=b_eq,
+        c=[0.0] * len(others),
+        A_eq=[[float(v[i]) for v in others] for i in range(len(target))] + [[1.0] * len(others)],
+        b_eq=[float(x) for x in target] + [1.0],
         bounds=(0, None),
         method="highs",
     )

@@ -18,14 +18,15 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from . import cope as cope_mod
 from . import rational_linalg as rla
 from .backend import Backend, floating
 from .cope import CopeMatrix, PreconditionError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ModelKind(str, enum.Enum):
@@ -61,9 +62,13 @@ class ModelFactorization:
         return len(self.states[0]) if self.states else 0
 
     def effects_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.effects], dtype=float)
 
     def states_array(self) -> np.ndarray:
+        import numpy as np
+
         return np.array([[float(x) for x in row] for row in self.states], dtype=float)
 
 
@@ -115,13 +120,7 @@ class VerificationReport:
 def _matrix_rank(rows, backend: Backend) -> int:
     if backend.is_exact:
         return rla.rank([list(r) for r in rows])
-    arr = np.array([[float(x) for x in r] for r in rows], dtype=float)
-    if arr.size == 0:
-        return 0
-    sv = np.linalg.svd(arr, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    return int(np.sum(sv > backend.eps * sv[0]))
+    return cope_mod.float_rank(rows, backend.eps)
 
 
 def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
@@ -221,6 +220,8 @@ def pregpt_from_svd(c: CopeMatrix) -> ModelFactorization:
     space of columns with zero per-block row sums, which makes every block
     sum to one common unit.  Always a float-backed model.
     """
+    import numpy as np
+
     arr = c.as_array()
     n_rows, n_cols = arr.shape
     u, s, vh = np.linalg.svd(arr, full_matrices=True)
@@ -228,7 +229,7 @@ def pregpt_from_svd(c: CopeMatrix) -> ModelFactorization:
     for i in range(min(n_rows, n_cols)):
         b[i, :] = s[i] * vh[i, :]
     eps = c.backend.eps if not c.backend.is_exact else floating().eps
-    r = int(np.sum(s > eps * s[0])) if s.size and s[0] > 0 else 0
+    r = cope_mod.float_rank(arr, eps)
 
     for col in range(r, n_rows):
         for lo, hi in _block_slices(c.block_sizes):
@@ -280,17 +281,11 @@ def gpt(c: CopeMatrix) -> ModelFactorization:
             backend=c.backend,
         )
     pre = pregpt_from_svd(c)
-    arr = c.as_array()
-    sv = np.linalg.svd(arr, compute_uv=False)
-    r = int(np.sum(sv > c.backend.eps * sv[0])) if sv.size and sv[0] > 0 else 0
-    u = pre.effects_array()[:, :r]
-    b = pre.states_array()[:r, :]
-    block_sums = np.stack([u[lo:hi, :].sum(axis=0) for lo, hi in _block_slices(c.block_sizes)])
-    unit = block_sums.mean(axis=0)
+    r = cope_mod.rank(c)
     return make_model(
-        effects=u.tolist(),
-        states=b.tolist(),
-        unit=unit.tolist(),
+        effects=[row[:r] for row in pre.effects],
+        states=pre.states[:r],
+        unit=pre.unit[:r],
         kind=ModelKind.GPT,
         block_sizes=c.block_sizes,
         backend=c.backend,
@@ -318,9 +313,10 @@ def quasi_from_gpt(g: ModelFactorization, tom_columns: Sequence[int]) -> ModelFa
         states = rla.mat_mul(t_inv, [list(row) for row in g.states])
         unit = [Fraction(1)] * r
     else:
+        import numpy as np
+
         t = g.states_array()[:, cols]
-        sv = np.linalg.svd(t, compute_uv=False)
-        if sv.size == 0 or sv[0] == 0 or sv[-1] <= g.backend.eps * sv[0]:
+        if cope_mod.float_rank(t, g.backend.eps) < r:
             raise PreconditionError("selected state columns are singular, not tomographic")
         t_inv = np.linalg.inv(t)
         effects = (g.effects_array() @ t).tolist()
@@ -339,16 +335,10 @@ def quasi_from_gpt(g: ModelFactorization, tom_columns: Sequence[int]) -> ModelFa
 def trivial_ontological(c: CopeMatrix) -> ModelFactorization:
     """One ontic point per preparation: effects = C, states = identity."""
     n = c.n_preparations
-    if c.backend.is_exact:
-        states = rla.identity(n)
-        unit = [Fraction(1)] * n
-    else:
-        states = np.eye(n).tolist()
-        unit = [1.0] * n
     return make_model(
         effects=c.stacked(),
-        states=states,
-        unit=unit,
+        states=rla.identity(n),
+        unit=[Fraction(1)] * n,
         kind=ModelKind.ONTOLOGICAL,
         block_sizes=c.block_sizes,
         backend=c.backend,
@@ -375,16 +365,10 @@ def gpt_to_trivial_ontological(g: ModelFactorization, c: CopeMatrix) -> ModelFac
         for i in range(g.n_rows)
     ]
     n = g.n_preparations
-    if g.backend.is_exact:
-        states = rla.identity(n)
-        unit = [Fraction(1)] * n
-    else:
-        states = np.eye(n).tolist()
-        unit = [1.0] * n
     return make_model(
         effects=responses,
-        states=states,
-        unit=unit,
+        states=rla.identity(n),
+        unit=[Fraction(1)] * n,
         kind=ModelKind.ONTOLOGICAL,
         block_sizes=g.block_sizes,
         backend=g.backend,

@@ -15,12 +15,11 @@ and proves nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Optional
 
 from . import cope as cope_mod
 from . import planar
@@ -29,6 +28,9 @@ from .cope import CopeMatrix
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, classify_model, make_model
 from .polytope import GuardExceeded, affine_chart, span_simplex_polytope
+
+if TYPE_CHECKING:
+    import numpy as np
 
 _SUBSET_CAP = 3000
 
@@ -139,9 +141,7 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
         if model is not None:
             return model
 
-    from math import comb
-
-    if len(vertices) > r and comb(len(vertices), r) <= _SUBSET_CAP:
+    if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
         for subset in combinations(vertices, r):
             if rla.rank([list(v) for v in subset]) < r:
                 continue
@@ -177,6 +177,8 @@ def _restarts(arr: np.ndarray, k: int, seeds: list, iterations: int) -> list:
     so the result does not depend on which other seeds share the batch.
     Returns ``(residual, w, h)`` per seed, in seed order.
     """
+    import numpy as np
+
     m, n = arr.shape
     scale = np.sqrt(max(arr.mean(), 1e-3))
     rngs = [np.random.default_rng(seed) for seed in seeds]
@@ -202,6 +204,7 @@ def _restarts(arr: np.ndarray, k: int, seeds: list, iterations: int) -> list:
 
 def _nnls_polish(arr: np.ndarray, w: np.ndarray, h: np.ndarray):
     """Two alternating NNLS sweeps; returns ``(residual, w, h)``."""
+    import numpy as np
     import scipy.optimize
 
     m, n = arr.shape
@@ -219,12 +222,12 @@ def _nnls_polish(arr: np.ndarray, w: np.ndarray, h: np.ndarray):
 def _rescale(w: np.ndarray, h: np.ndarray, first_block: int):
     """Diagonal rescaling making the state factor column stochastic."""
     d = w[:first_block, :].sum(axis=0)
-    d = np.where(d > 1e-12, d, 1.0)
+    d[d <= 1e-12] = 1.0
     return w / d, h * d[:, None]
 
 
 def _snap_matrix(arr: np.ndarray, snap_tol: float):
-    cap = max(4, int(round(1.0 / np.sqrt(snap_tol))))
+    cap = max(4, int(round(1.0 / math.sqrt(snap_tol))))
     return [[Fraction(float(x)).limit_denominator(cap) for x in row] for row in arr]
 
 
@@ -322,11 +325,14 @@ def search_candidates(
     results = list(zip(seeds, _restarts(arr, k, seeds, opts.max_iterations)))
     results.sort(key=lambda item: (item[1][0], item[0]))
 
+    # A float restart off by more than eps cannot reconstruct C; the factor
+    # 2 covers the rounding of _rescale and of the verifier's list product.
+    cutoff = 1e-4 if c.backend.is_exact else 2 * c.backend.eps
     for seed, (residual, w, h) in results:
+        if residual > cutoff:
+            continue
         w_s, h_s = _rescale(w, h, c.block_sizes[0])
         if c.backend.is_exact:
-            if residual > 1e-4:
-                continue
             model = _exact_from_floats(c, w_s, h_s, opts)
         else:
             model = _as_ontological(c, w_s.tolist(), h_s.tolist(), c.backend)

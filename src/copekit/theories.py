@@ -15,11 +15,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from .backend import floating, rational
 from .cope import CopeMatrix, PreconditionError, cope_matrix
-from .models import ModelFactorization, ModelKind, make_model
+from .models import ModelFactorization, ModelKind, make_model, trivial_ontological
 
 H = Fraction(1, 2)
 
@@ -133,7 +131,7 @@ def _spekkens_models() -> tuple:
         block_sizes=(2, 2, 2),
         exact=True,
     )
-    trivial = _trivial_reference(spekkens())
+    trivial = trivial_ontological(spekkens())
     return (gpt, quasi, noncontextual, trivial)
 
 
@@ -172,7 +170,7 @@ def _boxworld_models() -> tuple:
         block_sizes=(2, 2),
         exact=True,
     )
-    trivial = _trivial_reference(boxworld())
+    trivial = trivial_ontological(boxworld())
     return (gpt, quasi, trivial)
 
 
@@ -240,14 +238,8 @@ def _extended_boxworld_models() -> tuple:
         block_sizes=(3, 3),
         exact=True,
     )
-    trivial = _trivial_reference(extended_boxworld())
+    trivial = trivial_ontological(extended_boxworld())
     return (gpt, quasi, contextual_ontological, trivial)
-
-
-def _trivial_reference(c: CopeMatrix) -> ModelFactorization:
-    from .models import trivial_ontological
-
-    return trivial_ontological(c)
 
 
 _THEORIES = {
@@ -307,6 +299,8 @@ def cardinal_directions() -> tuple:
 
 def generic_directions(count: int, seed: int = 11) -> tuple:
     """Seeded generic Bloch directions (pairwise non-parallel, reproducible)."""
+    import numpy as np
+
     rng = np.random.default_rng(seed)
     out: list[BlochDirection] = []
     while len(out) < count:

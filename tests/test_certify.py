@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import random
 from fractions import Fraction
 
@@ -313,3 +314,34 @@ def test_certificate_bytes_are_pinned(name):
     c = theories[name]()
     digest = hashlib.sha256(emit_certificate(certify(c), c)).hexdigest()
     assert digest == CERTIFICATE_DIGESTS[name]
+
+
+def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):
+    # On the cardinal qubit every restart stalls far above eps, so none can
+    # reconstruct C; handing them to classify_model only costs time.
+    nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
+
+    c = discrete_qubit(cardinal_directions())
+    hopeless, checked = [], []
+    restarts, classify = nmf_mod._restarts, nmf_mod.classify_model
+
+    def spy_restarts(*args):
+        results = restarts(*args)
+        for residual, w, h in results:
+            if residual > 2 * c.backend.eps:
+                _, h_s = nmf_mod._rescale(w, h, c.block_sizes[0])
+                hopeless.append(tuple(map(tuple, h_s.tolist())))
+        return results
+
+    def spy_classify(matrix, model):
+        checked.append(model.states)
+        return classify(matrix, model)
+
+    monkeypatch.setattr(nmf_mod, "_restarts", spy_restarts)
+    monkeypatch.setattr(nmf_mod, "classify_model", spy_classify)
+    cert = certify(c)
+    assert hopeless and checked
+    assert not set(hopeless) & set(checked)
+    assert cert.verdict == UNDETERMINED
+    digest = hashlib.sha256(emit_certificate(cert, c)).hexdigest()
+    assert digest == CERTIFICATE_DIGESTS["cardinal_qubit"]

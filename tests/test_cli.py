@@ -181,3 +181,18 @@ def test_backend_conversion_flag(tmp_path, capsysbinary):
     code, _, err = _run(capsysbinary, ["info", str(qub), "--backend", "rational"])
     assert code == 2
     assert b"cannot promote" in err
+
+
+def test_internal_check_failure_exits_1_without_traceback(tmp_path, capsysbinary, monkeypatch):
+    import copekit.cli
+
+    def broken(*args, **kwargs):
+        raise AssertionError("kernel answer does not verify")
+
+    path = tmp_path / "s.json"
+    path.write_bytes(emit_cope(spekkens()))
+    monkeypatch.setattr(copekit.cli, "certify", broken)
+    code, _, err = _run(capsysbinary, ["certify", str(path)])
+    assert code == 1
+    assert b"Traceback" not in err
+    assert err == b"error: internal check failed: kernel answer does not verify\n"

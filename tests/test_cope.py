@@ -19,6 +19,7 @@ from copekit import (
     validate,
 )
 from copekit.backend import floating
+from copekit.cope import float_rank
 
 from oracles import in_convex_hull, random_cope
 
@@ -73,6 +74,39 @@ def test_float_rank_uses_eps():
         [[[0.5, 0.5 + 1e-12], [0.5, 0.5 - 1e-12]]], backend=floating(1e-9)
     )
     assert rank(c) == 1
+
+
+def _inline_float_rank(arr, eps):
+    # The rule as it was written out at each call site before float_rank.
+    import numpy as np
+
+    if arr.size == 0:
+        return 0
+    sv = np.linalg.svd(arr, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    return int(np.sum(sv > eps * sv[0]))
+
+
+def test_float_rank_matches_inline_rule():
+    import numpy as np
+
+    rng = np.random.default_rng(5)
+    cases = [np.zeros((0, 3)), np.zeros((3, 0)), np.zeros((4, 5))]
+    for _ in range(200):
+        m, n = rng.integers(1, 9, size=2)
+        k = int(rng.integers(1, min(m, n) + 1))
+        low = rng.random((m, k)) @ rng.random((k, n))
+        cases.append(rng.random((m, n)))
+        cases.append(low)
+        # Near-singular: noise just below and just above the threshold.
+        for scale in (1e-13, 1e-11, 1e-9, 1e-7):
+            cases.append(low + scale * rng.standard_normal((m, n)))
+    for arr in cases:
+        for eps in (1e-9, 1e-6):
+            assert float_rank(arr, eps) == _inline_float_rank(arr, eps)
+            assert float_rank(arr.tolist(), eps) == _inline_float_rank(arr, eps)
+    assert float_rank([], 1e-9) == 0
 
 
 # --- operational equivalences -------------------------------------------------

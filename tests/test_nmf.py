@@ -10,13 +10,17 @@ import pytest
 from copekit import (
     ModelKind,
     NmfOptions,
+    boxworld,
     cardinal_directions,
     classify_model,
     cope_matrix,
     discrete_qubit,
+    emit_cope,
     enmf,
+    generic_directions,
     nmf,
     rank,
+    spekkens,
 )
 from copekit.nmf import equirank_simplex_model
 
@@ -168,6 +172,33 @@ def test_import_does_not_load_scipy_optimize():
         check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+def test_exact_certify_does_not_load_numpy(tmp_path):
+    # Rational documents are decided in Fraction arithmetic; numpy loads
+    # only for float work, such as the restarts on a float qubit.
+    import copekit
+
+    paths = [tmp_path / "spekkens.json", tmp_path / "boxworld.json", tmp_path / "qubit.json"]
+    paths[0].write_bytes(emit_cope(spekkens()))
+    paths[1].write_bytes(emit_cope(boxworld()))
+    paths[2].write_bytes(emit_cope(discrete_qubit(generic_directions(5))))
+    probe = (
+        "import os, sys, copekit, copekit.cli\n"
+        "def run(path):\n"
+        "    return copekit.cli.run_cli(['certify', path, '--output', os.devnull])\n"
+        "print(run(sys.argv[1]), run(sys.argv[2]), 'numpy' in sys.modules)\n"
+        "print(run(sys.argv[3]), 'numpy' in sys.modules)\n"
+    )
+    src = Path(copekit.__file__).resolve().parents[1]
+    out = subprocess.run(
+        [sys.executable, "-c", probe, *map(str, paths)],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.split("\n")[:2] == ["0 10 False", "10 True"]
 
 
 def test_exact_lift_repairs_noisy_factor(spekkens_matrix):
