@@ -21,25 +21,22 @@ matrix, and their order changes no verdict and no evidence:
    reaches its inner dimension, or that model itself when the scan ends
    below it; otherwise the verdict is an honest Undetermined carrying the
    searched inner-dimension range.
+
+Q, the merged matrix and the rank are derived once per call and shared by
+every tier, including the verification of each model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Optional, Union
 
-from . import cope as cope_mod
-from . import planar
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, classify_model
-from .nmf import NmfOptions, enmf, equirank_simplex_model
-from .polytope import (
-    GuardExceeded,
-    SpanSimplexPolytope,
-    affine_chart,
-    span_simplex_polytope,
-)
+from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .nmf import NmfOptions, _nested_triangle, enmf, equirank_simplex_model
+from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
 from .sperner import SpernerWitness, sperner_submatrix
 
 NONCONTEXTUAL = "Noncontextual"
@@ -95,10 +92,11 @@ def vertex_forcing_certificate(
     matrix appears among its columns and the number of distinct vertices
     exceeds rank(C).  Exact backend only.
     """
-    if not c.backend.is_exact:
+    d = _derived(c)
+    if not d.c.backend.is_exact:
         raise PreconditionError("vertex forcing requires the exact backend")
-    merged = cope_mod.merge_measurements(c)
-    poly = span_simplex_polytope(merged)
+    merged = d.merged
+    poly = d.polytope
     columns = {
         tuple(merged.blocks[0][i][j] for i in range(merged.n_rows))
         for j in range(merged.n_preparations)
@@ -107,7 +105,7 @@ def vertex_forcing_certificate(
     if not vertices <= columns:
         return None
     forced = len(vertices)
-    if forced <= cope_mod.rank(c):
+    if forced <= d.rank:
         return None
     return poly, forced
 
@@ -147,22 +145,23 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
         raise GuardExceeded(
             f"instance size {total} or inner dimension {k} exceeds the exhaustive guard"
         )
-    r = cope_mod.rank(c)
+    d = _Derived(c)
+    r = d.rank
     if k < r:
         return NotExists(
             log=(f"inner dimension {k} is below rank {r}; no factorization exists",),
             all_k=False,
         )
 
-    model = equirank_simplex_model(c)
+    model = equirank_simplex_model(d)
     if model is not None:
         if model.inner_dim < k:
-            padded = _pad_model(c, model, k)
+            padded = _pad_model(d, model, k)
             if padded is not None:
                 return Exists(padded)
         return Exists(model)
 
-    decision = decide_enmf_existence(c)
+    decision = decide_enmf_existence(d)
     if isinstance(decision, AbsenceResult):
         farkas = "farkas: " + " ".join(str(y) for y in decision.farkas)
         return NotExists(log=decision.log + (farkas,), all_k=True)
@@ -170,25 +169,15 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
         return Exists(decision.model)
 
     # A model exists at a larger inner dimension; settle the asked window.
-    if k == r and r == 3:
-        merged = cope_mod.merge_measurements(c)
-        poly = span_simplex_polytope(merged)
-        chart = affine_chart(poly)
-        stacked = merged.stacked()
-        inner = [
-            chart.to_plane([row[j] for row in stacked])
-            for j in range(merged.n_preparations)
-        ]
-        outer = [chart.to_plane(v) for v in poly.vertices]
-        if planar.nested_triangle(inner, outer) is None:
-            return NotExists(
-                log=(
-                    "rank 3: no triangle nests between the column polygon and the span polygon",
-                    "checked exactly via flush-edge greedy wrapping",
-                    f"a model does exist at inner dimension {decision.model.inner_dim}",
-                ),
-                all_k=False,
-            )
+    if k == r == 3 and _nested_triangle(d)[1] is None:
+        return NotExists(
+            log=(
+                "rank 3: no triangle nests between the column polygon and the span polygon",
+                "checked exactly via flush-edge greedy wrapping",
+                f"a model does exist at inner dimension {decision.model.inner_dim}",
+            ),
+            all_k=False,
+        )
 
     raise GuardExceeded(
         f"a model exists at inner dimension {decision.model.inner_dim} > {k} and the "
@@ -196,12 +185,8 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
     )
 
 
-def _pad_model(c: CopeMatrix, model: ModelFactorization, k: int) -> Optional[ModelFactorization]:
+def _pad_model(d: _Derived, model: ModelFactorization, k: int) -> Optional[ModelFactorization]:
     """Duplicate a response column (splitting its weights) up to inner dim k."""
-    from fractions import Fraction
-
-    from .models import make_model
-
     effects = [list(row) for row in model.effects]
     states = [list(row) for row in model.states]
     while len(states) < k:
@@ -219,7 +204,7 @@ def _pad_model(c: CopeMatrix, model: ModelFactorization, k: int) -> Optional[Mod
         block_sizes=model.block_sizes,
         backend=model.backend,
     )
-    report = classify_model(c, padded)
+    report = classify_model(d, padded)
     if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
         return padded
     return None
@@ -241,82 +226,54 @@ def certify(
     noncontextual verdict is re-verified before being returned.
     """
     opts = opts or NmfOptions()
-    r = cope_mod.rank(c)
+    d = _Derived(c)
+    r = d.rank
     bound = max_k if max_k is not None else r + 3
+
+    def issue(verdict: str, evidence: Evidence, *notes: str) -> Certificate:
+        return Certificate(verdict, evidence, r, (r, bound), notes)
+
+    def verified(model: ModelFactorization, source: str, *notes: str) -> Certificate:
+        report = classify_model(d, model)
+        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
+            raise AssertionError(f"{source} returned an unverifiable model")
+        return issue(NONCONTEXTUAL, EnmfModel(model), *notes)
 
     if c.backend.is_exact:
         try:
-            forcing = vertex_forcing_certificate(c)
+            forcing = vertex_forcing_certificate(d)
         except GuardExceeded:
             forcing = None
         if forcing is not None:
-            poly, forced = forcing
-            return Certificate(
-                verdict=CONTEXTUAL,
-                evidence=VertexForcing(poly, forced),
-                rank=r,
-                searched_k_range=(r, bound),
-            )
+            return issue(CONTEXTUAL, VertexForcing(*forcing))
 
     witness = sperner_submatrix(c)
     if witness is not None and witness.factor_span_lower_bound > r:
-        return Certificate(
-            verdict=CONTEXTUAL,
-            evidence=SpernerSeparation(witness, r),
-            rank=r,
-            searched_k_range=(r, bound),
-            notes=(_SIDEDNESS_NOTE,),
-        )
+        return issue(CONTEXTUAL, SpernerSeparation(witness, r), _SIDEDNESS_NOTE)
 
     decision = None
     if c.backend.is_exact:
         try:
-            decision = decide_enmf_existence(c)
+            decision = decide_enmf_existence(d)
         except GuardExceeded:
-            decision = None
+            pass
         if isinstance(decision, AbsenceResult):
             farkas = "farkas: " + " ".join(str(y) for y in decision.farkas)
-            return Certificate(
-                verdict=CONTEXTUAL,
-                evidence=ExhaustiveAbsence(decision.log + (farkas,)),
-                rank=r,
-                searched_k_range=(r, bound),
-            )
+            return issue(CONTEXTUAL, ExhaustiveAbsence(decision.log + (farkas,)))
 
-    model = enmf(c, opts, max_k=bound, decision=decision)
+    model = enmf(d, opts, max_k=bound, decision=decision)
     if model is not None:
-        report = classify_model(c, model)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-            raise AssertionError("equirank search returned an unverifiable model")
-        return Certificate(
-            verdict=NONCONTEXTUAL,
-            evidence=EnmfModel(model),
-            rank=r,
-            searched_k_range=(r, bound),
-        )
-
+        return verified(model, "equirank search")
     if isinstance(decision, ExistenceResult):
-        report = classify_model(c, decision.model)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-            raise AssertionError("existence decision returned an unverifiable model")
-        return Certificate(
-            verdict=NONCONTEXTUAL,
-            evidence=EnmfModel(decision.model),
-            rank=r,
-            searched_k_range=(r, bound),
-            notes=(
-                "model found by the complete vertex program; its inner dimension "
-                "may exceed the searched range",
-            ),
+        return verified(
+            decision.model,
+            "existence decision",
+            "model found by the complete vertex program; its inner dimension "
+            "may exceed the searched range",
         )
-
-    return Certificate(
-        verdict=UNDETERMINED,
-        evidence=None,
-        rank=r,
-        searched_k_range=(r, bound),
-        notes=(
-            "no equirank model found up to the searched inner dimension and no "
-            "nonexistence proof applies; larger inner dimensions remain open",
-        ),
+    return issue(
+        UNDETERMINED,
+        None,
+        "no equirank model found up to the searched inner dimension and no "
+        "nonexistence proof applies; larger inner dimensions remain open",
     )

@@ -27,11 +27,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Union
 
-from . import cope as cope_mod
 from . import rational_linalg as rla
 from .cope import CopeMatrix, PreconditionError
 from .models import ModelFactorization, ModelKind, classify_model, make_model
-from .polytope import GuardExceeded, span_simplex_polytope
+from .polytope import GuardExceeded, _Derived, _derived
 
 _LP_VARIABLE_CAP = 4096
 
@@ -91,9 +90,10 @@ def _vertex_lp(merged: CopeMatrix, vertices) -> tuple:
 
 
 def _model_from_vertex_coefficients(
-    c: CopeMatrix, vertices, coefficients
+    d: _Derived, vertices, coefficients
 ) -> Optional[ModelFactorization]:
     """Assemble, prune unused vertices, and verify the equirank model."""
+    c = d.c
     j_count = c.n_measurements
     n = c.n_preparations
     k = len(vertices)
@@ -112,7 +112,7 @@ def _model_from_vertex_coefficients(
             block_sizes=c.block_sizes,
             backend=c.backend,
         )
-        report = classify_model(c, model)
+        report = classify_model(d, model)
         if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
             return model
         return None
@@ -134,11 +134,11 @@ def decide_enmf_existence(c: CopeMatrix) -> Existence:
     Raises GuardExceeded when the instance is too large for exact vertex
     enumeration or the resulting program.
     """
-    if not c.backend.is_exact:
+    d = _derived(c)
+    if not d.c.backend.is_exact:
         raise PreconditionError("the existence decision requires the exact backend")
-    merged = cope_mod.merge_measurements(c)
-    poly = span_simplex_polytope(merged)
-    vertices = list(poly.vertices)
+    merged = d.merged
+    vertices = list(d.polytope.vertices)
     n = merged.n_preparations
     if len(vertices) * n > _LP_VARIABLE_CAP:
         raise GuardExceeded(
@@ -157,7 +157,7 @@ def decide_enmf_existence(c: CopeMatrix) -> Existence:
             ),
             farkas=tuple(farkas),
         )
-    model = _model_from_vertex_coefficients(c, vertices, solution)
+    model = _model_from_vertex_coefficients(d, vertices, solution)
     if model is None:
         raise AssertionError("feasible vertex program must yield a verifiable model")
     return ExistenceResult(model)

@@ -14,15 +14,19 @@ from typing import Optional, Union
 from .certify import (
     Certificate,
     CONTEXTUAL,
+    NONCONTEXTUAL,
+    UNDETERMINED,
     EnmfModel,
     Evidence,
     ExhaustiveAbsence,
     SpernerSeparation,
     VertexForcing,
+    vertex_forcing_certificate,
 )
 from .backend import Backend, BackendError, floating, format_scalar, parse_scalar, rational
-from .cope import CopeMatrix, cope_matrix, validate
+from .cope import CopeMatrix, PreconditionError, cope_matrix, validate
 from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .polytope import GuardExceeded, _Derived
 from .sperner import SpernerWitness, sperner_span_bound, sperner_ontic_bound
 
 FORMAT_VERSION = "1"
@@ -284,13 +288,23 @@ def emit_certificate(
     return _dumps(certificate_to_doc(cert, c, wall_time_ms))
 
 
+_VERDICT_OF_EVIDENCE = {
+    "EnmfModel": NONCONTEXTUAL,
+    "VertexForcing": CONTEXTUAL,
+    "SpernerSeparation": CONTEXTUAL,
+    "ExhaustiveAbsence": CONTEXTUAL,
+    "None": UNDETERMINED,
+}
+
+
 def parse_certificate(data: Union[bytes, str]):
     """Load and re-verify a certificate; returns (Certificate, CopeMatrix).
 
-    Re-verification is structural: embedded models must classify with the
-    claimed kind, forcing evidence must name columns of the merged matrix
-    in excess of the rank, and Sperner witnesses must exhibit the claimed
-    unique-zero pattern and bounds.
+    The verdict must be the one its evidence kind supports.  Embedded
+    models must classify with the claimed kind; forcing evidence must be
+    what vertex forcing re-derives from the embedded matrix (the vertices
+    of its rebuilt span-simplex polytope and their count); Sperner
+    witnesses must exhibit the claimed unique-zero pattern and bounds.
     """
     doc = _loads(data)
     if not isinstance(doc, dict):
@@ -300,46 +314,35 @@ def parse_certificate(data: Union[bytes, str]):
     kind = _require(doc, "evidence_kind")
     payload = _require(doc, "evidence")
     rank_claim = int(_require(doc, "rank"))
+    if not isinstance(kind, str) or kind not in _VERDICT_OF_EVIDENCE:
+        raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
+    if verdict != _VERDICT_OF_EVIDENCE[kind]:
+        raise ParseError(f"verdict {verdict!r} does not follow from {kind} evidence", field="verdict")
 
-    from . import cope as cope_mod
-
-    if cope_mod.rank(c) != rank_claim:
+    d = _Derived(c)
+    if d.rank != rank_claim:
         raise ParseError(f"rank claim {rank_claim} does not re-verify", field="rank")
 
     evidence: Evidence
     if kind == "EnmfModel":
         model = doc_to_model(_require(payload, "model"))
-        report = classify_model(c, model)
+        report = classify_model(d, model)
         if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
             raise ParseError("embedded model does not re-verify as equirank nonnegative", field="evidence")
         evidence = EnmfModel(model)
     elif kind == "VertexForcing":
         forced = int(_require(payload, "forced_rank"))
-        vertices = [
+        vertices = {
             tuple(parse_scalar(x, rational()) for x in v)
             for v in _require(payload, "vertices")
-        ]
-        merged = cope_mod.merge_measurements(c)
-        columns = {
-            tuple(merged.blocks[0][i][j] for i in range(merged.n_rows))
-            for j in range(merged.n_preparations)
         }
-        if not set(vertices) <= columns:
-            raise ParseError("forcing vertices are not columns of the merged matrix", field="evidence")
-        if len(set(vertices)) != forced or forced <= rank_claim:
-            raise ParseError("forced rank does not re-verify", field="evidence")
-        from .polytope import SpanSimplexPolytope
-
-        basis = tuple(
-            tuple(parse_scalar(x, rational()) for x in row)
-            for row in payload.get("basis", ())
-        )
-        poly = SpanSimplexPolytope(
-            ambient_dim=merged.n_rows,
-            basis=basis,
-            vertices=tuple(sorted(set(vertices))),
-        )
-        evidence = VertexForcing(poly, forced)
+        try:
+            rebuilt = vertex_forcing_certificate(d)
+        except (GuardExceeded, PreconditionError) as exc:
+            raise ParseError(f"span-simplex polytope not rebuilt: {exc}", field="evidence") from exc
+        if rebuilt is None or set(rebuilt[0].vertices) != vertices or rebuilt[1] != forced:
+            raise ParseError("forcing evidence does not re-derive from the matrix", field="evidence")
+        evidence = VertexForcing(*rebuilt)
     elif kind == "SpernerSeparation":
         rows = tuple(int(x) for x in _require(payload, "row_indices"))
         cols = tuple(int(x) for x in _require(payload, "col_indices"))
@@ -364,15 +367,13 @@ def parse_certificate(data: Union[bytes, str]):
             raise ParseError("ontic bound does not re-verify", field="evidence")
         if witness.factor_span_lower_bound != int(_require(payload, "factor_span_lower_bound")):
             raise ParseError("span bound does not re-verify", field="evidence")
-        if verdict == CONTEXTUAL and witness.factor_span_lower_bound <= rank_claim:
+        if witness.factor_span_lower_bound <= rank_claim:
             raise ParseError("span bound does not exceed the rank", field="evidence")
         evidence = SpernerSeparation(witness, rank_claim)
     elif kind == "ExhaustiveAbsence":
         evidence = ExhaustiveAbsence(tuple(str(x) for x in _require(payload, "log")))
-    elif kind == "None":
-        evidence = None
     else:
-        raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
+        evidence = None
 
     raw_range = doc.get("searched_k_range")
     cert = Certificate(

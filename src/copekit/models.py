@@ -24,6 +24,7 @@ from . import cope as cope_mod
 from . import rational_linalg as rla
 from .backend import Backend, floating
 from .cope import CopeMatrix, PreconditionError
+from .polytope import _derived
 
 if TYPE_CHECKING:
     import numpy as np
@@ -127,8 +128,11 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
     """Check a factorization against a matrix, ignoring its kind tag.
 
     Comparisons run on the model's backend unless both sides are exact.
-    Raises on dimension mismatch.
+    Raises on dimension mismatch.  ``c`` may be a certifier call's derived
+    view (``polytope._Derived``), whose rank(c) is then reused.
     """
+    derived = _derived(c)
+    c = derived.c
     if m.n_rows != c.n_rows or m.n_preparations != c.n_preparations:
         raise PreconditionError("model dimensions do not match the matrix")
     if m.block_sizes != c.block_sizes:
@@ -173,7 +177,7 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
 
     unit_all_ones = all(cmp.eq(x, 1) for x in m.unit)
 
-    rank_c = cope_mod.rank(c)
+    rank_c = derived.rank
     rank_effects = _matrix_rank(m.effects, m.backend)
     rank_states = _matrix_rank(m.states, m.backend)
     equirank_ok = rank_c == rank_effects == rank_states

@@ -27,7 +27,7 @@ from . import rational_linalg as rla
 from .cope import CopeMatrix
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, classify_model, make_model
-from .polytope import GuardExceeded, affine_chart, span_simplex_polytope
+from .polytope import GuardExceeded, _Derived, _derived, affine_chart
 
 if TYPE_CHECKING:
     import numpy as np
@@ -56,24 +56,25 @@ def _ones(n: int, exact: bool):
     return [Fraction(1)] * n if exact else [1.0] * n
 
 
-def _as_ontological(c: CopeMatrix, effects, states, backend) -> Optional[ModelFactorization]:
+def _as_ontological(d: _Derived, effects, states, backend) -> Optional[ModelFactorization]:
     """Package and verify a candidate (effects, states); None if it fails."""
     model = make_model(
         effects=effects,
         states=states,
         unit=_ones(len(states), backend.is_exact),
         kind=ModelKind.ONTOLOGICAL,
-        block_sizes=c.block_sizes,
+        block_sizes=d.c.block_sizes,
         backend=backend,
     )
-    report = classify_model(c, model)
+    report = classify_model(d, model)
     if ModelKind.ONTOLOGICAL in report.inferred_kinds:
         return model
     return None
 
 
-def _trivial_padded(c: CopeMatrix, k: int) -> Optional[ModelFactorization]:
+def _trivial_padded(d: _Derived, k: int) -> Optional[ModelFactorization]:
     """The one-ontic-point-per-preparation model, padded to inner dim k."""
+    c = d.c
     n = c.n_preparations
     if k < n:
         return None
@@ -82,7 +83,7 @@ def _trivial_padded(c: CopeMatrix, k: int) -> Optional[ModelFactorization]:
     zero = Fraction(0) if c.backend.is_exact else 0.0
     one = Fraction(1) if c.backend.is_exact else 1.0
     states = [[one if l == j else zero for j in range(n)] for l in range(k)]
-    return _as_ontological(c, effects, states, c.backend)
+    return _as_ontological(d, effects, states, c.backend)
 
 
 # ---------------------------------------------------------------------------
@@ -90,9 +91,10 @@ def _trivial_padded(c: CopeMatrix, k: int) -> Optional[ModelFactorization]:
 # ---------------------------------------------------------------------------
 
 
-def _model_from_simplex(c: CopeMatrix, merged: CopeMatrix, points) -> Optional[ModelFactorization]:
+def _model_from_simplex(d: _Derived, points) -> Optional[ModelFactorization]:
     """Exact model whose merged response columns are the given simplex points."""
-    j_count = c.n_measurements
+    merged = d.merged
+    j_count = d.c.n_measurements
     r = len(points)
     ambient = merged.n_rows
     t_cols = [[points[l][i] for l in range(r)] for i in range(ambient)]
@@ -106,7 +108,7 @@ def _model_from_simplex(c: CopeMatrix, merged: CopeMatrix, points) -> Optional[M
         states.append(beta)
     states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
     effects = [[points[l][i] * j_count for l in range(r)] for i in range(ambient)]
-    return _as_ontological(c, effects, states_t, c.backend)
+    return _as_ontological(d, effects, states_t, d.c.backend)
 
 
 def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
@@ -118,26 +120,24 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
     simplex), the extremal columns, simplices on subsets of Q's vertices,
     and for rank 3 the exact planar decision.  Exact backend only.
     """
-    if not c.backend.is_exact:
+    d = _derived(c)
+    if not d.c.backend.is_exact:
         return None
-    r = cope_mod.rank(c)
-    merged = cope_mod.merge_measurements(c)
+    r = d.rank
     try:
-        poly = span_simplex_polytope(merged)
+        vertices = list(d.polytope.vertices)
     except GuardExceeded:
         return None
-    vertices = list(poly.vertices)
 
     if len(vertices) == r:
-        model = _model_from_simplex(c, merged, vertices)
+        model = _model_from_simplex(d, vertices)
         if model is not None:
             return model
 
-    stacked = merged.stacked()
-    cols = list(dict.fromkeys(zip(*stacked)))
-    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(c.backend, cols, j)]
+    cols = list(dict.fromkeys(zip(*d.merged.stacked())))
+    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
     if len(extremal) == r:
-        model = _model_from_simplex(c, merged, extremal)
+        model = _model_from_simplex(d, extremal)
         if model is not None:
             return model
 
@@ -145,21 +145,29 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
         for subset in combinations(vertices, r):
             if rla.rank([list(v) for v in subset]) < r:
                 continue
-            model = _model_from_simplex(c, merged, list(subset))
+            model = _model_from_simplex(d, list(subset))
             if model is not None:
                 return model
 
     if r == 3:
-        chart = affine_chart(poly)
-        inner = [chart.to_plane([row[j] for row in stacked]) for j in range(merged.n_preparations)]
-        outer = [chart.to_plane(v) for v in vertices]
-        triangle = planar.nested_triangle(inner, outer)
+        chart, triangle = _nested_triangle(d)
         if triangle is not None:
             points = [chart.to_ambient(p) for p in triangle]
-            model = _model_from_simplex(c, merged, points)
+            model = _model_from_simplex(d, points)
             if model is not None:
                 return model
     return None
+
+
+def _nested_triangle(d: _Derived):
+    """Rank 3: ``(chart, triangle)``; the triangle nests between the column
+    polygon and Q's polygon, in plane coordinates, and is None if none does."""
+    merged = d.merged
+    chart = affine_chart(d.polytope)
+    stacked = merged.stacked()
+    inner = [chart.to_plane([row[j] for row in stacked]) for j in range(merged.n_preparations)]
+    outer = [chart.to_plane(v) for v in d.polytope.vertices]
+    return chart, planar.nested_triangle(inner, outer)
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +250,9 @@ def _exact_from_floats(
     """
     r_ex = _snap_matrix(w, opts.snap_tol)
     p_ex = _snap_matrix(h, opts.snap_tol)
-    model = _as_ontological(c, r_ex, p_ex, c.backend)
+    d = _derived(c)
+    c = d.c
+    model = _as_ontological(d, r_ex, p_ex, c.backend)
     if model is not None:
         return model
 
@@ -261,7 +271,7 @@ def _exact_from_floats(
             break
         rows.append(sol)
     if rows is not None:
-        model = _as_ontological(c, rows, p_ex, c.backend)
+        model = _as_ontological(d, rows, p_ex, c.backend)
         if model is not None:
             return model
 
@@ -277,15 +287,10 @@ def _exact_from_floats(
         cols.append(sol)
     if cols is not None:
         states = [[cols[j][l] for j in range(n)] for l in range(k)]
-        model = _as_ontological(c, r_ex, states, c.backend)
+        model = _as_ontological(d, r_ex, states, c.backend)
         if model is not None:
             return model
     return None
-
-
-def _is_equirank(c: CopeMatrix, m: ModelFactorization) -> bool:
-    report = classify_model(c, m)
-    return report.equirank_ok
 
 
 def search_candidates(
@@ -299,23 +304,25 @@ def search_candidates(
     With ``need_equirank`` the heuristic phase still runs when none of the
     deterministic candidates is equirank.
     """
-    r = cope_mod.rank(c)
+    d = _derived(c)
+    c = d.c
+    r = d.rank
     if k < r:
         return []
     found: list[ModelFactorization] = []
 
     if k >= c.n_preparations:
-        trivial = _trivial_padded(c, k)
+        trivial = _trivial_padded(d, k)
         if trivial is not None:
             found.append(trivial)
 
     if c.backend.is_exact and k == r:
-        model = equirank_simplex_model(c)
+        model = equirank_simplex_model(d)
         if model is not None:
             found.append(model)
 
     satisfied = bool(found) and (
-        not need_equirank or any(_is_equirank(c, m) for m in found)
+        not need_equirank or any(classify_model(d, m).equirank_ok for m in found)
     )
     if satisfied:
         return found
@@ -333,9 +340,9 @@ def search_candidates(
             continue
         w_s, h_s = _rescale(w, h, c.block_sizes[0])
         if c.backend.is_exact:
-            model = _exact_from_floats(c, w_s, h_s, opts)
+            model = _exact_from_floats(d, w_s, h_s, opts)
         else:
-            model = _as_ontological(c, w_s.tolist(), h_s.tolist(), c.backend)
+            model = _as_ontological(d, w_s.tolist(), h_s.tolist(), c.backend)
         if model is not None:
             found.append(model)
     return found
@@ -374,14 +381,15 @@ def enmf(
     computed here.  A returned model always classifies as noncontextual
     ontological.
     """
-    r = cope_mod.rank(c)
+    d = _derived(c)
+    r = d.rank
     bound = max(max_k if max_k is not None else r + 3, r)
 
     decided_model: Optional[ModelFactorization] = None
-    if c.backend.is_exact:
+    if d.c.backend.is_exact:
         if decision is _DECIDE:
             try:
-                decision = decide_enmf_existence(c)
+                decision = decide_enmf_existence(d)
             except GuardExceeded:
                 decision = None
         if isinstance(decision, AbsenceResult):
@@ -392,7 +400,7 @@ def enmf(
     for k in range(max(r, 1), bound + 1):
         if decided_model is not None and decided_model.inner_dim == k:
             return decided_model
-        for candidate in search_candidates(c, k, opts, need_equirank=True):
+        for candidate in search_candidates(d, k, opts, need_equirank=True):
             tagged = make_model(
                 effects=candidate.effects,
                 states=candidate.states,
@@ -401,7 +409,7 @@ def enmf(
                 block_sizes=candidate.block_sizes,
                 backend=candidate.backend,
             )
-            report = classify_model(c, tagged)
+            report = classify_model(d, tagged)
             if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
                 return tagged
     return None

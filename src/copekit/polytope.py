@@ -14,8 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
+from . import cope as cope_mod
 from . import rational_linalg as rla
 from .cope import CopeMatrix, PreconditionError
 
@@ -159,6 +161,46 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
         basis=tuple(tuple(row) for row in basis),
         vertices=ordered,
     )
+
+
+class _Derived:
+    """rank(c), the merged matrix and Q of one matrix, each built on first use.
+
+    A top-level call makes one and drops it on return, so nothing derived
+    outlives the call.  The tiers and ``classify_model`` take it in place
+    of the matrix, so one call shares it; given a plain matrix, each makes
+    its own.  A guard hit while building Q is raised again on every ask.
+    """
+
+    def __init__(self, c: CopeMatrix):
+        self.c = c
+
+    @cached_property
+    def rank(self) -> int:
+        return cope_mod.rank(self.c)
+
+    @cached_property
+    def merged(self) -> CopeMatrix:
+        return cope_mod.merge_measurements(self.c)
+
+    @cached_property
+    def _polytope(self):
+        try:
+            return span_simplex_polytope(self.merged)
+        except GuardExceeded as exc:
+            return exc
+
+    @property
+    def polytope(self) -> SpanSimplexPolytope:
+        """Q of the merged matrix; raises the GuardExceeded its build raised."""
+        if isinstance(self._polytope, GuardExceeded):
+            raise self._polytope
+        return self._polytope
+
+
+def _derived(c) -> _Derived:
+    """``c`` itself when it is already a derived view, else a new one."""
+    return c if isinstance(c, _Derived) else _Derived(c)
 
 
 def contains_point(poly: SpanSimplexPolytope, point) -> bool:

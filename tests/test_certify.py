@@ -290,6 +290,52 @@ def test_enmf_accepts_a_precomputed_decision(monkeypatch, spekkens_matrix):
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
 
 
+# --- derived objects, once per call ----------------------------------------------
+
+
+def _count_calls(monkeypatch, module_name, fn_name):
+    module = importlib.import_module(module_name)
+    calls = []
+    original = getattr(module, fn_name)
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(module, fn_name, counted)
+    return calls
+
+
+def test_certify_builds_q_and_rank_once_per_call(monkeypatch):
+    c = spekkens()
+    rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
+    ranks = _count_calls(monkeypatch, "copekit.cope", "rank")
+    certify(c)
+    assert (len(rays), len(ranks)) == (1, 1)
+    certify(c)  # a second call of the same object redoes the work
+    assert (len(rays), len(ranks)) == (2, 2)
+
+
+def test_absence_builds_q_once(monkeypatch):
+    # The instance of test_absence_solves_the_vertex_program_once.
+    c = cope_matrix(
+        [
+            [[1, H, 1, 0, 0], [0, H, 0, 1, 1]],
+            [[H, 1, H, 1, H], [H, 0, H, 0, H]],
+        ],
+        backend=rational(),
+    )
+    rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
+    assert isinstance(certify(c).evidence, ExhaustiveAbsence)
+    assert len(rays) == 1
+
+
+def test_exhaustive_decision_builds_q_once(monkeypatch):
+    rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
+    exhaustive_enmf_decision(boxworld(), 3)
+    assert len(rays) == 1
+
+
 # --- certificate bytes -----------------------------------------------------------
 
 # sha256 of emit_certificate(certify(c), c) (no wall time), recorded before the
@@ -303,6 +349,11 @@ CERTIFICATE_DIGESTS = {
 }
 
 
+# sha256 over the concatenated certificates of the acceptance-8 batch (the
+# first 200 draws of random_cope at seed 808 with rows + columns <= 10).
+ACCEPTANCE_8_DIGEST = "bd5090322c3f56faf03c780254201edcca2986174e794220a76f48f584be10e9"
+
+
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_bytes_are_pinned(name):
     theories = {
@@ -314,6 +365,17 @@ def test_certificate_bytes_are_pinned(name):
     c = theories[name]()
     digest = hashlib.sha256(emit_certificate(certify(c), c)).hexdigest()
     assert digest == CERTIFICATE_DIGESTS[name]
+
+
+def test_acceptance_8_certificate_bytes_are_pinned():
+    rng = random.Random(808)
+    batch = []
+    while len(batch) < 200:
+        c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=6, max_den=2)
+        if c.n_rows + c.n_preparations <= 10:
+            batch.append(c)
+    data = b"".join(emit_certificate(certify(c), c) for c in batch)
+    assert hashlib.sha256(data).hexdigest() == ACCEPTANCE_8_DIGEST
 
 
 def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):

@@ -169,3 +169,51 @@ def test_tampered_rank_rejected(boxworld_matrix):
     doc["rank"] = 2
     with pytest.raises(ParseError):
         parse_certificate(json.dumps(doc).encode())
+
+
+def _spekkens_certificate_doc(spekkens_matrix):
+    return json.loads(emit_certificate(certify(spekkens_matrix), spekkens_matrix))
+
+
+@pytest.mark.parametrize(
+    "verdict, kind",
+    [("Noncontextual", "None"), ("Contextual", "EnmfModel")],
+)
+def test_verdict_contradicting_evidence_rejected(spekkens_matrix, verdict, kind):
+    doc = _spekkens_certificate_doc(spekkens_matrix)
+    doc["verdict"] = verdict
+    doc["evidence_kind"] = kind
+    if kind == "None":
+        doc["evidence"] = {}
+    with pytest.raises(ParseError) as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "verdict"
+
+
+def test_forged_vertex_forcing_rejected(spekkens_matrix):
+    # Five of Spekkens' own merged columns, more than its rank 4, but not the
+    # vertices of its span-simplex polytope.
+    from copekit.cope import merge_measurements
+
+    merged = merge_measurements(spekkens_matrix)
+    columns = list(dict.fromkeys(zip(*merged.stacked())))[:5]
+    doc = _spekkens_certificate_doc(spekkens_matrix)
+    doc["verdict"] = "Contextual"
+    doc["evidence_kind"] = "VertexForcing"
+    doc["evidence"] = {
+        "forced_rank": 5,
+        "ambient_dim": merged.n_rows,
+        "basis": [],
+        "vertices": [[str(x) for x in col] for col in columns],
+    }
+    with pytest.raises(ParseError, match="does not re-derive"):
+        parse_certificate(json.dumps(doc).encode())
+
+
+@pytest.mark.parametrize("fixture", ["boxworld_matrix", "ebw_matrix"])
+def test_genuine_vertex_forcing_loads_with_rebuilt_polytope(request, fixture):
+    c = request.getfixturevalue(fixture)
+    cert = certify(c)
+    assert isinstance(cert.evidence, VertexForcing)
+    loaded, _ = parse_certificate(emit_certificate(cert, c))
+    assert loaded.evidence == cert.evidence
