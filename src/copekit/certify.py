@@ -16,11 +16,13 @@ matrix, and their order changes no verdict and no evidence:
 3. the complete vertex-program decision (exact backend, within its
    guards), solved once: an infeasible program comes with a Farkas vector
    excluding every inner dimension - contextual;
-4. a verified equirank model (noncontextual, constructive): the search
-   over inner dimensions, which returns the decision's model once the scan
-   reaches its inner dimension, or that model itself when the scan ends
-   below it; otherwise the verdict is an honest Undetermined carrying the
-   searched inner-dimension range.
+4. a verified equirank model (noncontextual, constructive).  After the
+   decision this is its model, or a smaller one from the deterministic
+   routes at inner dimension rank(C) when the model sits above rank; no
+   heuristic restart runs.  Only float matrices, and exact ones whose
+   decision hit a guard, search inner dimensions with the seeded restarts;
+   when that finds nothing the verdict is an honest Undetermined carrying
+   the searched inner-dimension range.
 
 Q, the merged matrix and the rank are derived once per call and shared by
 every tier, including the verification of each model.
@@ -221,9 +223,11 @@ def certify(
     (noncontextual), otherwise Undetermined with the searched range.  The
     two contextual tiers are sound, so they never fire on a noncontextual
     matrix and running them first changes no verdict.  A proven absence is
-    returned at once; otherwise the decision is handed to the search, which
-    returns its model when the scan reaches that inner dimension.  Every
-    noncontextual verdict is re-verified before being returned.
+    returned at once; a decided model is returned as it is, unless a
+    deterministic route at inner dimension rank(C) gives a smaller one.
+    It carries a note when its inner dimension exceeds ``max_k``.  Only
+    float matrices and guard-hit exact ones run the heuristic restarts.
+    Every noncontextual verdict is re-verified before being returned.
     """
     opts = opts or NmfOptions()
     d = _Derived(c)

@@ -264,7 +264,13 @@ def _blocks_equivalent(be: Backend, a, b) -> bool:
 
 
 def find_equivalences(c: CopeMatrix) -> EquivalenceClasses:
-    """Duplicate columns, duplicate rows, and equivalent measurement blocks."""
+    """Duplicate columns, duplicate rows, and equivalent measurement blocks.
+
+    Each item joins the first class whose first member equals it.  On the
+    float backend that is eps-equality, which is not transitive, so the
+    classes can depend on the order of the items; on the exact backend
+    they cannot.
+    """
     be = c.backend
     columns = [c.column(j) for j in range(c.n_preparations)]
     rows = c.stacked()

@@ -62,6 +62,24 @@ def _require(doc: dict, field: str):
     return doc[field]
 
 
+def _array(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ParseError(f"{field} is not an array", field=field)
+    return value
+
+
+def _int(value, field: str, limit: Optional[int] = None) -> int:
+    """A JSON integer (not a bool, float, string or null), in range(limit) if given."""
+    if type(value) is not int or (limit is not None and not 0 <= value < limit):
+        expected = "an integer" if limit is None else f"an index below {limit}"
+        raise ParseError(f"{field}: expected {expected}, got {value!r}", field=field)
+    return value
+
+
+def _ints(values, field: str, limit: Optional[int] = None) -> tuple:
+    return tuple(_int(x, field, limit) for x in _array(values, field))
+
+
 def _backend_of(doc: dict) -> Backend:
     kind = _require(doc, "backend")
     if kind == "rational":
@@ -76,7 +94,7 @@ def _backend_of(doc: dict) -> Backend:
 
 def _parse_matrix_rows(rows, backend: Backend, field: str):
     out = []
-    for i, row in enumerate(rows):
+    for i, row in enumerate(_array(rows, field)):
         if not isinstance(row, list):
             raise ParseError(f"{field}[{i}] is not an array", field=field)
         try:
@@ -115,8 +133,8 @@ def doc_to_cope(doc) -> CopeMatrix:
     if not isinstance(doc, dict):
         raise ParseError("document root must be an object", field="")
     backend = _backend_of(doc)
-    preps = _require(doc, "preparations")
-    measurements = _require(doc, "measurements")
+    preps = _array(_require(doc, "preparations"), "preparations")
+    measurements = _array(_require(doc, "measurements"), "measurements")
     blocks_raw = _require(doc, "blocks")
     if not isinstance(blocks_raw, list) or len(blocks_raw) != len(measurements):
         raise ParseError("blocks and measurements must have equal length", field="blocks")
@@ -127,7 +145,7 @@ def doc_to_cope(doc) -> CopeMatrix:
         if not isinstance(meta, dict):
             raise ParseError(f"measurements[{b}] is not an object", field="measurements")
         names.append(str(_require(meta, "name")))
-        outcomes = _require(meta, "outcomes")
+        outcomes = _array(_require(meta, "outcomes"), "outcomes")
         parsed = _parse_matrix_rows(rows, backend, f"blocks[{b}]")
         if len(parsed) != len(outcomes):
             raise ParseError(
@@ -198,17 +216,17 @@ def doc_to_model(doc) -> ModelFactorization:
     effects = _parse_matrix_rows(_require(doc, "effects"), backend, "effects")
     states = _parse_matrix_rows(_require(doc, "states"), backend, "states")
     try:
-        unit = [parse_scalar(x, backend) for x in _require(doc, "unit")]
+        unit = [parse_scalar(x, backend) for x in _array(_require(doc, "unit"), "unit")]
     except BackendError as exc:
         raise ParseError(f"unit: {exc}", field="unit") from exc
-    block_sizes = _require(doc, "block_sizes")
+    block_sizes = _ints(_require(doc, "block_sizes"), "block_sizes")
     try:
         return make_model(
             effects=effects,
             states=states,
             unit=unit,
             kind=kind,
-            block_sizes=tuple(int(x) for x in block_sizes),
+            block_sizes=block_sizes,
             backend=backend,
         )
     except ValueError as exc:
@@ -313,7 +331,9 @@ def parse_certificate(data: Union[bytes, str]):
     verdict = _require(doc, "verdict")
     kind = _require(doc, "evidence_kind")
     payload = _require(doc, "evidence")
-    rank_claim = int(_require(doc, "rank"))
+    rank_claim = _int(_require(doc, "rank"), "rank")
+    if not isinstance(payload, dict):
+        raise ParseError("evidence is not an object", field="evidence")
     if not isinstance(kind, str) or kind not in _VERDICT_OF_EVIDENCE:
         raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
     if verdict != _VERDICT_OF_EVIDENCE[kind]:
@@ -326,16 +346,17 @@ def parse_certificate(data: Union[bytes, str]):
     evidence: Evidence
     if kind == "EnmfModel":
         model = doc_to_model(_require(payload, "model"))
-        report = classify_model(d, model)
+        try:
+            report = classify_model(d, model)
+        except PreconditionError as exc:
+            raise ParseError(f"embedded model: {exc}", field="evidence") from exc
         if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
             raise ParseError("embedded model does not re-verify as equirank nonnegative", field="evidence")
         evidence = EnmfModel(model)
     elif kind == "VertexForcing":
-        forced = int(_require(payload, "forced_rank"))
-        vertices = {
-            tuple(parse_scalar(x, rational()) for x in v)
-            for v in _require(payload, "vertices")
-        }
+        forced = _int(_require(payload, "forced_rank"), "forced_rank")
+        listed = _parse_matrix_rows(_require(payload, "vertices"), rational(), "vertices")
+        vertices = set(map(tuple, listed))
         try:
             rebuilt = vertex_forcing_certificate(d)
         except (GuardExceeded, PreconditionError) as exc:
@@ -344,9 +365,9 @@ def parse_certificate(data: Union[bytes, str]):
             raise ParseError("forcing evidence does not re-derive from the matrix", field="evidence")
         evidence = VertexForcing(*rebuilt)
     elif kind == "SpernerSeparation":
-        rows = tuple(int(x) for x in _require(payload, "row_indices"))
-        cols = tuple(int(x) for x in _require(payload, "col_indices"))
-        m = int(_require(payload, "m"))
+        rows = _ints(_require(payload, "row_indices"), "row_indices", c.n_rows)
+        cols = _ints(_require(payload, "col_indices"), "col_indices", c.n_preparations)
+        m = _int(_require(payload, "m"), "m")
         if len(rows) != m or len(cols) != m:
             raise ParseError("witness index lists do not match m", field="evidence")
         stacked = c.stacked()
@@ -363,24 +384,33 @@ def parse_certificate(data: Union[bytes, str]):
             ontic_dim_lower_bound=sperner_ontic_bound(m),
             factor_span_lower_bound=sperner_span_bound(m),
         )
-        if witness.ontic_dim_lower_bound != int(_require(payload, "ontic_dim_lower_bound")):
+        claimed = _int(_require(payload, "ontic_dim_lower_bound"), "ontic_dim_lower_bound")
+        if witness.ontic_dim_lower_bound != claimed:
             raise ParseError("ontic bound does not re-verify", field="evidence")
-        if witness.factor_span_lower_bound != int(_require(payload, "factor_span_lower_bound")):
+        claimed = _int(_require(payload, "factor_span_lower_bound"), "factor_span_lower_bound")
+        if witness.factor_span_lower_bound != claimed:
             raise ParseError("span bound does not re-verify", field="evidence")
         if witness.factor_span_lower_bound <= rank_claim:
             raise ParseError("span bound does not exceed the rank", field="evidence")
         evidence = SpernerSeparation(witness, rank_claim)
     elif kind == "ExhaustiveAbsence":
-        evidence = ExhaustiveAbsence(tuple(str(x) for x in _require(payload, "log")))
+        log = _array(_require(payload, "log"), "log")
+        evidence = ExhaustiveAbsence(tuple(str(x) for x in log))
     else:
         evidence = None
 
     raw_range = doc.get("searched_k_range")
+    k_range = None if raw_range is None else _ints(raw_range, "searched_k_range")
+    if k_range is not None and len(k_range) != 2:
+        raise ParseError("searched_k_range must be null or two integers", field="searched_k_range")
+    notes = _array(doc.get("notes", []), "notes")
+    if not all(isinstance(note, str) for note in notes):
+        raise ParseError("notes must be strings", field="notes")
     cert = Certificate(
         verdict=verdict,
         evidence=evidence,
         rank=rank_claim,
-        searched_k_range=tuple(raw_range) if raw_range else None,
-        notes=tuple(doc.get("notes", ())),
+        searched_k_range=k_range,
+        notes=tuple(notes),
     )
     return cert, c

@@ -85,6 +85,8 @@ def make_model(
     sta = tuple(tuple(backend.coerce(x) for x in row) for row in states)
     uni = tuple(backend.coerce(x) for x in unit)
     inner = len(sta)
+    if any(len(row) != len(sta[0]) for row in sta):
+        raise PreconditionError("state rows must have equal length")
     if any(len(row) != inner for row in eff):
         raise PreconditionError("effects width must equal the number of state rows")
     if len(uni) != inner:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Optional
 
 from . import cope as cope_mod
@@ -311,10 +311,9 @@ def search_candidates(
         return []
     found: list[ModelFactorization] = []
 
-    if k >= c.n_preparations:
-        trivial = _trivial_padded(d, k)
-        if trivial is not None:
-            found.append(trivial)
+    trivial = _trivial_padded(d, k)
+    if trivial is not None:
+        found.append(trivial)
 
     if c.backend.is_exact and k == r:
         model = equirank_simplex_model(d)
@@ -368,24 +367,24 @@ def enmf(
     *,
     decision=_DECIDE,
 ) -> Optional[ModelFactorization]:
-    """Equirank nonnegative factorization search.
+    """Equirank nonnegative factorization search, up to inner dim ``max_k``.
 
-    Scans inner dimensions from rank(c) up to ``max_k`` (default
-    rank + 3) and keeps only candidates whose factor ranks both equal
-    rank(c).  On the exact backend the complete vertex-program decision
-    short-circuits the scan: a proven absence returns None immediately,
-    and a proven model is returned once the scan reaches its inner
-    dimension.  A caller that has already run
-    ``enmf_decision.decide_enmf_existence`` passes its result as
-    ``decision`` (None when it hit a guard); without it the decision is
-    computed here.  A returned model always classifies as noncontextual
-    ontological.
+    A returned model always classifies as noncontextual ontological.  On
+    the exact backend the vertex-program decision ends the search: an
+    absence gives None, a model at rank(c) is returned as it is, and a
+    model above rank gives way to the first deterministic route at rank(c)
+    that verifies (trivial padding, then ``equirank_simplex_model``), else
+    is returned if its inner dimension is at most ``max_k`` (default
+    rank + 3).  Only float matrices, and exact ones whose decision hit a
+    guard, scan k = rank .. ``max_k`` with ``search_candidates`` and its
+    heuristic restarts.  ``decision`` is a precomputed
+    ``decide_enmf_existence`` result (None after a guard), else computed here.
     """
     d = _derived(c)
     r = d.rank
     bound = max(max_k if max_k is not None else r + 3, r)
-
-    decided_model: Optional[ModelFactorization] = None
+    rounds = (search_candidates(d, k, opts, need_equirank=True) for k in range(r, bound + 1))
+    fallback = None
     if d.c.backend.is_exact:
         if decision is _DECIDE:
             try:
@@ -395,21 +394,21 @@ def enmf(
         if isinstance(decision, AbsenceResult):
             return None
         if isinstance(decision, ExistenceResult):
-            decided_model = decision.model
+            if decision.model.inner_dim == r:
+                return decision.model
+            rounds = [(_trivial_padded(d, r), equirank_simplex_model(d))]
+            fallback = decision.model if decision.model.inner_dim <= bound else None
 
-    for k in range(max(r, 1), bound + 1):
-        if decided_model is not None and decided_model.inner_dim == k:
-            return decided_model
-        for candidate in search_candidates(d, k, opts, need_equirank=True):
-            tagged = make_model(
-                effects=candidate.effects,
-                states=candidate.states,
-                unit=candidate.unit,
-                kind=ModelKind.NONCONTEXTUAL_ONTOLOGICAL,
-                block_sizes=candidate.block_sizes,
-                backend=candidate.backend,
-            )
-            report = classify_model(d, tagged)
-            if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
-                return tagged
-    return None
+    for candidate in filter(None, chain.from_iterable(rounds)):
+        tagged = make_model(
+            effects=candidate.effects,
+            states=candidate.states,
+            unit=candidate.unit,
+            kind=ModelKind.NONCONTEXTUAL_ONTOLOGICAL,
+            block_sizes=candidate.block_sizes,
+            backend=candidate.backend,
+        )
+        report = classify_model(d, tagged)
+        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
+            return tagged
+    return fallback

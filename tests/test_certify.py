@@ -290,6 +290,26 @@ def test_enmf_accepts_a_precomputed_decision(monkeypatch, spekkens_matrix):
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
 
 
+def test_decided_model_above_rank_ends_the_search(monkeypatch, rational_qubit_2):
+    # Decided at inner dimension 4 > rank 3: no restart runs, and the
+    # decided model is returned with or without the searched range covering it.
+    def no_restarts(*args):
+        raise AssertionError("heuristic restarts ran on a decided exact matrix")
+
+    monkeypatch.setattr(importlib.import_module("copekit.nmf"), "_restarts", no_restarts)
+    c = rational_qubit_2
+    short = certify(c, max_k=3)
+    assert short.verdict == NONCONTEXTUAL
+    assert short.evidence.model.inner_dim == 4
+    assert short.searched_k_range == (3, 3)
+    assert any("may exceed the searched range" in note for note in short.notes)
+    full = certify(c)
+    assert full.verdict == NONCONTEXTUAL
+    assert full.evidence.model == short.evidence.model
+    assert full.notes == ()
+    assert enmf(c, NmfOptions(), max_k=3) is None
+
+
 # --- derived objects, once per call ----------------------------------------------
 
 

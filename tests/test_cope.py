@@ -162,6 +162,21 @@ def test_float_block_equivalence_needs_backtracking():
     assert not _blocks_equivalent(floating(eps), (u, far), (p, q))
 
 
+def test_float_column_classes_depend_on_order():
+    # Eps-equality (eps 1e-9) is not transitive: the middle column is 6e-10
+    # from each outer one, and they are 1.2e-9 apart.  Each column joins the
+    # first class whose first member it matches, so the middle column first
+    # makes one class.
+    low, middle, high = [0.5, 0.5], [0.5 + 6e-10, 0.5 - 6e-10], [0.5 + 1.2e-9, 0.5 - 1.2e-9]
+
+    def column_classes(columns):
+        block = [[col[0] for col in columns], [col[1] for col in columns]]
+        return find_equivalences(cope_matrix([block], backend=floating())).column_classes
+
+    assert column_classes([low, middle, high]) == ((0, 1), (2,))
+    assert column_classes([middle, low, high]) == ((0, 1, 2),)
+
+
 # --- extremality --------------------------------------------------------------
 
 

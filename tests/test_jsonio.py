@@ -4,6 +4,7 @@ import pytest
 
 from copekit import (
     ParseError,
+    boxworld,
     certify,
     discrete_qubit,
     emit_certificate,
@@ -14,6 +15,7 @@ from copekit import (
     parse_certificate,
     parse_cope,
     parse_model,
+    spekkens,
 )
 from copekit.certify import SpernerSeparation, VertexForcing
 
@@ -217,3 +219,38 @@ def test_genuine_vertex_forcing_loads_with_rebuilt_polytope(request, fixture):
     assert isinstance(cert.evidence, VertexForcing)
     loaded, _ = parse_certificate(emit_certificate(cert, c))
     assert loaded.evidence == cert.evidence
+
+
+_CERTIFIED = {
+    "spekkens": spekkens,
+    "boxworld": boxworld,
+    "sperner_qubit": lambda: discrete_qubit(generic_directions(5, seed=11)),
+}
+
+
+@pytest.mark.parametrize(
+    "theory, path, value, field",
+    [
+        ("boxworld", ("evidence", "forced_rank"), None, "forced_rank"),
+        ("boxworld", ("rank",), "four", "rank"),
+        ("boxworld", ("rank",), 3.9, "rank"),
+        ("boxworld", ("evidence", "vertices", 0, 0), "x", "vertices"),
+        ("sperner_qubit", ("evidence", "m"), "x", "m"),
+        ("sperner_qubit", ("evidence", "row_indices", 0), 99, "row_indices"),
+        ("spekkens", ("searched_k_range",), 5, "searched_k_range"),
+        ("spekkens", ("notes",), 5, "notes"),
+        ("spekkens", ("evidence", "model", "unit"), None, "unit"),
+        ("spekkens", ("evidence", "model", "states", 1), [], ""),
+        ("spekkens", ("cope", "measurements"), None, "measurements"),
+    ],
+)
+def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):
+    c = _CERTIFIED[theory]()
+    doc = json.loads(emit_certificate(certify(c), c))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    with pytest.raises(ParseError) as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == field

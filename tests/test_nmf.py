@@ -174,21 +174,23 @@ def test_import_does_not_load_scipy_optimize():
     assert out.stdout.strip() == "False"
 
 
-def test_exact_certify_does_not_load_numpy(tmp_path):
-    # Rational documents are decided in Fraction arithmetic; numpy loads
+def test_exact_certify_does_not_load_numpy(tmp_path, rational_qubit_2):
+    # Rational documents are decided in Fraction arithmetic, also when the
+    # decided model sits above rank (the 2-pair rational qubit); numpy loads
     # only for float work, such as the restarts on a float qubit.
     import copekit
 
-    paths = [tmp_path / "spekkens.json", tmp_path / "boxworld.json", tmp_path / "qubit.json"]
-    paths[0].write_bytes(emit_cope(spekkens()))
-    paths[1].write_bytes(emit_cope(boxworld()))
-    paths[2].write_bytes(emit_cope(discrete_qubit(generic_directions(5))))
+    theories = [spekkens(), boxworld(), rational_qubit_2, discrete_qubit(generic_directions(5))]
+    paths = [tmp_path / f"{i}.json" for i in range(len(theories))]
+    for path, theory in zip(paths, theories):
+        path.write_bytes(emit_cope(theory))
     probe = (
         "import os, sys, copekit, copekit.cli\n"
         "def run(path):\n"
         "    return copekit.cli.run_cli(['certify', path, '--output', os.devnull])\n"
-        "print(run(sys.argv[1]), run(sys.argv[2]), 'numpy' in sys.modules)\n"
-        "print(run(sys.argv[3]), 'numpy' in sys.modules)\n"
+        "print(run(sys.argv[1]), run(sys.argv[2]), run(sys.argv[3]),\n"
+        "      'numpy' in sys.modules, 'scipy.optimize' in sys.modules)\n"
+        "print(run(sys.argv[4]), 'numpy' in sys.modules)\n"
     )
     src = Path(copekit.__file__).resolve().parents[1]
     out = subprocess.run(
@@ -198,7 +200,7 @@ def test_exact_certify_does_not_load_numpy(tmp_path):
         text=True,
         check=True,
     )
-    assert out.stdout.split("\n")[:2] == ["0 10 False", "10 True"]
+    assert out.stdout.split("\n")[:2] == ["0 10 0 False False", "10 True"]
 
 
 def test_exact_lift_repairs_noisy_factor(spekkens_matrix):
