@@ -25,7 +25,7 @@ from .certify import (
 )
 from .backend import Backend, BackendError, floating, format_scalar, parse_scalar, rational
 from .cope import CopeMatrix, PreconditionError, cope_matrix, validate
-from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .models import ModelFactorization, ModelKind, classify_model, make_model, _shape_error
 from .polytope import GuardExceeded, _Derived
 from .sperner import SpernerWitness, sperner_span_bound, sperner_ontic_bound
 
@@ -220,17 +220,17 @@ def doc_to_model(doc) -> ModelFactorization:
     except BackendError as exc:
         raise ParseError(f"unit: {exc}", field="unit") from exc
     block_sizes = _ints(_require(doc, "block_sizes"), "block_sizes")
-    try:
-        return make_model(
-            effects=effects,
-            states=states,
-            unit=unit,
-            kind=kind,
-            block_sizes=block_sizes,
-            backend=backend,
-        )
-    except ValueError as exc:
-        raise ParseError(str(exc), field="") from exc
+    problem = _shape_error(effects, states, unit, block_sizes)
+    if problem is not None:
+        raise ParseError(problem[1], field=problem[0])
+    return make_model(
+        effects=effects,
+        states=states,
+        unit=unit,
+        kind=kind,
+        block_sizes=block_sizes,
+        backend=backend,
+    )
 
 
 def parse_model(data: Union[bytes, str]) -> ModelFactorization:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import cope as cope_mod
 from . import rational_linalg as rla
@@ -73,6 +73,20 @@ class ModelFactorization:
         return np.array([[float(x) for x in row] for row in self.states], dtype=float)
 
 
+def _shape_error(effects, states, unit, block_sizes) -> Optional[tuple[str, str]]:
+    """(field, message) of the first shape rule a factor pair breaks, else None."""
+    inner = len(states)
+    if any(len(row) != len(states[0]) for row in states):
+        return "states", "state rows must have equal length"
+    if any(len(row) != inner for row in effects):
+        return "effects", "effects width must equal the number of state rows"
+    if len(unit) != inner:
+        return "unit", "unit length must equal the inner dimension"
+    if sum(block_sizes) != len(effects):
+        return "block_sizes", "block sizes must partition the effect rows"
+    return None
+
+
 def make_model(
     effects,
     states,
@@ -84,21 +98,15 @@ def make_model(
     eff = tuple(tuple(backend.coerce(x) for x in row) for row in effects)
     sta = tuple(tuple(backend.coerce(x) for x in row) for row in states)
     uni = tuple(backend.coerce(x) for x in unit)
-    inner = len(sta)
-    if any(len(row) != len(sta[0]) for row in sta):
-        raise PreconditionError("state rows must have equal length")
-    if any(len(row) != inner for row in eff):
-        raise PreconditionError("effects width must equal the number of state rows")
-    if len(uni) != inner:
-        raise PreconditionError("unit length must equal the inner dimension")
-    if sum(block_sizes) != len(eff):
-        raise PreconditionError("block sizes must partition the effect rows")
+    problem = _shape_error(eff, sta, uni, block_sizes)
+    if problem is not None:
+        raise PreconditionError(problem[1])
     return ModelFactorization(
         effects=eff,
         states=sta,
         unit=uni,
         kind=kind,
-        inner_dim=inner,
+        inner_dim=len(sta),
         block_sizes=tuple(block_sizes),
         backend=backend,
     )
@@ -126,28 +134,43 @@ def _matrix_rank(rows, backend: Backend) -> int:
     return cope_mod.float_rank(rows, backend.eps)
 
 
-def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
-    """Check a factorization against a matrix, ignoring its kind tag.
+def _integer_matrix(rows) -> tuple[list[list[int]], int]:
+    """Integer rows of a rational matrix over one positive common denominator."""
+    width = len(rows[0]) if rows else 0
+    flat, den = rla._integer_row([x for row in rows for x in row])
+    return [flat[i * width:(i + 1) * width] for i in range(len(rows))], den
 
-    Comparisons run on the model's backend unless both sides are exact.
-    Raises on dimension mismatch.  ``c`` may be a certifier call's derived
-    view (``polytope._Derived``), whose rank(c) is then reused.
+
+def _exact_flags(c: CopeMatrix, m: ModelFactorization) -> tuple:
+    """The entrywise tests of ``classify_model`` on integer rows.
+
+    The effects, the states and the unit are each brought over one
+    positive denominator (e, s and u), and every row of C over its own, so
+    each test compares integers by cross-multiplication.
     """
-    derived = _derived(c)
-    c = derived.c
-    if m.n_rows != c.n_rows or m.n_preparations != c.n_preparations:
-        raise PreconditionError("model dimensions do not match the matrix")
-    if m.block_sizes != c.block_sizes:
-        raise PreconditionError("model block structure does not match the matrix")
-    # Exact comparisons only when both sides are exact; otherwise borrow the
-    # float side's tolerance.
-    if m.backend.is_exact and c.backend.is_exact:
-        cmp = m.backend
-    elif not m.backend.is_exact:
-        cmp = m.backend
-    else:
-        cmp = c.backend
+    effects, e = _integer_matrix(m.effects)
+    states, s = _integer_matrix(m.states)
+    unit, u = rla._integer_row(m.unit)
+    columns = list(zip(*states))
+    scale = e * s
+    reconstruction_ok = all(
+        sum(x * y for x, y in zip(effect, column)) * den == row[j] * scale
+        for effect, (row, den) in zip(effects, map(rla._integer_row, c.stacked()))
+        for j, column in enumerate(columns)
+    )
+    unit_ok = all(
+        sum(effects[i][l] for i in range(lo, hi)) * u == unit[l] * e
+        for lo, hi in _block_slices(m.block_sizes)
+        for l in range(m.inner_dim)
+    )
+    nonnegative_ok = all(x >= 0 for row in effects + states for x in row)
+    states_column_stochastic_ok = all(sum(column) == s for column in columns)
+    unit_all_ones = all(x == u for x in unit)
+    return reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
 
+
+def _tolerant_flags(c: CopeMatrix, m: ModelFactorization, cmp: Backend) -> tuple:
+    """The entrywise tests of ``classify_model``, compared through ``cmp``."""
     k = m.inner_dim
     product = [
         [sum(m.effects[i][l] * m.states[l][j] for l in range(k)) for j in range(c.n_preparations)]
@@ -178,6 +201,31 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
     )
 
     unit_all_ones = all(cmp.eq(x, 1) for x in m.unit)
+    return reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
+
+
+def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
+    """Check a factorization against a matrix, ignoring its kind tag.
+
+    Comparisons run on the model's backend unless both sides are exact.
+    Raises on dimension mismatch.  ``c`` may be a certifier call's derived
+    view (``polytope._Derived``), whose rank(c) is then reused.
+    """
+    derived = _derived(c)
+    c = derived.c
+    if m.n_rows != c.n_rows or m.n_preparations != c.n_preparations:
+        raise PreconditionError("model dimensions do not match the matrix")
+    if m.block_sizes != c.block_sizes:
+        raise PreconditionError("model block structure does not match the matrix")
+    # Exact comparisons only when both sides are exact; otherwise borrow the
+    # float side's tolerance.
+    if m.backend.is_exact and c.backend.is_exact:
+        flags = _exact_flags(c, m)
+    elif not m.backend.is_exact:
+        flags = _tolerant_flags(c, m, m.backend)
+    else:
+        flags = _tolerant_flags(c, m, c.backend)
+    reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones = flags
 
     rank_c = derived.rank
     rank_effects = _matrix_rank(m.effects, m.backend)

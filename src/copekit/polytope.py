@@ -37,18 +37,10 @@ class SpanSimplexPolytope:
     vertices: tuple  # each vertex: tuple of ambient_dim Fractions
 
 
-def _primitive(vec) -> tuple:
-    """Scale a rational vector to a primitive integer vector (gcd 1)."""
-    denom = 1
-    for x in vec:
-        denom = denom * x.denominator // gcd(denom, x.denominator)
-    ints = [int(x * denom) for x in vec]
-    g = 0
-    for v in ints:
-        g = gcd(g, abs(v))
-    if g == 0:
-        return tuple(Fraction(0) for _ in ints)
-    return tuple(Fraction(v, g) for v in ints)
+def _primitive(ints) -> tuple:
+    """An integer vector divided by the gcd of its entries."""
+    g = gcd(*ints)
+    return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
 def _independent_rows(a, r: int) -> list[int]:
@@ -74,10 +66,13 @@ def extreme_rays(a) -> list[tuple]:
     processed constraint: combination rays can be accidentally tight on
     more constraints than their parents share, and an under-approximated
     tight set would let the adjacency test admit non-extreme rays.
-    Rays are returned as primitive integer vectors.
+    Each constraint row is scaled to integers first: a positive scaling
+    keeps every sign and every tight set.  Rays are primitive ``int``
+    tuples.
     """
     m = len(a)
     r = len(a[0])
+    a = [rla._integer_row(row)[0] for row in a]
     init = _independent_rows(a, r)
 
     def exact_tight(ray, processed) -> frozenset:
@@ -85,14 +80,13 @@ def extreme_rays(a) -> list[tuple]:
             i for i in processed if sum(x * y for x, y in zip(a[i], ray)) == 0
         )
 
-    d = [a[i] for i in init]
-    d_inv = rla.invert(d)
+    d_inv = rla.invert([a[i] for i in init])
     if d_inv is None:
         raise ValueError("initial rows are singular")
     processed = list(init)
     rays = []
     for col in range(r):
-        ray = _primitive([d_inv[row][col] for row in range(r)])
+        ray = _primitive(rla._integer_row([d_inv[row][col] for row in range(r)])[0])
         rays.append((ray, exact_tight(ray, processed)))
 
     for idx in range(m):

@@ -1,13 +1,23 @@
 """Exact linear algebra over rationals.
 
-Everything here takes lists of lists of :class:`fractions.Fraction` and is
-deliberately dependency-free: certificates produced elsewhere in the
-package are re-checked with these routines, so they must be exact.  The
-vertex linear program of the existence decision reaches a few hundred rows
-and columns, and there per-entry cost matters: ``rank`` and the simplex in
-``lp_feasibility`` work fraction-free, on integer rows (Bareiss), rather
-than on Fraction entries.  The simplex checks both of its answers exactly
-before returning them.
+Everything here takes lists of lists of :class:`fractions.Fraction` (ints
+are accepted too) and is deliberately dependency-free: certificates
+produced elsewhere in the package are re-checked with these routines, so
+they must be exact.
+
+One elimination kernel serves every routine that eliminates: ``rank``,
+``rref`` (and through it ``nullspace``, ``solve_consistent``, ``invert``
+and ``rank_factorization``) and the simplex of ``lp_feasibility``.  A
+kernel row is sparse and fraction-free: a dict from column index to its
+nonzero ``int`` numerator, over one positive ``int`` denominator, reduced
+by the gcd after every update.  The matrices met here stay mostly zero
+while they are eliminated (the vertex program of the existence decision
+reaches a few hundred rows and columns), so an update touches only the
+pivot row's nonzeros.  Scaling a row by a positive factor keeps the sign
+of every entry and every ratio of two, so each routine makes the pivots,
+and returns the Fractions, of elimination on Fraction entries.  The simplex
+checks both of its answers exactly, on the caller's rows, before returning
+them.
 """
 
 from __future__ import annotations
@@ -50,67 +60,94 @@ def mat_vec(a: Matrix, v: Sequence) -> Row:
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """Integer numerators and a positive common denominator for ``values``."""
-    fracs = [x if isinstance(x, (int, Fraction)) else Fraction(x) for x in values]
-    den = lcm(*(x.denominator for x in fracs if x))
-    return [x.numerator * (den // x.denominator) if x else 0 for x in fracs], den
+    pairs = [(x if type(x) in (Fraction, int) else Fraction(x)).as_integer_ratio() for x in values]
+    den = lcm(*{d for _, d in pairs})
+    return [p * (den // d) if p else 0 for p, d in pairs], den
+
+
+def _sparse_row(values: Sequence) -> tuple[dict, int]:
+    """``values`` as a kernel row: a dict of its nonzero numerators, and their denominator."""
+    row, den = _integer_row(values)
+    return {j: v for j, v in enumerate(row) if v}, den
+
+
+def _reduced(row: dict, den: int) -> tuple[dict, int]:
+    """The same rational row with its numerators and denominator coprime."""
+    g = gcd(den, *row.values())
+    if g == 1:
+        return row, den
+    return {j: v // g for j, v in row.items()}, den // g
+
+
+def _eliminate(row: dict, den: int, pivot_row: dict, col: int) -> tuple[dict, int]:
+    """Row minus the multiple of the pivot row that zeroes ``row[col]``.
+
+    The update is (p * row - f * pivot_row) / (den * p), with p the pivot
+    entry and f = ``row[col]`` first divided by their gcd (and p made
+    positive), so a unit pivot costs no multiplication of ``row``.  Only the
+    pivot row's nonzeros are touched.  ``row`` is updated in place.
+    """
+    p, f = pivot_row[col], row[col]
+    g = gcd(p, f) if p > 0 else -gcd(p, f)
+    p, f = p // g, f // g
+    if p != 1:
+        for j in row:
+            row[j] *= p
+        den *= p
+    for j, y in pivot_row.items():
+        v = row.get(j, 0) - f * y
+        if v:
+            row[j] = v
+        else:
+            del row[j]
+    return _reduced(row, den)
 
 
 def rank(a: Matrix) -> int:
-    """Rank via fraction-free (Bareiss) elimination on an integerized copy."""
-    if not a or not a[0]:
-        return 0
-    m = [_integer_row(row)[0] for row in a]
-    n_rows, n_cols = len(m), len(m[0])
-    prev = 1
+    """Rank: the pivot count of forward elimination on the kernel rows."""
+    rows = [row for row in map(_sparse_row, a) if row[0]]
     r = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(col + 1, n_cols):
-                m[i][j] = (m[r][col] * m[i][j] - m[i][col] * m[r][j]) // prev
-            m[i][col] = 0
-        prev = m[r][col]
+    while rows:
+        pivot_row, _ = rows.pop()
+        col = next(iter(pivot_row))
         r += 1
-        if r == n_rows:
-            break
+        rows = [_eliminate(row, den, pivot_row, col) if col in row else (row, den)
+                for row, den in rows]
+        rows = [(row, den) for row, den in rows if row]
     return r
 
 
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices)."""
-    m = [list(row) for row in a]
-    if not m or not m[0]:
-        return m, []
-    n_rows, n_cols = len(m), len(m[0])
-    pivots = []
-    r = 0
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    Gauss-Jordan on the kernel rows: the pivot of each column is the first
+    remaining row with a nonzero there.  The RREF of a matrix is unique, so
+    the Fractions returned are those of elimination on Fraction entries.
+    """
+    if not a or not a[0]:
+        return [list(row) for row in a], []
+    n_rows, n_cols = len(a), len(a[0])
+    rows = [_sparse_row(values) for values in a]
+    pivots: list[int] = []
     for col in range(n_cols):
-        pivot_row = None
-        for i in range(r, n_rows):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
+        r = len(pivots)
+        pivot_index = next((i for i in range(r, n_rows) if col in rows[i][0]), None)
+        if pivot_index is None:
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        inv = F1 / m[r][col]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(n_rows):
-            if i != r and m[i][col] != 0:
-                factor = m[i][col]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        rows[r], rows[pivot_index] = rows[pivot_index], rows[r]
+        pivot_row = rows[r][0]
+        for i, (row, den) in enumerate(rows):
+            if i != r and col in row:
+                rows[i] = _eliminate(row, den, pivot_row, col)
         pivots.append(col)
-        r += 1
-        if r == n_rows:
+        if len(pivots) == n_rows:
             break
-    return m, pivots
+    red = [[F0] * n_cols for _ in range(n_rows)]
+    for out, (row, _), pc in zip(red, rows, pivots):
+        p = row[pc]
+        for j, v in row.items():
+            out[j] = Fraction(v, p)
+    return red, pivots
 
 
 def rank_factorization(a: Matrix) -> tuple[Matrix, Matrix]:
@@ -174,28 +211,6 @@ def invert(a: Matrix) -> Optional[Matrix]:
     return [row[n:] for row in red[:n]]
 
 
-def _reduced(row: list[int], den: int) -> tuple[list[int], int]:
-    g = gcd(*row, den)
-    if g == 1:
-        return row, den
-    return [x // g for x in row], den // g
-
-
-def _eliminate(row: list[int], den: int, pivot_row: list[int], col: int) -> tuple[list[int], int]:
-    """Row minus a multiple of the pivot row, zeroing ``row[col]``.
-
-    Rows are integer vectors over positive denominators; the update is
-    (p * row - f * pivot_row) / (den * p) with p, f first divided by their
-    gcd, so a unit pivot costs no multiplication of ``row``.
-    """
-    p, f = pivot_row[col], row[col]
-    g = gcd(p, f)
-    p, f = p // g, f // g
-    if p == 1:
-        return _reduced([x - f * y if y else x for x, y in zip(row, pivot_row)], den)
-    return _reduced([p * x - f * y for x, y in zip(row, pivot_row)], den * p)
-
-
 def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
     """Exactly verify y^T a_eq <= 0 and y^T b_eq > 0; raise AssertionError otherwise.
 
@@ -230,90 +245,89 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
     """Exact feasibility of {x >= 0 : a_eq x = b_eq} with dual certificate.
 
     Phase-1 simplex with Bland's rule (guaranteed termination).  Each
-    tableau row is kept fraction-free, as a Python ``int`` vector over its
-    own positive denominator, reduced by the gcd after every update (the
-    integer pivoting of Bareiss elimination, row by row).  Scaling a row
-    changes neither the sign of an entry nor a ratio of two entries of it,
-    so Bland's choices, the pivot sequence and the answer are exactly those
-    of the textbook all-``Fraction`` tableau.  Returns (x, None) on
-    feasibility and (None, y) on infeasibility, where y is a Farkas vector:
-    y^T a_eq <= 0 componentwise and y^T b_eq > 0.  Both answers are
-    verified exactly before they are returned.
+    tableau row is a kernel row: its nonzero ``int`` numerators over its
+    own positive denominator, reduced by the gcd after every update, and
+    only the rows with a nonzero in the entering column are updated.
+    Scaling a row changes neither the sign of an entry nor a ratio of two
+    entries of it, so Bland's choices, the pivot sequence and the answer
+    are exactly those of the textbook all-``Fraction`` tableau.  Returns
+    (x, None) on feasibility and (None, y) on infeasibility, where y is a
+    Farkas vector: y^T a_eq <= 0 componentwise and y^T b_eq > 0.  Both
+    answers are verified exactly before they are returned.
     """
     m = len(a_eq)
     if m == 0:
         return [], None
     n = len(a_eq[0])
     total = n + m
-    # Tableau columns: n structural + m artificial + 1 rhs.  Rows are
-    # normalized so the right-hand side is nonnegative.
-    rows: list[list[int]] = []
+    # Tableau columns: n structural + m artificial + the rhs at ``total``.
+    # Rows are normalized so the right-hand side is nonnegative.
+    rows: list[dict] = []
     dens: list[int] = []
     flipped = []
     for i, (row_values, bv) in enumerate(zip(a_eq, b_eq)):
-        row, den = _integer_row(list(row_values) + [bv])
-        flip = row[n] < 0
-        if flip:
-            row = [-v for v in row]
+        values, den = _integer_row(list(row_values) + [bv])
+        flip = values[n] < 0
+        sign = -1 if flip else 1
         flipped.append(flip)
-        artificial = [0] * m
-        artificial[i] = den
-        row, den = _reduced(row[:n] + artificial + [row[n]], den)
+        row = {j: sign * v for j, v in enumerate(values[:n]) if v}
+        row[n + i] = den
+        if values[n]:
+            row[total] = sign * values[n]
+        row, den = _reduced(row, den)
         rows.append(row)
         dens.append(den)
     basis = [n + i for i in range(m)]
     # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row
     # over one denominator: minus the column sums, plus one per artificial.
     cost_den = lcm(*dens)
-    cost = [0] * (total + 1)
+    sums = [0] * (total + 1)
     for row, den in zip(rows, dens):
         scale = cost_den // den
-        for j, v in enumerate(row):
-            if v:
-                cost[j] -= scale * v
+        for j, v in row.items():
+            sums[j] -= scale * v
     for j in range(n, total):
-        cost[j] += cost_den
-    cost, cost_den = _reduced(cost, cost_den)
+        sums[j] += cost_den
+    cost, cost_den = _reduced({j: v for j, v in enumerate(sums) if v}, cost_den)
 
     while True:
-        enter = next((j for j in range(total) if cost[j] < 0), None)
+        enter = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
         if enter is None:
             break
         # Ratio test rhs_i / a_i,enter; the row denominator cancels, and
         # ratios are compared by cross-multiplication.
         leave = None
-        for i in range(m):
-            a = rows[i][enter]
+        for i, row in enumerate(rows):
+            a = row.get(enter, 0)
             if a > 0:
                 if leave is None:
                     leave = i
                     continue
-                lhs = rows[i][-1] * rows[leave][enter]
-                rhs = rows[leave][-1] * a
+                lhs = row.get(total, 0) * rows[leave][enter]
+                rhs = rows[leave].get(total, 0) * a
                 if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                     leave = i
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no unbounded pivot")
         pivot_row = rows[leave]
-        p = pivot_row[enter]
-        # The pivot row divided by its (positive) pivot entry.
-        rows[leave], dens[leave] = _reduced(pivot_row, p)
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                rows[i], dens[i] = _eliminate(rows[i], dens[i], pivot_row, enter)
+        for i, row in enumerate(rows):
+            if i != leave and enter in row:
+                rows[i], dens[i] = _eliminate(row, dens[i], pivot_row, enter)
         cost, cost_den = _eliminate(cost, cost_den, pivot_row, enter)
+        # The pivot row divided by its (positive) pivot entry.
+        rows[leave], dens[leave] = _reduced(pivot_row, pivot_row[enter])
         basis[leave] = enter
 
-    if cost[-1] != 0:
+    if cost.get(total):
         # Duals from the artificial reduced costs: cost[n+i] = 1 - y_i.
-        y = [(-1 if flip else 1) * (1 - Fraction(cost[n + i], cost_den))
+        y = [(-1 if flip else 1) * (1 - Fraction(cost.get(n + i, 0), cost_den))
              for i, flip in enumerate(flipped)]
         _check_farkas(a_eq, b_eq, y)
         return None, y
     x = [F0] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = Fraction(rows[i][-1], dens[i])
+            x[var] = Fraction(rows[i].get(total, 0), dens[i])
     _check_primal(a_eq, b_eq, x)
     return x, None
 

@@ -16,6 +16,7 @@ import scipy.optimize
 from copekit import rational_linalg as rla
 from copekit.backend import rational
 from copekit.cope import cope_matrix
+from copekit.models import ModelKind, VerificationReport
 
 
 def in_convex_hull(vectors, target) -> bool:
@@ -211,6 +212,97 @@ def reference_lp_feasibility(a_eq, b_eq):
         if var < n:
             x[var] = tab[i][-1]
     return x, None
+
+
+def reference_rref(a):
+    """Gauss-Jordan elimination on Fraction entries; returns (R, pivot columns).
+
+    The reference for ``rational_linalg.rref`` and, through its pivot count,
+    for ``rational_linalg.rank``: the pivot of each column is the first
+    remaining row with a nonzero there, and every entry is a Fraction.
+    """
+    m = [[Fraction(x) for x in row] for row in a]
+    if not m or not m[0]:
+        return m, []
+    n_rows, n_cols = len(m), len(m[0])
+    pivots = []
+    r = 0
+    for col in range(n_cols):
+        pivot_row = None
+        for i in range(r, n_rows):
+            if m[i][col] != 0:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        m[r], m[pivot_row] = m[pivot_row], m[r]
+        inv = Fraction(1) / m[r][col]
+        m[r] = [x * inv for x in m[r]]
+        for i in range(n_rows):
+            if i != r and m[i][col] != 0:
+                factor = m[i][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[r])]
+        pivots.append(col)
+        r += 1
+        if r == n_rows:
+            break
+    return m, pivots
+
+
+def reference_classify_model(c, m):
+    """``models.classify_model`` for exact matrices and models, on Fraction entries.
+
+    The reference for the integer-row tests of the library: the same five
+    entrywise tests written on Fractions, and ranks from ``reference_rref``.
+    """
+    k = m.inner_dim
+    stacked = c.stacked()
+    product = [
+        [sum(m.effects[i][l] * m.states[l][j] for l in range(k)) for j in range(c.n_preparations)]
+        for i in range(m.n_rows)
+    ]
+    reconstruction_ok = product == [list(row) for row in stacked]
+    unit_ok = True
+    offset = 0
+    for size in m.block_sizes:
+        for l in range(k):
+            if sum(m.effects[i][l] for i in range(offset, offset + size)) != m.unit[l]:
+                unit_ok = False
+        offset += size
+    nonnegative_ok = all(x >= 0 for row in m.effects + m.states for x in row)
+    states_column_stochastic_ok = all(
+        sum(m.states[l][j] for l in range(k)) == 1 for j in range(m.n_preparations)
+    )
+    unit_all_ones = all(x == 1 for x in m.unit)
+
+    def rank(rows):
+        return len(reference_rref([list(row) for row in rows])[1])
+
+    rank_c, rank_effects, rank_states = rank(stacked), rank(m.effects), rank(m.states)
+    equirank_ok = rank_c == rank_effects == rank_states
+    kinds = set()
+    if reconstruction_ok and unit_ok:
+        kinds.add(ModelKind.PREGPT)
+        if equirank_ok:
+            kinds.add(ModelKind.GPT)
+            if unit_all_ones:
+                kinds.add(ModelKind.QUASIPROBABILISTIC)
+        if nonnegative_ok and unit_all_ones and states_column_stochastic_ok:
+            kinds.add(ModelKind.ONTOLOGICAL)
+            if equirank_ok:
+                kinds.add(ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+    return VerificationReport(
+        reconstruction_ok=reconstruction_ok,
+        unit_ok=unit_ok,
+        nonnegative_ok=nonnegative_ok,
+        states_column_stochastic_ok=states_column_stochastic_ok,
+        unit_all_ones=unit_all_ones,
+        rank_c=rank_c,
+        rank_effects=rank_effects,
+        rank_states=rank_states,
+        equirank_ok=equirank_ok,
+        inferred_kinds=frozenset(kinds),
+    )
 
 
 def reference_mu_anls(arr, k: int, seed: int, iterations: int):

@@ -240,8 +240,11 @@ _CERTIFIED = {
         ("spekkens", ("searched_k_range",), 5, "searched_k_range"),
         ("spekkens", ("notes",), 5, "notes"),
         ("spekkens", ("evidence", "model", "unit"), None, "unit"),
-        ("spekkens", ("evidence", "model", "states", 1), [], ""),
+        ("spekkens", ("evidence", "model", "states", 1), [], "states"),
         ("spekkens", ("cope", "measurements"), None, "measurements"),
+        ("spekkens", ("evidence", "model", "effects", 0), ["1"], "effects"),
+        ("spekkens", ("evidence", "model", "unit"), ["1"], "unit"),
+        ("spekkens", ("evidence", "model", "block_sizes"), [1], "block_sizes"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from copekit import (
+    NONCONTEXTUAL,
+    certify,
     ModelKind,
     classify_model,
     cope_matrix,
@@ -17,8 +19,9 @@ from copekit import (
     trivial_ontological,
 )
 from copekit.cope import PreconditionError
+from copekit.models import make_model
 
-from oracles import random_cope
+from oracles import random_cope, reference_classify_model
 
 H = Fraction(1, 2)
 
@@ -286,3 +289,46 @@ def test_fiducial_flags(spekkens_matrix, boxworld_matrix):
     assert fiducial_tomography_test(boxworld_matrix) == (True, True)
     ident = cope_matrix([[[1, 0], [0, 1]]])
     assert fiducial_tomography_test(ident) == (False, False)
+
+
+def _mutations(model):
+    """The model and four single-entry mutations of it: an effect perturbed,
+    a state entry made negative, a unit entry changed, and a state column's
+    sum broken by zeroing its largest entry."""
+
+    def remade(effects=model.effects, states=model.states, unit=model.unit):
+        return make_model(effects, states, unit, model.kind, model.block_sizes, model.backend)
+
+    effects = [list(row) for row in model.effects]
+    effects[0][0] += Fraction(1, 7)
+    negative = [list(row) for row in model.states]
+    negative[0][0] = -negative[0][0] - Fraction(1, 3)
+    unit = list(model.unit)
+    unit[-1] += 1
+    column = [list(row) for row in model.states]
+    largest = max(range(len(column)), key=lambda l: column[l][-1])
+    column[largest][-1] = Fraction(0)
+    return [model, remade(effects=effects), remade(states=negative), remade(unit=unit),
+            remade(states=column)]
+
+
+def test_classify_model_is_identical_to_the_fraction_reference():
+    rng = random.Random(808)
+    flags = {}
+    compared = 0
+    while compared < 200:
+        c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=6, max_den=2)
+        if c.n_rows + c.n_preparations > 10:
+            continue
+        compared += 1
+        cert = certify(c)
+        if cert.verdict != NONCONTEXTUAL:
+            continue
+        for model in _mutations(cert.evidence.model):
+            report = classify_model(c, model)
+            assert report == reference_classify_model(c, model)
+            for name, value in vars(report).items():
+                if isinstance(value, bool):
+                    flags.setdefault(name, set()).add(value)
+    assert len(flags) == 6
+    assert all(seen == {True, False} for seen in flags.values()), flags

@@ -8,7 +8,7 @@ from copekit import boxworld, extended_boxworld, merge_measurements, spekkens, s
 from copekit import rational_linalg as rla
 from copekit.enmf_decision import _vertex_lp
 
-from oracles import reference_lp_feasibility
+from oracles import reference_lp_feasibility, reference_rref
 
 
 def _random_fraction_matrix(rng, m, n, den=5):
@@ -25,6 +25,47 @@ def test_rank_matches_numpy_on_random_matrices():
         a = _random_fraction_matrix(rng, m, n)
         arr = np.array([[float(x) for x in row] for row in a])
         assert rla.rank(a) == np.linalg.matrix_rank(arr, tol=1e-9)
+
+
+def _random_rref_matrix(rng):
+    """Tall, wide or square; zero rows or columns, negative entries,
+    denominators up to 12, and often rank-deficient."""
+    m, n = rng.randint(1, 8), rng.randint(1, 8)
+    a = [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 12)) if rng.random() < 0.6 else Fraction(0)
+         for _ in range(n)]
+        for _ in range(m)
+    ]
+    shape = rng.random()
+    if shape < 0.2:
+        a[rng.randrange(m)] = [Fraction(0)] * n
+    elif shape < 0.4:
+        j = rng.randrange(n)
+        for row in a:
+            row[j] = Fraction(0)
+    elif shape < 0.7 and m > 1:
+        # One row a combination of two others.
+        i, k = rng.randrange(m), rng.randrange(m)
+        s = Fraction(rng.randint(-3, 3), rng.randint(1, 4))
+        a[-1] = [x + s * y for x, y in zip(a[i], a[k])]
+    return a
+
+
+def test_rref_and_rank_are_identical_to_the_fraction_reference():
+    rng = random.Random(77)
+    shapes, deficient = set(), 0
+    for _ in range(400):
+        a = _random_rref_matrix(rng)
+        red, pivots = reference_rref(a)
+        assert rla.rref(a) == (red, pivots)
+        assert rla.rank(a) == len(pivots)
+        m, n = len(a), len(a[0])
+        shapes.add((m > n) - (m < n))
+        deficient += len(pivots) < min(m, n)
+    assert shapes == {-1, 0, 1}
+    assert deficient > 50
+    assert rla.rref([]) == reference_rref([])
+    assert rla.rank([]) == 0
 
 
 def test_rank_factorization_reconstructs():
