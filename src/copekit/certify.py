@@ -31,12 +31,11 @@ every tier, including the verification of each model.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Union
 
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .models import ModelFactorization, ModelKind, _verified_model, classify_model
 from .nmf import NmfOptions, _nested_triangle, enmf, equirank_simplex_model
 from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
 from .sperner import SpernerWitness, sperner_submatrix
@@ -155,13 +154,11 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
             all_k=False,
         )
 
-    model = equirank_simplex_model(d)
-    if model is not None:
-        if model.inner_dim < k:
-            padded = _pad_model(d, model, k)
-            if padded is not None:
-                return Exists(padded)
-        return Exists(model)
+    simplex = equirank_simplex_model(d)
+    if simplex is not None:
+        model = _pad_model(d, simplex, k)
+        if model is not None:
+            return Exists(model)
 
     decision = decide_enmf_existence(d)
     if isinstance(decision, AbsenceResult):
@@ -191,25 +188,14 @@ def _pad_model(d: _Derived, model: ModelFactorization, k: int) -> Optional[Model
     """Duplicate a response column (splitting its weights) up to inner dim k."""
     effects = [list(row) for row in model.effects]
     states = [list(row) for row in model.states]
+    half = model.backend.one() / 2
     while len(states) < k:
         for row in effects:
             row.append(row[-1])
-        half = Fraction(1, 2) if model.backend.is_exact else 0.5
         last = states[-1]
         states[-1] = [x * half for x in last]
         states.append([x * half for x in last])
-    padded = make_model(
-        effects=effects,
-        states=states,
-        unit=[model.backend.one()] * k,
-        kind=model.kind,
-        block_sizes=model.block_sizes,
-        backend=model.backend,
-    )
-    report = classify_model(d, padded)
-    if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
-        return padded
-    return None
+    return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
 
 
 def certify(

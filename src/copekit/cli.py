@@ -12,6 +12,7 @@ check failed (a bug, reported without a traceback).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
 from typing import Optional
@@ -256,13 +257,7 @@ def _cmd_factorize(args) -> int:
         model = trivial_ontological(c)
     elif args.kind == "nmf":
         k = args.inner_dim if args.inner_dim else cope_mod.rank(c)
-        model = nmf(c, NmfOptions(
-            inner_dim=k,
-            max_restarts=opts.max_restarts,
-            max_iterations=opts.max_iterations,
-            seed=opts.seed,
-            snap_tol=opts.snap_tol,
-        ))
+        model = nmf(c, dataclasses.replace(opts, inner_dim=k))
         if model is None:
             raise _CliError(f"no nonnegative factorization found at inner dimension {k}", EXIT_GUARD)
     else:

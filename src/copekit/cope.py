@@ -348,18 +348,10 @@ def quotient_extremal(c: CopeMatrix) -> QuotientReport:
     extremal = [j for j in range(c.n_preparations) if _is_extremal(be, columns, j)]
     dropped_cols = tuple(j for j in range(c.n_preparations) if j not in extremal)
 
-    col_classes: list[list[int]] = []
-    for j in extremal:
-        for cls in col_classes:
-            if _vectors_equal(be, columns[cls[0]], columns[j]):
-                cls.append(j)
-                break
-        else:
-            col_classes.append([j])
+    classes = _partition([columns[j] for j in extremal], lambda u, v: _vectors_equal(be, u, v))
+    col_classes = tuple(tuple(extremal[i] for i in cls) for cls in classes)
     kept_cols = [cls[0] for cls in col_classes]
-    all_col_classes = tuple(
-        tuple(cls) for cls in col_classes
-    ) + tuple((j,) for j in dropped_cols)
+    all_col_classes = col_classes + tuple((j,) for j in dropped_cols)
 
     reduced_blocks = [
         tuple(tuple(row[j] for j in kept_cols) for row in block) for block in c.blocks

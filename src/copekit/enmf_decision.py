@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 from . import rational_linalg as rla
 from .cope import CopeMatrix, PreconditionError
-from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .models import ModelFactorization, ModelKind, _verified_model
 from .polytope import GuardExceeded, _Derived, _derived
 
 _LP_VARIABLE_CAP = 4096
@@ -92,37 +92,15 @@ def _vertex_lp(merged: CopeMatrix, vertices) -> tuple:
 def _model_from_vertex_coefficients(
     d: _Derived, vertices, coefficients
 ) -> Optional[ModelFactorization]:
-    """Assemble, prune unused vertices, and verify the equirank model."""
+    """The verified model on the vertices that carry weight: it is equirank, as
+    the vertices lie in column-space(C') and the rows of P in row-space(C)."""
     c = d.c
-    j_count = c.n_measurements
     n = c.n_preparations
-    k = len(vertices)
-    p_rows = [[coefficients[l * n + j] for j in range(n)] for l in range(k)]
-
-    def build(rows_keep):
-        effects = [
-            [vertices[l][i] * j_count for l in rows_keep] for i in range(c.n_rows)
-        ]
-        states = [p_rows[l] for l in rows_keep]
-        model = make_model(
-            effects=effects,
-            states=states,
-            unit=[Fraction(1)] * len(rows_keep),
-            kind=ModelKind.NONCONTEXTUAL_ONTOLOGICAL,
-            block_sizes=c.block_sizes,
-            backend=c.backend,
-        )
-        report = classify_model(d, model)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
-            return model
-        return None
-
-    used = [l for l in range(k) if any(x != 0 for x in p_rows[l])]
-    if used and len(used) < k:
-        pruned = build(used)
-        if pruned is not None:
-            return pruned
-    return build(list(range(k)))
+    p_rows = [[coefficients[l * n + j] for j in range(n)] for l in range(len(vertices))]
+    used = [l for l, row in enumerate(p_rows) if any(row)]
+    effects = [[vertices[l][i] * c.n_measurements for l in used] for i in range(c.n_rows)]
+    states = [p_rows[l] for l in used]
+    return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
 
 
 def decide_enmf_existence(c: CopeMatrix) -> Existence:

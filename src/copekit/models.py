@@ -112,6 +112,30 @@ def make_model(
     )
 
 
+def _verified_model(
+    c: CopeMatrix, effects, states, kind: ModelKind
+) -> Optional[ModelFactorization]:
+    """A candidate (effects, states) with an all-ones unit, tagged ``kind``.
+
+    The model takes the block sizes and backend of ``c`` (a matrix or a
+    certifier call's derived view) and is returned only when ``kind`` is
+    among the kinds :func:`classify_model` infers for it; else None.
+    """
+    derived = _derived(c)
+    backend = derived.c.backend
+    model = make_model(
+        effects=effects,
+        states=states,
+        unit=[backend.one()] * len(states),
+        kind=kind,
+        block_sizes=derived.c.block_sizes,
+        backend=backend,
+    )
+    if kind in classify_model(derived, model).inferred_kinds:
+        return model
+    return None
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Which constraints a candidate factorization actually satisfies."""

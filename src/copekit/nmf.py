@@ -26,7 +26,7 @@ from . import planar
 from . import rational_linalg as rla
 from .cope import CopeMatrix
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, classify_model, make_model
+from .models import ModelFactorization, ModelKind, _verified_model, classify_model
 from .polytope import GuardExceeded, _Derived, _derived, affine_chart
 
 if TYPE_CHECKING:
@@ -52,38 +52,16 @@ class NmfOptions:
             raise ValueError("max_restarts must be >= 1")
 
 
-def _ones(n: int, exact: bool):
-    return [Fraction(1)] * n if exact else [1.0] * n
-
-
-def _as_ontological(d: _Derived, effects, states, backend) -> Optional[ModelFactorization]:
-    """Package and verify a candidate (effects, states); None if it fails."""
-    model = make_model(
-        effects=effects,
-        states=states,
-        unit=_ones(len(states), backend.is_exact),
-        kind=ModelKind.ONTOLOGICAL,
-        block_sizes=d.c.block_sizes,
-        backend=backend,
-    )
-    report = classify_model(d, model)
-    if ModelKind.ONTOLOGICAL in report.inferred_kinds:
-        return model
-    return None
-
-
 def _trivial_padded(d: _Derived, k: int) -> Optional[ModelFactorization]:
     """The one-ontic-point-per-preparation model, padded to inner dim k."""
     c = d.c
     n = c.n_preparations
     if k < n:
         return None
-    stacked = c.stacked()
-    effects = [row + [row[0]] * (k - n) for row in [list(r) for r in stacked]]
-    zero = Fraction(0) if c.backend.is_exact else 0.0
-    one = Fraction(1) if c.backend.is_exact else 1.0
-    states = [[one if l == j else zero for j in range(n)] for l in range(k)]
-    return _as_ontological(d, effects, states, c.backend)
+    be = c.backend
+    effects = [list(row) + [row[0]] * (k - n) for row in c.stacked()]
+    states = [[be.one() if l == j else be.zero() for j in range(n)] for l in range(k)]
+    return _verified_model(d, effects, states, ModelKind.ONTOLOGICAL)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +86,7 @@ def _model_from_simplex(d: _Derived, points) -> Optional[ModelFactorization]:
         states.append(beta)
     states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
     effects = [[points[l][i] * j_count for l in range(r)] for i in range(ambient)]
-    return _as_ontological(d, effects, states_t, d.c.backend)
+    return _verified_model(d, effects, states_t, ModelKind.ONTOLOGICAL)
 
 
 def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
@@ -252,7 +230,7 @@ def _exact_from_floats(
     p_ex = _snap_matrix(h, opts.snap_tol)
     d = _derived(c)
     c = d.c
-    model = _as_ontological(d, r_ex, p_ex, c.backend)
+    model = _verified_model(d, r_ex, p_ex, ModelKind.ONTOLOGICAL)
     if model is not None:
         return model
 
@@ -271,7 +249,7 @@ def _exact_from_floats(
             break
         rows.append(sol)
     if rows is not None:
-        model = _as_ontological(d, rows, p_ex, c.backend)
+        model = _verified_model(d, rows, p_ex, ModelKind.ONTOLOGICAL)
         if model is not None:
             return model
 
@@ -287,7 +265,7 @@ def _exact_from_floats(
         cols.append(sol)
     if cols is not None:
         states = [[cols[j][l] for j in range(n)] for l in range(k)]
-        model = _as_ontological(d, r_ex, states, c.backend)
+        model = _verified_model(d, r_ex, states, ModelKind.ONTOLOGICAL)
         if model is not None:
             return model
     return None
@@ -341,7 +319,7 @@ def search_candidates(
         if c.backend.is_exact:
             model = _exact_from_floats(d, w_s, h_s, opts)
         else:
-            model = _as_ontological(d, w_s.tolist(), h_s.tolist(), c.backend)
+            model = _verified_model(d, w_s.tolist(), h_s.tolist(), ModelKind.ONTOLOGICAL)
         if model is not None:
             found.append(model)
     return found
@@ -400,15 +378,9 @@ def enmf(
             fallback = decision.model if decision.model.inner_dim <= bound else None
 
     for candidate in filter(None, chain.from_iterable(rounds)):
-        tagged = make_model(
-            effects=candidate.effects,
-            states=candidate.states,
-            unit=candidate.unit,
-            kind=ModelKind.NONCONTEXTUAL_ONTOLOGICAL,
-            block_sizes=candidate.block_sizes,
-            backend=candidate.backend,
+        model = _verified_model(
+            d, candidate.effects, candidate.states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL
         )
-        report = classify_model(d, tagged)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds:
-            return tagged
+        if model is not None:
+            return model
     return fallback

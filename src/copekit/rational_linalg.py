@@ -33,16 +33,8 @@ F0 = Fraction(0)
 F1 = Fraction(1)
 
 
-def mat(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def identity(n: int) -> Matrix:
     return [[F1 if i == j else F0 for j in range(n)] for i in range(n)]
-
-
-def zeros(m: int, n: int) -> Matrix:
-    return [[F0] * n for _ in range(m)]
 
 
 def transpose(a: Matrix) -> Matrix:

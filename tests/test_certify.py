@@ -24,6 +24,7 @@ from copekit import (
     cope_matrix,
     discrete_qubit,
     emit_certificate,
+    emit_model,
     enmf,
     exhaustive_enmf_decision,
     extended_boxworld,
@@ -88,12 +89,14 @@ def test_exhaustive_fragment(spekkens_matrix):
     d4 = exhaustive_enmf_decision(frag, 4)
     assert isinstance(d4, Exists)
     assert d4.model.inner_dim <= 4
+    assert d4.model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
 
 
 def test_exhaustive_identity():
     ident = cope_matrix([[[1, 0, 0], [0, 1, 0], [0, 0, 1]]])
     d = exhaustive_enmf_decision(ident, 3)
     assert isinstance(d, Exists)
+    assert d.model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
 
 
 def test_exhaustive_below_rank(spekkens_matrix):
@@ -109,6 +112,7 @@ def test_exhaustive_padding(spekkens_matrix):
     assert d.model.inner_dim == 4
     report = classify_model(ident, d.model)
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
+    assert d.model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
 
 
 def test_exhaustive_guards(spekkens_matrix):
@@ -373,6 +377,11 @@ CERTIFICATE_DIGESTS = {
 # first 200 draws of random_cope at seed 808 with rows + columns <= 10).
 ACCEPTANCE_8_DIGEST = "bd5090322c3f56faf03c780254201edcca2986174e794220a76f48f584be10e9"
 
+# sha256 over emit_model(enmf(c, NmfOptions())) of the same batch, b"None" for
+# a None, recorded before the model constructors of nmf, enmf_decision and
+# certify were merged into one.
+ACCEPTANCE_8_ENMF_DIGEST = "66c38dffa1ae17e8a6822398b181f5eda71c0123d9ed8515b316a98dad1d1daa"
+
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
 def test_certificate_bytes_are_pinned(name):
@@ -387,25 +396,37 @@ def test_certificate_bytes_are_pinned(name):
     assert digest == CERTIFICATE_DIGESTS[name]
 
 
-def test_acceptance_8_certificate_bytes_are_pinned():
+def _acceptance_8_batch() -> list:
     rng = random.Random(808)
     batch = []
     while len(batch) < 200:
         c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=6, max_den=2)
         if c.n_rows + c.n_preparations <= 10:
             batch.append(c)
+    return batch
+
+
+def test_acceptance_8_certificate_bytes_are_pinned():
+    batch = _acceptance_8_batch()
     data = b"".join(emit_certificate(certify(c), c) for c in batch)
     assert hashlib.sha256(data).hexdigest() == ACCEPTANCE_8_DIGEST
+
+
+def test_acceptance_8_enmf_bytes_are_pinned():
+    models = (enmf(c, NmfOptions()) for c in _acceptance_8_batch())
+    data = b"".join(b"None" if m is None else emit_model(m) for m in models)
+    assert hashlib.sha256(data).hexdigest() == ACCEPTANCE_8_ENMF_DIGEST
 
 
 def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):
     # On the cardinal qubit every restart stalls far above eps, so none can
     # reconstruct C; handing them to classify_model only costs time.
     nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
+    models_mod = importlib.import_module("copekit.models")
 
     c = discrete_qubit(cardinal_directions())
     hopeless, checked = [], []
-    restarts, classify = nmf_mod._restarts, nmf_mod.classify_model
+    restarts, classify = nmf_mod._restarts, models_mod.classify_model
 
     def spy_restarts(*args):
         results = restarts(*args)
@@ -420,7 +441,7 @@ def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):
         return classify(matrix, model)
 
     monkeypatch.setattr(nmf_mod, "_restarts", spy_restarts)
-    monkeypatch.setattr(nmf_mod, "classify_model", spy_classify)
+    monkeypatch.setattr(models_mod, "classify_model", spy_classify)
     cert = certify(c)
     assert hopeless and checked
     assert not set(hopeless) & set(checked)
