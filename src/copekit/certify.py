@@ -35,8 +35,8 @@ from typing import Optional, Union
 
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, _verified_model, classify_model
-from .nmf import NmfOptions, _nested_triangle, enmf, equirank_simplex_model
+from .models import ModelFactorization, ModelKind, classify_model
+from .nmf import NmfOptions, _first_verified, _nested_triangle, _simplex_pairs, enmf
 from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
 from .sperner import SpernerWitness, sperner_submatrix
 
@@ -154,11 +154,10 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
             all_k=False,
         )
 
-    simplex = equirank_simplex_model(d)
-    if simplex is not None:
-        model = _pad_model(d, simplex, k)
-        if model is not None:
-            return Exists(model)
+    padded = (_pad_model(d, *pair, k) for pair in filter(None, _simplex_pairs(d)))
+    model = _first_verified(d, padded, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+    if model is not None:
+        return Exists(model)
 
     decision = decide_enmf_existence(d)
     if isinstance(decision, AbsenceResult):
@@ -184,18 +183,18 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
     )
 
 
-def _pad_model(d: _Derived, model: ModelFactorization, k: int) -> Optional[ModelFactorization]:
+def _pad_model(d: _Derived, effects, states, k: int) -> tuple:
     """Duplicate a response column (splitting its weights) up to inner dim k."""
-    effects = [list(row) for row in model.effects]
-    states = [list(row) for row in model.states]
-    half = model.backend.one() / 2
+    effects = [list(row) for row in effects]
+    states = [list(row) for row in states]
+    half = d.c.backend.one() / 2
     while len(states) < k:
         for row in effects:
             row.append(row[-1])
         last = states[-1]
         states[-1] = [x * half for x in last]
         states.append([x * half for x in last])
-    return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+    return effects, states
 
 
 def certify(

@@ -21,7 +21,7 @@ from . import cope as cope_mod
 from . import jsonio
 from .backend import floating
 from .certify import CONTEXTUAL, NONCONTEXTUAL, UNDETERMINED, certify
-from .cope import CopeMatrix, FragmentRestriction, PreconditionError
+from .cope import CopeMatrix, FragmentRestriction, PreconditionError, cope_matrix
 from .models import (
     classify_model,
     fiducial_tomography_test,
@@ -69,8 +69,11 @@ def _read_input(path: Optional[str]) -> bytes:
 
 def _write_output(data: bytes, path: Optional[str]) -> None:
     if path and path != "-":
-        with open(path, "wb") as fh:
-            fh.write(data)
+        try:
+            with open(path, "wb") as fh:
+                fh.write(data)
+        except OSError as exc:
+            raise _CliError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.buffer.write(data)
 
@@ -80,8 +83,6 @@ def _load_matrix(args) -> CopeMatrix:
     backend = getattr(args, "backend", None)
     if backend == "float" and c.backend.is_exact:
         eps = getattr(args, "eps", None) or 1e-9
-        from .cope import cope_matrix
-
         c = cope_matrix(
             blocks=[[[float(x) for x in row] for row in block] for block in c.blocks],
             backend=floating(eps),
@@ -172,6 +173,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directions", type=int, default=5, help="qubit: number of directions")
     p.add_argument("--cardinal", action="store_true", help="qubit: use the x,y,z axes")
     p.add_argument("--no-antipodes", action="store_true", help="qubit: omit -v preparations")
+    p.set_defaults(seed=11)
 
     return parser
 
@@ -270,8 +272,7 @@ def _cmd_factorize(args) -> int:
 
 def _cmd_verify(args) -> int:
     c = _load_matrix(args)
-    with open(args.model, "rb") as fh:
-        model = jsonio.parse_model(fh.read())
+    model = jsonio.parse_model(_read_input(args.model))
     report = classify_model(c, model)
     doc = {
         "reconstruction_ok": report.reconstruction_ok,
@@ -312,7 +313,7 @@ def _cmd_generate(args) -> int:
         if args.cardinal:
             dirs = cardinal_directions()
         else:
-            dirs = generic_directions(args.directions, seed=args.seed if args.seed else 11)
+            dirs = generic_directions(args.directions, seed=args.seed)
         c = discrete_qubit(
             dirs,
             include_antipodes=not args.no_antipodes,

@@ -207,14 +207,11 @@ def _tolerant_flags(c: CopeMatrix, m: ModelFactorization, cmp: Backend) -> tuple
         for j in range(c.n_preparations)
     )
 
-    unit_ok = True
-    offset = 0
-    for size in m.block_sizes:
-        for l in range(k):
-            total = sum(m.effects[i][l] for i in range(offset, offset + size))
-            if not cmp.eq(total, m.unit[l]):
-                unit_ok = False
-        offset += size
+    unit_ok = all(
+        cmp.eq(sum(m.effects[i][l] for i in range(lo, hi)), m.unit[l])
+        for lo, hi in _block_slices(m.block_sizes)
+        for l in range(k)
+    )
 
     nonnegative_ok = all(
         cmp.geq(x, 0) for row in m.effects for x in row

@@ -9,8 +9,10 @@ exact re-verification - plus a family of deterministic geometric routes
 for the equirank case: when the span-simplex polytope is itself a
 simplex, when the extremal columns already form one, when some subset of
 polytope vertices encloses every column, and (rank 3) the exact planar
-nested-triangle construction.  Absence of a model is reported as ``None``
-and proves nothing.
+nested-triangle construction.  The routes only propose ``(effects,
+states)`` factor pairs; the caller verifies each pair once, at the model
+kind it needs (ontological for ``nmf``, noncontextual ontological for
+``enmf``).  Absence of a model is reported as ``None`` and proves nothing.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from typing import TYPE_CHECKING, Optional
 
 from . import cope as cope_mod
@@ -26,7 +28,7 @@ from . import planar
 from . import rational_linalg as rla
 from .cope import CopeMatrix
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, _verified_model, classify_model
+from .models import ModelFactorization, ModelKind, _verified_model
 from .polytope import GuardExceeded, _Derived, _derived, affine_chart
 
 if TYPE_CHECKING:
@@ -52,8 +54,8 @@ class NmfOptions:
             raise ValueError("max_restarts must be >= 1")
 
 
-def _trivial_padded(d: _Derived, k: int) -> Optional[ModelFactorization]:
-    """The one-ontic-point-per-preparation model, padded to inner dim k."""
+def _trivial_padded(d: _Derived, k: int) -> Optional[tuple]:
+    """The one-ontic-point-per-preparation factor pair, padded to inner dim k."""
     c = d.c
     n = c.n_preparations
     if k < n:
@@ -61,7 +63,16 @@ def _trivial_padded(d: _Derived, k: int) -> Optional[ModelFactorization]:
     be = c.backend
     effects = [list(row) + [row[0]] * (k - n) for row in c.stacked()]
     states = [[be.one() if l == j else be.zero() for j in range(n)] for l in range(k)]
-    return _verified_model(d, effects, states, ModelKind.ONTOLOGICAL)
+    return effects, states
+
+
+def _first_verified(d: _Derived, pairs, kind: ModelKind) -> Optional[ModelFactorization]:
+    """The model of the first factor pair (None entries skipped) verified as ``kind``."""
+    for pair in filter(None, pairs):
+        model = _verified_model(d, *pair, kind)
+        if model is not None:
+            return model
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -69,8 +80,9 @@ def _trivial_padded(d: _Derived, k: int) -> Optional[ModelFactorization]:
 # ---------------------------------------------------------------------------
 
 
-def _model_from_simplex(d: _Derived, points) -> Optional[ModelFactorization]:
-    """Exact model whose merged response columns are the given simplex points."""
+def _model_from_simplex(d: _Derived, points) -> Optional[tuple]:
+    """Factor pair whose merged response columns are the given simplex points,
+    or None when some column is not a convex combination of them."""
     merged = d.merged
     j_count = d.c.n_measurements
     r = len(points)
@@ -86,55 +98,55 @@ def _model_from_simplex(d: _Derived, points) -> Optional[ModelFactorization]:
         states.append(beta)
     states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
     effects = [[points[l][i] * j_count for l in range(r)] for i in range(ambient)]
-    return _verified_model(d, effects, states_t, ModelKind.ONTOLOGICAL)
+    return effects, states_t
+
+
+def _simplex_pairs(d: _Derived):
+    """Factor pairs (or None) of the deterministic equirank routes, lazily.
+
+    Works on the merged matrix: an equirank model at inner dimension
+    rank(C) is a simplex nested between the column polytope and the
+    span-simplex polytope Q.  Proposes, in order: Q itself (when it is a
+    simplex), the extremal columns, simplices on subsets of Q's vertices,
+    and for rank 3 the exact planar decision.  Exact backend only; yields
+    nothing on floats or when building Q hits a guard.
+    """
+    if not d.c.backend.is_exact:
+        return
+    r = d.rank
+    try:
+        vertices = list(d.polytope.vertices)
+    except GuardExceeded:
+        return
+
+    if len(vertices) == r:
+        yield _model_from_simplex(d, vertices)
+
+    cols = list(dict.fromkeys(zip(*d.merged.stacked())))
+    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
+    if len(extremal) == r:
+        yield _model_from_simplex(d, extremal)
+
+    if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
+        for subset in combinations(vertices, r):
+            if rla.rank([list(v) for v in subset]) == r:
+                yield _model_from_simplex(d, list(subset))
+
+    if r == 3:
+        chart, triangle = _nested_triangle(d)
+        if triangle is not None:
+            yield _model_from_simplex(d, [chart.to_ambient(p) for p in triangle])
 
 
 def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
     """Deterministic search for an equirank nonnegative factorization.
 
-    Works on the merged matrix: an equirank model at inner dimension
-    rank(C) is a simplex nested between the column polytope and the
-    span-simplex polytope Q.  Tries, in order: Q itself (when it is a
-    simplex), the extremal columns, simplices on subsets of Q's vertices,
-    and for rank 3 the exact planar decision.  Exact backend only.
+    Each factor pair the deterministic routes propose at inner dimension
+    rank(C) is verified once, as ontological; the first that passes is
+    returned.  Exact backend only.
     """
     d = _derived(c)
-    if not d.c.backend.is_exact:
-        return None
-    r = d.rank
-    try:
-        vertices = list(d.polytope.vertices)
-    except GuardExceeded:
-        return None
-
-    if len(vertices) == r:
-        model = _model_from_simplex(d, vertices)
-        if model is not None:
-            return model
-
-    cols = list(dict.fromkeys(zip(*d.merged.stacked())))
-    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
-    if len(extremal) == r:
-        model = _model_from_simplex(d, extremal)
-        if model is not None:
-            return model
-
-    if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
-        for subset in combinations(vertices, r):
-            if rla.rank([list(v) for v in subset]) < r:
-                continue
-            model = _model_from_simplex(d, list(subset))
-            if model is not None:
-                return model
-
-    if r == 3:
-        chart, triangle = _nested_triangle(d)
-        if triangle is not None:
-            points = [chart.to_ambient(p) for p in triangle]
-            model = _model_from_simplex(d, points)
-            if model is not None:
-                return model
-    return None
+    return _first_verified(d, _simplex_pairs(d), ModelKind.ONTOLOGICAL)
 
 
 def _nested_triangle(d: _Derived):
@@ -218,25 +230,29 @@ def _snap_matrix(arr: np.ndarray, snap_tol: float):
 
 
 def _exact_from_floats(
-    c: CopeMatrix, w: np.ndarray, h: np.ndarray, opts: NmfOptions
+    c: CopeMatrix, w: np.ndarray, h: np.ndarray, opts: NmfOptions, kind=ModelKind.ONTOLOGICAL
 ) -> Optional[ModelFactorization]:
-    """Snap a float candidate to rationals and repair one side exactly.
-
-    The snapped pair is verified as-is first.  Failing that, one factor is
-    held at its snapped value and the other recovered by exact linear
-    feasibility (the problem is linear once one side is fixed).
-    """
-    r_ex = _snap_matrix(w, opts.snap_tol)
-    p_ex = _snap_matrix(h, opts.snap_tol)
+    """The first exact lift of a float candidate that verifies as ``kind``."""
     d = _derived(c)
-    c = d.c
-    model = _verified_model(d, r_ex, p_ex, ModelKind.ONTOLOGICAL)
-    if model is not None:
-        return model
+    return _first_verified(d, _lifted_pairs(d, w, h, opts.snap_tol), kind)
 
-    stacked = [[Fraction(x) for x in row] for row in c.stacked()]
+
+def _lifted_pairs(d: _Derived, w: np.ndarray, h: np.ndarray, snap_tol: float):
+    """Snap a float candidate to rationals, then repair one side exactly.
+
+    Yields the snapped pair as-is first.  Then one factor is held at its
+    snapped value and the other recovered by exact linear feasibility (the
+    problem is linear once one side is fixed): the effects row by row, then
+    the states column by column.  A repair with an infeasible row or column
+    is skipped.
+    """
+    r_ex = _snap_matrix(w, snap_tol)
+    p_ex = _snap_matrix(h, snap_tol)
+    yield r_ex, p_ex
+
+    stacked = [[Fraction(x) for x in row] for row in d.c.stacked()]
     m = len(stacked)
-    n = c.n_preparations
+    n = d.c.n_preparations
     k = len(p_ex)
 
     # Fix states, recover effects row by row.
@@ -245,13 +261,10 @@ def _exact_from_floats(
         a_eq = [[p_ex[l][j] for l in range(k)] for j in range(n)]
         sol = rla.lp_feasible(a_eq, stacked[i])
         if sol is None:
-            rows = None
             break
         rows.append(sol)
-    if rows is not None:
-        model = _verified_model(d, rows, p_ex, ModelKind.ONTOLOGICAL)
-        if model is not None:
-            return model
+    else:
+        yield rows, p_ex
 
     # Fix effects, recover states column by column.
     cols = []
@@ -260,48 +273,35 @@ def _exact_from_floats(
         a_eq.append([Fraction(1)] * k)
         sol = rla.lp_feasible(a_eq, [stacked[i][j] for i in range(m)] + [Fraction(1)])
         if sol is None:
-            cols = None
-            break
+            return
         cols.append(sol)
-    if cols is not None:
-        states = [[cols[j][l] for j in range(n)] for l in range(k)]
-        model = _verified_model(d, r_ex, states, ModelKind.ONTOLOGICAL)
-        if model is not None:
-            return model
-    return None
+    yield r_ex, [[cols[j][l] for j in range(n)] for l in range(k)]
 
 
 def search_candidates(
     c: CopeMatrix, k: int, opts: NmfOptions, need_equirank: bool = False
 ) -> list[ModelFactorization]:
-    """All verified ontological models found at inner dimension k.
+    """All verified models found at inner dimension k.
 
-    Deterministic candidates come first; heuristic restarts follow, ordered
-    by (residual, seed), so the winner is the best fit and ties go to the
-    lowest seed.
-    With ``need_equirank`` the heuristic phase still runs when none of the
-    deterministic candidates is equirank.
+    The routes propose factor pairs and each is verified once: as
+    noncontextual ontological with ``need_equirank``, else as ontological.
+    Deterministic candidates (trivial padding, then at k = rank the
+    simplex routes) come first; when none verifies, heuristic restarts
+    follow, ordered by (residual, seed), so the winner is the best fit and
+    ties go to the lowest seed.
     """
     d = _derived(c)
     c = d.c
     r = d.rank
     if k < r:
         return []
-    found: list[ModelFactorization] = []
+    kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL if need_equirank else ModelKind.ONTOLOGICAL
 
-    trivial = _trivial_padded(d, k)
-    if trivial is not None:
-        found.append(trivial)
-
-    if c.backend.is_exact and k == r:
-        model = equirank_simplex_model(d)
-        if model is not None:
-            found.append(model)
-
-    satisfied = bool(found) and (
-        not need_equirank or any(classify_model(d, m).equirank_ok for m in found)
-    )
-    if satisfied:
+    found = [_first_verified(d, [_trivial_padded(d, k)], kind)]
+    if k == r:
+        found.append(_first_verified(d, _simplex_pairs(d), kind))
+    found = [model for model in found if model is not None]
+    if found:
         return found
 
     arr = c.as_array()
@@ -317,9 +317,9 @@ def search_candidates(
             continue
         w_s, h_s = _rescale(w, h, c.block_sizes[0])
         if c.backend.is_exact:
-            model = _exact_from_floats(d, w_s, h_s, opts)
+            model = _exact_from_floats(d, w_s, h_s, opts, kind)
         else:
-            model = _verified_model(d, w_s.tolist(), h_s.tolist(), ModelKind.ONTOLOGICAL)
+            model = _verified_model(d, w_s.tolist(), h_s.tolist(), kind)
         if model is not None:
             found.append(model)
     return found
@@ -347,22 +347,21 @@ def enmf(
 ) -> Optional[ModelFactorization]:
     """Equirank nonnegative factorization search, up to inner dim ``max_k``.
 
-    A returned model always classifies as noncontextual ontological.  On
-    the exact backend the vertex-program decision ends the search: an
-    absence gives None, a model at rank(c) is returned as it is, and a
-    model above rank gives way to the first deterministic route at rank(c)
-    that verifies (trivial padding, then ``equirank_simplex_model``), else
-    is returned if its inner dimension is at most ``max_k`` (default
-    rank + 3).  Only float matrices, and exact ones whose decision hit a
-    guard, scan k = rank .. ``max_k`` with ``search_candidates`` and its
-    heuristic restarts.  ``decision`` is a precomputed
-    ``decide_enmf_existence`` result (None after a guard), else computed here.
+    A returned model always classifies as noncontextual ontological: every
+    candidate is verified once at that kind.  On the exact backend the
+    vertex-program decision ends the search: an absence gives None, a
+    model at rank(c) is returned as it is, and a model above rank gives
+    way to the first deterministic candidate at rank(c) that verifies
+    (trivial padding, then ``equirank_simplex_model``), else is returned
+    if its inner dimension is at most ``max_k`` (default rank + 3).  Only
+    float matrices, and exact ones whose decision hit a guard, scan
+    k = rank .. ``max_k`` with ``search_candidates`` and its heuristic
+    restarts.  ``decision`` is a precomputed ``decide_enmf_existence``
+    result (None after a guard), else computed here.
     """
     d = _derived(c)
     r = d.rank
     bound = max(max_k if max_k is not None else r + 3, r)
-    rounds = (search_candidates(d, k, opts, need_equirank=True) for k in range(r, bound + 1))
-    fallback = None
     if d.c.backend.is_exact:
         if decision is _DECIDE:
             try:
@@ -374,13 +373,15 @@ def enmf(
         if isinstance(decision, ExistenceResult):
             if decision.model.inner_dim == r:
                 return decision.model
-            rounds = [(_trivial_padded(d, r), equirank_simplex_model(d))]
-            fallback = decision.model if decision.model.inner_dim <= bound else None
-
-    for candidate in filter(None, chain.from_iterable(rounds)):
-        model = _verified_model(
-            d, candidate.effects, candidate.states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL
-        )
-        if model is not None:
+            simplex = equirank_simplex_model(d)
+            pairs = [_trivial_padded(d, r), simplex and (simplex.effects, simplex.states)]
+            model = _first_verified(d, pairs, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+            if model is None and decision.model.inner_dim <= bound:
+                model = decision.model
             return model
-    return fallback
+
+    for k in range(r, bound + 1):
+        found = search_candidates(d, k, opts, need_equirank=True)
+        if found:
+            return found[0]
+    return None

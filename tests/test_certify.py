@@ -448,3 +448,56 @@ def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):
     assert cert.verdict == UNDETERMINED
     digest = hashlib.sha256(emit_certificate(cert, c)).hexdigest()
     assert digest == CERTIFICATE_DIGESTS["cardinal_qubit"]
+
+
+def test_float_model_found_only_by_the_restarts(monkeypatch):
+    # The first draw of random_cope(random.Random(2026), max_blocks=2,
+    # max_outcomes=2, max_cols=5, max_den=2), as floats: rank 2 with five
+    # preparations, so no trivial padding fits at k = 2 and only the
+    # restarts can find the equirank model.
+    from copekit.backend import floating
+
+    c = cope_matrix([[[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 1.0]]], backend=floating())
+    assert rank(c) == 2
+    cert = certify(c)
+    assert cert.verdict == NONCONTEXTUAL
+    model = cert.evidence.model
+    assert model.inner_dim == 2
+    assert model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+    assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in classify_model(c, model).inferred_kinds
+
+    nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
+    monkeypatch.setattr(nmf_mod, "_restarts", lambda *args: [])
+    assert certify(c).verdict != NONCONTEXTUAL
+
+
+# --- guard-hit exact matrices ----------------------------------------------------
+
+
+def test_lp_guard_hit_certifies_spekkens_by_the_simplex_route(monkeypatch, spekkens_matrix):
+    # The vertex program is over its variable cap, so the decision raises
+    # before building it and enmf scans inner dimensions; at k = rank the
+    # simplex route of search_candidates finds the model before any restart.
+    def no_restarts(*args):
+        raise AssertionError("heuristic restarts ran although a simplex route fits")
+
+    monkeypatch.setattr(importlib.import_module("copekit.enmf_decision"), "_LP_VARIABLE_CAP", 0)
+    monkeypatch.setattr(importlib.import_module("copekit.nmf"), "_restarts", no_restarts)
+    programs = _count_calls(monkeypatch, "copekit.enmf_decision", "_vertex_lp")
+    cert = certify(spekkens_matrix)
+    assert programs == []
+    assert cert.verdict == NONCONTEXTUAL
+    assert cert.evidence.model.inner_dim == rank(spekkens_matrix)
+    assert cert.evidence.model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+
+
+def test_polytope_guard_hit_leaves_boxworld_undetermined(monkeypatch, boxworld_matrix):
+    # Q cannot be built, so neither vertex forcing nor the vertex program
+    # runs; the restarts and their exact lifts find no equirank model.
+    monkeypatch.setattr(importlib.import_module("copekit.polytope"), "AMBIENT_LIMIT", 3)
+    lifts = _count_calls(monkeypatch, "copekit.nmf", "_exact_from_floats")
+    cert = certify(boxworld_matrix)
+    assert cert.verdict == UNDETERMINED
+    assert cert.evidence is None
+    assert cert.searched_k_range == (3, 6)
+    assert lifts

@@ -196,3 +196,29 @@ def test_internal_check_failure_exits_1_without_traceback(tmp_path, capsysbinary
     assert code == 1
     assert b"Traceback" not in err
     assert err == b"error: internal check failed: kernel answer does not verify\n"
+
+
+def test_missing_model_file_exits_2_without_traceback(tmp_path, capsysbinary):
+    spek = tmp_path / "s.json"
+    spek.write_bytes(emit_cope(spekkens()))
+    missing = tmp_path / "missing.json"
+    code, _, err = _run(capsysbinary, ["verify", str(spek), "--model", str(missing)])
+    assert code == 2
+    assert err.startswith(b"error: cannot read ")
+
+
+def test_unwritable_output_exits_2_without_traceback(tmp_path, capsysbinary):
+    target = tmp_path / "missing-dir" / "x.json"
+    code, _, err = _run(capsysbinary, ["generate", "--theory", "spekkens", "--output", str(target)])
+    assert code == 2
+    assert err.startswith(b"error: cannot write ")
+
+
+def test_generate_qubit_honours_seed_zero(capsysbinary):
+    # Seed 0 is a seed like any other; only an absent --seed means 11.
+    from copekit import discrete_qubit, generic_directions
+
+    _, seed_0, _ = _run(capsysbinary, ["generate", "--theory", "qubit", "--seed", "0"])
+    _, default, _ = _run(capsysbinary, ["generate", "--theory", "qubit"])
+    assert seed_0 == emit_cope(discrete_qubit(generic_directions(5, seed=0)))
+    assert default == emit_cope(discrete_qubit(generic_directions(5, seed=11)))
