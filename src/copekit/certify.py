@@ -217,7 +217,7 @@ def certify(
     opts = opts or NmfOptions()
     d = _Derived(c)
     r = d.rank
-    bound = max_k if max_k is not None else r + 3
+    bound = max(max_k if max_k is not None else r + 3, r)
 
     def issue(verdict: str, evidence: Evidence, *notes: str) -> Certificate:
         return Certificate(verdict, evidence, r, (r, bound), notes)

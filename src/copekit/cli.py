@@ -82,10 +82,10 @@ def _load_matrix(args) -> CopeMatrix:
     c = jsonio.parse_cope(_read_input(getattr(args, "input", None)))
     backend = getattr(args, "backend", None)
     if backend == "float" and c.backend.is_exact:
-        eps = getattr(args, "eps", None) or 1e-9
+        eps = getattr(args, "eps", None)
         c = cope_matrix(
             blocks=[[[float(x) for x in row] for row in block] for block in c.blocks],
-            backend=floating(eps),
+            backend=floating(1e-9 if eps is None else eps),
             prep_labels=c.prep_labels,
             measurement_labels=c.measurement_labels,
             outcome_labels=c.outcome_labels,
@@ -317,7 +317,7 @@ def _cmd_generate(args) -> int:
         c = discrete_qubit(
             dirs,
             include_antipodes=not args.no_antipodes,
-            eps=args.eps or 1e-9,
+            eps=1e-9 if args.eps is None else args.eps,
         )
     _write_output(jsonio.emit_cope(c), args.output)
     return EXIT_OK

@@ -54,36 +54,37 @@ Existence = Union[ExistenceResult, AbsenceResult]
 
 
 def _vertex_lp(merged: CopeMatrix, vertices) -> tuple:
-    """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }."""
+    """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }.
+
+    Dense rows of width k n, with the ``int`` 0 wherever a row is zero:
+    each row is filled from the support of its vertex or kernel entries.
+    """
     k = len(vertices)
     n = merged.n_preparations
-    ambient = merged.n_rows
     stacked = merged.stacked()
     kernel = rla.nullspace(stacked)
-
-    def var(l: int, j: int) -> int:
-        return l * n + j
-
+    # Variable P[l][j] is column l * n + j.
     a_rows = []
     b = []
-    for i in range(ambient):
+    for i, row_i in enumerate(stacked):
+        support = [(l * n, v[i]) for l, v in enumerate(vertices) if v[i]]
         for j in range(n):
-            row = [Fraction(0)] * (k * n)
-            for l in range(k):
-                row[var(l, j)] = vertices[l][i]
+            row = [0] * (k * n)
+            for offset, value in support:
+                row[offset + j] = value
             a_rows.append(row)
-            b.append(stacked[i][j])
+            b.append(row_i[j])
     for j in range(n):
-        row = [Fraction(0)] * (k * n)
-        for l in range(k):
-            row[var(l, j)] = Fraction(1)
+        row = [0] * (k * n)
+        row[j::n] = [Fraction(1)] * k
         a_rows.append(row)
         b.append(Fraction(1))
     for kv in kernel:
+        support = [(j, v) for j, v in enumerate(kv) if v]
         for l in range(k):
-            row = [Fraction(0)] * (k * n)
-            for j in range(n):
-                row[var(l, j)] = kv[j]
+            row = [0] * (k * n)
+            for j, value in support:
+                row[l * n + j] = value
             a_rows.append(row)
             b.append(Fraction(0))
     return a_rows, b

@@ -52,6 +52,8 @@ class NmfOptions:
             raise ValueError("inner_dim must be >= 1")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
+        if not self.snap_tol > 0:  # NaN fails too
+            raise ValueError("snap_tol must be > 0")
 
 
 def _trivial_padded(d: _Derived, k: int) -> Optional[tuple]:
@@ -80,25 +82,40 @@ def _first_verified(d: _Derived, pairs, kind: ModelKind) -> Optional[ModelFactor
 # ---------------------------------------------------------------------------
 
 
-def _model_from_simplex(d: _Derived, points) -> Optional[tuple]:
+def _model_from_simplex(d: _Derived, points, points_at_rows) -> Optional[tuple]:
     """Factor pair whose merged response columns are the given simplex points,
-    or None when some column is not a convex combination of them."""
-    merged = d.merged
-    j_count = d.c.n_measurements
+    or None when some column is not a convex combination of them.
+
+    ``points`` are r = rank(C) points of column-space(C') with unit sums,
+    and ``points_at_rows`` the same points at the independent rows I of
+    ``d`` (``d.at_rows(points)``).  Restriction to I is one-to-one on the
+    column space, so when the r x r restriction T is invertible each column
+    c has the unique coefficients T^-1 c_I, which sum to one as the points
+    and the columns do; a singular T spans fewer than r dimensions and
+    misses some column.  T is inverted once, fraction-free, and the
+    coefficients stay integers until every column has passed the sign test.
+    """
     r = len(points)
-    ambient = merged.n_rows
-    t_cols = [[points[l][i] for l in range(r)] for i in range(ambient)]
-    coeff_rows = [list(row) for row in t_cols] + [[Fraction(1)] * r]
-    states = []
-    for j in range(merged.n_preparations):
-        col = [merged.blocks[0][i][j] for i in range(ambient)]
-        beta = rla.solve_consistent(coeff_rows, col + [Fraction(1)])
-        if beta is None or any(b < 0 for b in beta):
-            return None
-        states.append(beta)
-    states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
-    effects = [[points[l][i] * j_count for l in range(r)] for i in range(ambient)]
-    return effects, states_t
+    # T = U S^-1: column l of U holds point l's numerators, S its denominators.
+    inverse = rla._integer_inverse([[nums[i] for nums, _ in points_at_rows] for i in range(r)])
+    if inverse is None:
+        return None
+    inv, det = inverse
+    scales = [s for _, s in points_at_rows]
+    coefficients = []
+    for col, den in d.columns_at_rows:
+        # T^-1 c_I = S U^-1 (col / den) = S inv col / (det den).
+        nums = []
+        for row, s in zip(inv, scales):
+            v = s * sum(a * x for a, x in zip(row, col))
+            if v < 0:
+                return None
+            nums.append(v)
+        coefficients.append((nums, det * den))
+    states = [[Fraction(nums[l], q) for nums, q in coefficients] for l in range(r)]
+    j_count = d.c.n_measurements
+    effects = [[p[i] * j_count for p in points] for i in range(d.merged.n_rows)]
+    return effects, states
 
 
 def _simplex_pairs(d: _Derived):
@@ -119,23 +136,25 @@ def _simplex_pairs(d: _Derived):
     except GuardExceeded:
         return
 
+    vertices_at_rows = d.at_rows(vertices)
     if len(vertices) == r:
-        yield _model_from_simplex(d, vertices)
+        yield _model_from_simplex(d, vertices, vertices_at_rows)
 
     cols = list(dict.fromkeys(zip(*d.merged.stacked())))
     extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
     if len(extremal) == r:
-        yield _model_from_simplex(d, extremal)
+        yield _model_from_simplex(d, extremal, d.at_rows(extremal))
 
     if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
-        for subset in combinations(vertices, r):
-            if rla.rank([list(v) for v in subset]) == r:
-                yield _model_from_simplex(d, list(subset))
+        for subset in combinations(range(len(vertices)), r):
+            points = [vertices[l] for l in subset]
+            yield _model_from_simplex(d, points, [vertices_at_rows[l] for l in subset])
 
     if r == 3:
         chart, triangle = _nested_triangle(d)
         if triangle is not None:
-            yield _model_from_simplex(d, [chart.to_ambient(p) for p in triangle])
+            points = [chart.to_ambient(p) for p in triangle]
+            yield _model_from_simplex(d, points, d.at_rows(points))
 
 
 def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:

@@ -7,7 +7,9 @@ For a merged (single-block) column-stochastic matrix C, the polytope
 contains every column of C, and every column of any equirank nonnegative
 left factor of C must lie inside it.  Vertices are enumerated with the
 double description method on the pointed cone { t : B t >= 0 }, where B is
-a column basis of C; rational arithmetic throughout.
+a column basis of C.  The arithmetic is exact: the double description runs
+on integer-scaled constraint rows and primitive integer rays, and each
+vertex is an integer vector divided by its integer sum.
 """
 
 from __future__ import annotations
@@ -80,13 +82,14 @@ def extreme_rays(a) -> list[tuple]:
             i for i in processed if sum(x * y for x, y in zip(a[i], ray)) == 0
         )
 
-    d_inv = rla.invert([a[i] for i in init])
-    if d_inv is None:
+    inverse = rla._integer_inverse([a[i] for i in init])
+    if inverse is None:
         raise ValueError("initial rows are singular")
+    d_inv, _ = inverse  # a positive multiple of the inverse
     processed = list(init)
     rays = []
     for col in range(r):
-        ray = _primitive(rla._integer_row([d_inv[row][col] for row in range(r)])[0])
+        ray = _primitive([d_inv[row][col] for row in range(r)])
         rays.append((ray, exact_tight(ray, processed)))
 
     for idx in range(m):
@@ -141,14 +144,19 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
     stacked = c.stacked()
     _, pivots = rla.rref(stacked)
     basis = [[stacked[i][j] for j in pivots] for i in range(ambient)]
-    rays = extreme_rays(basis)
+    # B = B_int / den with one positive den, so the vertex B t / sum(B t) of
+    # a ray t is (B_int t) / sum(B_int t): integers until the last division.
+    flat, _ = rla._integer_row([v for row in basis for v in row])
+    r = len(pivots)
+    b_int = [flat[i * r:(i + 1) * r] for i in range(ambient)]
+    rays = extreme_rays(b_int)
     vertices = set()
     for ray in rays:
-        x = rla.mat_vec(basis, ray)
+        x = [sum(b * t for b, t in zip(row, ray)) for row in b_int]
         total = sum(x)
         if total <= 0:
             raise AssertionError("unbounded direction in a subset of the simplex")
-        vertices.add(tuple(v / total for v in x))
+        vertices.add(tuple(Fraction(v, total) for v in x))
     ordered = tuple(sorted(vertices))
     return SpanSimplexPolytope(
         ambient_dim=ambient,
@@ -164,6 +172,8 @@ class _Derived:
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
     its own.  A guard hit while building Q is raised again on every ask.
+    For the simplex routes of ``nmf`` it also holds rank-many independent
+    rows I of the merged matrix and the merged columns restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -176,6 +186,20 @@ class _Derived:
     @cached_property
     def merged(self) -> CopeMatrix:
         return cope_mod.merge_measurements(self.c)
+
+    @cached_property
+    def independent_rows(self) -> list[int]:
+        """Rank-many linearly independent rows I of the merged matrix."""
+        return _independent_rows(self.merged.stacked(), self.rank)
+
+    def at_rows(self, points) -> list[tuple[list[int], int]]:
+        """Each point at the rows I: integer numerators over a positive denominator."""
+        return [rla._integer_row([p[i] for i in self.independent_rows]) for p in points]
+
+    @cached_property
+    def columns_at_rows(self) -> list[tuple[list[int], int]]:
+        """The merged columns at the rows I, in column order."""
+        return self.at_rows(zip(*self.merged.stacked()))
 
     @cached_property
     def _polytope(self):

@@ -17,7 +17,9 @@ pivot row's nonzeros.  Scaling a row by a positive factor keeps the sign
 of every entry and every ratio of two, so each routine makes the pivots,
 and returns the Fractions, of elimination on Fraction entries.  The simplex
 checks both of its answers exactly, on the caller's rows, before returning
-them.
+them.  Rows reach these routines as lists, and only their nonzeros are
+converted.  ``_integer_inverse`` inverts the small dense ``int`` matrices of
+the double description's start and of the candidate simplices of ``nmf``.
 """
 
 from __future__ import annotations
@@ -59,8 +61,9 @@ def _integer_row(values: Sequence) -> tuple[list[int], int]:
 
 def _sparse_row(values: Sequence) -> tuple[dict, int]:
     """``values`` as a kernel row: a dict of its nonzero numerators, and their denominator."""
-    row, den = _integer_row(values)
-    return {j: v for j, v in enumerate(row) if v}, den
+    support = [j for j, v in enumerate(values) if v]
+    row, den = _integer_row([values[j] for j in support])
+    return dict(zip(support, row)), den
 
 
 def _reduced(row: dict, den: int) -> tuple[dict, int]:
@@ -203,20 +206,46 @@ def invert(a: Matrix) -> Optional[Matrix]:
     return [row[n:] for row in red[:n]]
 
 
+def _integer_inverse(a: list) -> Optional[tuple[list, int]]:
+    """``(N, d)`` with inverse(a) = N / d and d > 0 for a square ``int`` matrix,
+    or None when singular.
+
+    Fraction-free Gauss-Jordan (Bareiss) on [a | I]: after each step every
+    entry is the pivot times its Gauss-Jordan value, an integer minor, so
+    each division by the previous pivot is exact.
+    """
+    n = len(a)
+    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
+    prev = 1
+    for k in range(n):
+        p = next((i for i in range(k, n) if m[i][k]), None)
+        if p is None:
+            return None
+        m[k], m[p] = m[p], m[k]
+        pivot_row = m[k]
+        pk = pivot_row[k]
+        for i, row in enumerate(m):
+            if i != k:
+                f = row[k]
+                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot_row)]
+        prev = pk
+    sign = 1 if prev > 0 else -1
+    return [[sign * x for x in row[n:]] for row in m], sign * prev
+
+
 def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
     """Exactly verify y^T a_eq <= 0 and y^T b_eq > 0; raise AssertionError otherwise.
 
     Works on integer rows scaled by positive factors, which keeps every
-    sign, and touches only the rows with a nonzero weight.
+    sign, and touches only the nonzeros of the rows with a nonzero weight.
     """
-    weighted = [(_integer_row(list(a_eq[i]) + [b_eq[i]]), yv) for i, yv in enumerate(y) if yv]
+    weighted = [(_sparse_row(list(a_eq[i]) + [b_eq[i]]), yv) for i, yv in enumerate(y) if yv]
     scale = lcm(*(den * yv.denominator for (_, den), yv in weighted))
     sums = [0] * (len(a_eq[0]) + 1)
     for (row, den), yv in weighted:
         w = yv.numerator * (scale // (den * yv.denominator))
-        for j, v in enumerate(row):
-            if v:
-                sums[j] += w * v
+        for j, v in row.items():
+            sums[j] += w * v
     if any(s > 0 for s in sums[:-1]):
         raise AssertionError("invalid Farkas certificate (column test)")
     if sums[-1] <= 0:
@@ -224,12 +253,23 @@ def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
 
 
 def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
-    """Exactly verify x >= 0 and a_eq x = b_eq; raise AssertionError otherwise."""
+    """Exactly verify x >= 0 and a_eq x = b_eq; raise AssertionError otherwise.
+
+    Works in integers over the support of x, with x over one denominator;
+    it converts the rows itself, independently of the kernel's ``_integer_row``.
+    """
     if any(v < 0 for v in x):
         raise AssertionError("invalid primal point (sign test)")
-    support = [(j, v) for j, v in enumerate(x) if v]
+    support = [(j, Fraction(v)) for j, v in enumerate(x) if v]
+    x_den = lcm(*(v.denominator for _, v in support))
+    x_num = [(j, v.numerator * (x_den // v.denominator)) for j, v in support]
     for row, bv in zip(a_eq, b_eq):
-        if sum(Fraction(row[j]) * v for j, v in support if row[j]) != Fraction(bv):
+        terms = [(Fraction(row[j]), xv) for j, xv in x_num if row[j]]
+        den = lcm(*(a.denominator for a, _ in terms))
+        total = sum(a.numerator * (den // a.denominator) * xv for a, xv in terms)
+        bv = Fraction(bv)
+        # a_eq x = total / (den x_den) must equal bv.
+        if total * bv.denominator != bv.numerator * den * x_den:
             raise AssertionError("invalid primal point (equality test)")
 
 
@@ -258,14 +298,16 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
     dens: list[int] = []
     flipped = []
     for i, (row_values, bv) in enumerate(zip(a_eq, b_eq)):
-        values, den = _integer_row(list(row_values) + [bv])
-        flip = values[n] < 0
+        support = [j for j, v in enumerate(row_values) if v]
+        values, den = _integer_row([row_values[j] for j in support] + [bv])
+        rhs = values.pop()
+        flip = rhs < 0
         sign = -1 if flip else 1
         flipped.append(flip)
-        row = {j: sign * v for j, v in enumerate(values[:n]) if v}
+        row = {j: sign * v for j, v in zip(support, values)}
         row[n + i] = den
-        if values[n]:
-            row[total] = sign * values[n]
+        if rhs:
+            row[total] = sign * rhs
         row, den = _reduced(row, den)
         rows.append(row)
         dens.append(den)

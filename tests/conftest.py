@@ -1,4 +1,7 @@
+import importlib.util
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -27,3 +30,16 @@ def rational_qubit_2():
     a, b = Fraction(37, 42), Fraction(5, 42)
     blocks = [[[1, 0, a, b], [0, 1, b, a]], [[a, b, 1, 0], [b, a, 0, 1]]]
     return cope_matrix(blocks, backend=rational())
+
+
+@pytest.fixture(scope="session")
+def exact_pool_matrices():
+    # The exact matrices of the benchmark pools (exact-corpus, random-exact
+    # and the exact documents of cli), built by perfbench/corpus.py.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
+    corpus = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = corpus  # its dataclasses look their module up
+    spec.loader.exec_module(corpus)
+    pools = [corpus.build(w) for w in ("exact-corpus", "random-exact", "cli")]
+    return [inst.matrix for pool in pools for inst in pool if inst.matrix.backend.is_exact]

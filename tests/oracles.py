@@ -17,6 +17,7 @@ from copekit import rational_linalg as rla
 from copekit.backend import rational
 from copekit.cope import cope_matrix
 from copekit.models import ModelKind, VerificationReport
+from copekit.polytope import extreme_rays
 
 
 def in_convex_hull(vectors, target) -> bool:
@@ -72,6 +73,44 @@ def enumerate_vertices(basis) -> set:
         if not others or not in_convex_hull(others, list(x)):
             vertices.add(x)
     return vertices
+
+
+def reference_vertices(basis) -> tuple:
+    """Sorted vertices of { B t : B t >= 0, sum = 1 } from the extreme rays of B.
+
+    The reference for ``polytope.span_simplex_polytope``: each ray t of
+    ``polytope.extreme_rays(basis)`` gives the vertex B t / sum(B t), with
+    every product and sum taken on Fraction entries.
+    """
+    vertices = set()
+    for ray in extreme_rays(basis):
+        x = rla.mat_vec(basis, ray)
+        total = sum(x)
+        vertices.add(tuple(v / total for v in x))
+    return tuple(sorted(vertices))
+
+
+def reference_model_from_simplex(d, points):
+    """Factor pair on the simplex ``points``, one Fraction solve per column.
+
+    The reference for ``nmf._model_from_simplex``: each merged column is
+    solved for its coefficients on the points plus a unit-sum row, and a
+    column without a solution, or with a negative coefficient, gives None.
+    """
+    merged = d.merged
+    r = len(points)
+    ambient = merged.n_rows
+    coeff_rows = [[points[l][i] for l in range(r)] for i in range(ambient)] + [[Fraction(1)] * r]
+    states = []
+    for j in range(merged.n_preparations):
+        col = [merged.blocks[0][i][j] for i in range(ambient)]
+        beta = rla.solve_consistent(coeff_rows, col + [Fraction(1)])
+        if beta is None or any(b < 0 for b in beta):
+            return None
+        states.append(beta)
+    states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
+    effects = [[points[l][i] * d.c.n_measurements for l in range(r)] for i in range(ambient)]
+    return effects, states_t
 
 
 def max_antichain_size(k: int) -> int:

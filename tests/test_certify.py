@@ -294,6 +294,14 @@ def test_enmf_accepts_a_precomputed_decision(monkeypatch, spekkens_matrix):
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
 
 
+def test_max_k_below_rank_is_clamped_to_rank(spekkens_matrix):
+    # enmf searches k = rank for any smaller bound; the certificate says so.
+    cert = certify(spekkens_matrix, max_k=0)
+    assert cert.searched_k_range == (4, 4)
+    assert cert.verdict == NONCONTEXTUAL
+    assert cert.evidence.model == certify(spekkens_matrix).evidence.model
+
+
 def test_decided_model_above_rank_ends_the_search(monkeypatch, rational_qubit_2):
     # Decided at inner dimension 4 > rank 3: no restart runs, and the
     # decided model is returned with or without the searched range covering it.

@@ -222,3 +222,27 @@ def test_generate_qubit_honours_seed_zero(capsysbinary):
     _, default, _ = _run(capsysbinary, ["generate", "--theory", "qubit"])
     assert seed_0 == emit_cope(discrete_qubit(generic_directions(5, seed=0)))
     assert default == emit_cope(discrete_qubit(generic_directions(5, seed=11)))
+
+
+def test_eps_zero_is_rejected_not_replaced(tmp_path, capsysbinary):
+    # Only an absent --eps means 1e-9; a zero goes to the backend, which rejects it.
+    message = b"error: float backend needs 0 < eps < 1, got 0.0\n"
+    code, out, err = _run(capsysbinary, ["generate", "--theory", "qubit", "--eps", "0"])
+    assert (code, out, err) == (2, b"", message)
+    spek = tmp_path / "spekkens.json"
+    spek.write_bytes(emit_cope(spekkens()))
+    code, _, err = _run(capsysbinary, ["certify", str(spek), "--backend", "float", "--eps", "0"])
+    assert (code, err) == (2, message)
+
+
+def test_snap_tol_zero_exits_2_without_traceback(tmp_path, capsysbinary):
+    doc = tmp_path / "doc.json"
+    doc.write_text(
+        '{"backend":"rational","blocks":[[["0","1","1","0","0"],["1","0","0","1","1"]]],'
+        '"format_version":"1","measurements":[{"name":"M1","outcomes":["1","2"]}],'
+        '"preparations":["P1","P2","P3","P4","P5"],"type":"cope"}'
+    )
+    for snap_tol in ("0", "-1", "nan"):
+        argv = ["factorize", str(doc), "--kind", "nmf", "--inner-dim", "3", "--snap-tol", snap_tol]
+        code, _, err = _run(capsysbinary, argv)
+        assert (code, err) == (2, b"error: snap_tol must be > 0\n")

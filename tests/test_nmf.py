@@ -1,5 +1,7 @@
 import os
 import random
+from collections import Counter
+from itertools import combinations
 import subprocess
 import sys
 from fractions import Fraction
@@ -22,9 +24,11 @@ from copekit import (
     rank,
     spekkens,
 )
-from copekit.nmf import equirank_simplex_model
+from copekit import rational_linalg as rla
+from copekit.nmf import _model_from_simplex, equirank_simplex_model
+from copekit.polytope import _Derived
 
-from oracles import random_cope, reference_mu_anls
+from oracles import random_cope, reference_model_from_simplex, reference_mu_anls
 
 H = Fraction(1, 2)
 
@@ -267,3 +271,25 @@ def test_options_validation():
         NmfOptions(inner_dim=0)
     with pytest.raises(ValueError):
         NmfOptions(inner_dim=2, max_restarts=0)
+    for snap_tol in (0, -1e-6, float("nan")):
+        with pytest.raises(ValueError, match="snap_tol"):
+            NmfOptions(inner_dim=2, snap_tol=snap_tol)
+
+
+def test_model_from_simplex_is_identical_to_the_fraction_reference(exact_pool_matrices):
+    # Every rank-sized subset of Q's vertices, singular ones included, on
+    # the exact benchmark pools and seeded random draws.
+    rng = random.Random(2718)
+    matrices = exact_pool_matrices + [random_cope(rng) for _ in range(60)]
+    outcomes = Counter()
+    for c in matrices:
+        d = _Derived(c)
+        for subset in combinations(d.polytope.vertices, d.rank):
+            points = list(subset)
+            got = _model_from_simplex(d, points, d.at_rows(points))
+            assert got == reference_model_from_simplex(d, points)
+            if got is not None:
+                assert all(type(x) is Fraction for row in got[1] for x in row)
+            outcomes[rla.rank(points) < d.rank, got is None] += 1
+    assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
+    assert not outcomes[True, False]

@@ -9,10 +9,11 @@ from copekit import (
     merge_measurements,
     span_simplex_polytope,
 )
+from copekit import rational_linalg as rla
 from copekit.cope import PreconditionError
 from copekit.polytope import affine_chart, contains_point
 
-from oracles import enumerate_vertices, random_cope
+from oracles import enumerate_vertices, random_cope, reference_vertices
 
 
 def _merged(c):
@@ -131,3 +132,16 @@ def test_affine_chart_round_trip(spekkens_matrix):
     for v in poly.vertices:
         coords = chart.to_plane(v)
         assert chart.to_ambient(coords) == tuple(v)
+
+
+def test_vertices_are_identical_to_the_fraction_reference(exact_pool_matrices):
+    rng = random.Random(1414)
+    for c in exact_pool_matrices + [random_cope(rng) for _ in range(60)]:
+        merged = _merged(c)
+        stacked = merged.stacked()
+        _, pivots = rla.rref(stacked)
+        basis = [[row[j] for j in pivots] for row in stacked]
+        poly = span_simplex_polytope(merged)
+        assert poly.basis == tuple(map(tuple, basis))
+        assert poly.vertices == reference_vertices(basis)
+        assert all(type(x) is Fraction for v in poly.vertices for x in v)

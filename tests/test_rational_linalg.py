@@ -95,6 +95,24 @@ def test_solve_consistent_and_nullspace():
             assert all(s == 0 for s in rla.mat_vec(a, v))
 
 
+def test_integer_inverse_matches_invert():
+    rng = random.Random(99)
+    singular = 0
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        inv = rla.invert(a)
+        got = rla._integer_inverse(a)
+        if inv is None:
+            assert got is None
+            singular += 1
+            continue
+        numerators, den = got
+        assert den > 0
+        assert [[Fraction(v, den) for v in row] for row in numerators] == inv
+    assert 0 < singular < 300
+
+
 def test_invert():
     a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = rla.invert(a)
@@ -201,6 +219,29 @@ def test_primal_check_rejects_a_corrupted_solution(monkeypatch):
     monkeypatch.setattr(rla, "_integer_row", shifted_rhs)
     with pytest.raises(AssertionError, match="primal point .equality"):
         rla.lp_feasibility(a, b)
+
+
+def test_checks_reject_corrupted_answers_to_vertex_programs_with_int_zeros():
+    # The vertex program writes its zeros as the int 0, and both checks read
+    # only the nonzeros; a corrupted answer must still fail them.
+    merged = merge_measurements(spekkens())
+    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    assert any(type(v) is int for v in a[0])
+    x, _ = rla.lp_feasibility(a, b)
+    j = next(j for j, v in enumerate(x) if v)
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla._check_primal(a, b, x[:j] + [x[j] + 1] + x[j + 1:])
+    with pytest.raises(AssertionError, match="primal point .sign"):
+        rla._check_primal(a, b, x[:j] + [-x[j]] + x[j + 1:])
+
+    merged = merge_measurements(boxworld())
+    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    _, y = rla.lp_feasibility(a, b)
+    rla._check_farkas(a, b, y)
+    with pytest.raises(AssertionError, match="Farkas certificate .column"):
+        rla._check_farkas(a, b, [-v for v in y])
+    with pytest.raises(AssertionError, match="Farkas certificate .rhs"):
+        rla._check_farkas(a, [0] * len(b), y)
 
 
 def test_convex_combination_basic():
