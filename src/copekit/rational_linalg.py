@@ -6,20 +6,21 @@ produced elsewhere in the package are re-checked with these routines, so
 they must be exact.
 
 One elimination kernel serves every routine that eliminates: ``rank``,
-``rref`` (and through it ``nullspace``, ``solve_consistent``, ``invert``
-and ``rank_factorization``) and the simplex of ``lp_feasibility``.  A
-kernel row is sparse and fraction-free: a dict from column index to its
-nonzero ``int`` numerator, over one positive ``int`` denominator, reduced
-by the gcd after every update.  The matrices met here stay mostly zero
-while they are eliminated (the vertex program of the existence decision
-reaches a few hundred rows and columns), so an update touches only the
-pivot row's nonzeros.  Scaling a row by a positive factor keeps the sign
-of every entry and every ratio of two, so each routine makes the pivots,
-and returns the Fractions, of elimination on Fraction entries.  The simplex
-checks both of its answers exactly, on the caller's rows, before returning
-them.  Rows reach these routines as lists, and only their nonzeros are
-converted.  ``_integer_inverse`` inverts the small dense ``int`` matrices of
-the double description's start and of the candidate simplices of ``nmf``.
+Gauss-Jordan (``rref``, through it ``nullspace``, ``solve_consistent`` and
+``rank_factorization``, and ``invert``) and the simplex of
+``lp_feasibility``.  A kernel row is sparse and fraction-free: a dict from
+column index to its nonzero ``int`` numerator, over one positive ``int``
+denominator, reduced by the gcd after every update.  The matrices met here
+stay mostly zero while they are eliminated (the vertex program of the
+existence decision reaches a few hundred rows and columns), so an update
+touches only the pivot row's nonzeros.  Scaling a row by a positive factor
+keeps the sign of every entry and every ratio of two, so each routine makes
+the pivots, and returns the Fractions, of elimination on Fraction entries.
+The simplex checks both of its answers exactly, on the caller's rows,
+before returning them.  Rows reach these routines as lists, and only their
+nonzeros are converted.  ``_integer_inverse`` gives the kernel's inverse as
+``int`` numerators over one denominator, for the double description's start
+and the candidate simplices of ``nmf``; ``invert`` turns it into Fractions.
 """
 
 from __future__ import annotations
@@ -112,17 +113,14 @@ def rank(a: Matrix) -> int:
     return r
 
 
-def rref(a: Matrix) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (R, pivot column indices).
+def _gauss_jordan(rows: list, n_cols: int) -> tuple[list, list[int]]:
+    """Gauss-Jordan on kernel rows, in place; returns (rows, pivot columns).
 
-    Gauss-Jordan on the kernel rows: the pivot of each column is the first
-    remaining row with a nonzero there.  The RREF of a matrix is unique, so
-    the Fractions returned are those of elimination on Fraction entries.
+    The pivot of each column is the first remaining row with a nonzero
+    there.  Row i (a dict and its denominator) ends as the i-th row of the
+    reduced row echelon form times its pivot numerator over the denominator.
     """
-    if not a or not a[0]:
-        return [list(row) for row in a], []
-    n_rows, n_cols = len(a), len(a[0])
-    rows = [_sparse_row(values) for values in a]
+    n_rows = len(rows)
     pivots: list[int] = []
     for col in range(n_cols):
         r = len(pivots)
@@ -137,7 +135,20 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
         pivots.append(col)
         if len(pivots) == n_rows:
             break
-    red = [[F0] * n_cols for _ in range(n_rows)]
+    return rows, pivots
+
+
+def rref(a: Matrix) -> tuple[Matrix, list[int]]:
+    """Reduced row echelon form; returns (R, pivot column indices).
+
+    The RREF of a matrix is unique, so the Fractions returned are those of
+    elimination on Fraction entries.
+    """
+    if not a or not a[0]:
+        return [list(row) for row in a], []
+    n_cols = len(a[0])
+    rows, pivots = _gauss_jordan([_sparse_row(values) for values in a], n_cols)
+    red = [[F0] * n_cols for _ in rows]
     for out, (row, _), pc in zip(red, rows, pivots):
         p = row[pc]
         for j, v in row.items():
@@ -194,43 +205,38 @@ def solve_consistent(a: Matrix, b: Sequence) -> Optional[Row]:
     return x
 
 
-def invert(a: Matrix) -> Optional[Matrix]:
-    """Exact inverse of a square matrix, or None when singular."""
+def _integer_inverse(a: Sequence) -> Optional[tuple[list, int]]:
+    """``(N, d)`` with inverse(a) = N / d, N of ``int`` and d > 0, or None when singular.
+
+    Gauss-Jordan on the kernel rows of [a | I]: row i ends as the i-th row
+    of the inverse times its pivot numerator, so one common multiple of the
+    pivots brings every row over d.
+    """
     n = len(a)
     if any(len(row) != n for row in a):
         raise ValueError("invert expects a square matrix")
-    aug = [list(row) + ident_row for row, ident_row in zip(a, identity(n))]
-    red, pivots = rref(aug)
-    if [p for p in pivots if p < n] != list(range(n)):
+    rows = [_sparse_row(values) for values in a]
+    for i, (row, den) in enumerate(rows):
+        row[n + i] = den  # [a | I] over the row's denominator
+    rows, pivots = _gauss_jordan(rows, 2 * n)
+    if pivots[:n] != list(range(n)):
         return None
-    return [row[n:] for row in red[:n]]
+    pivot_values = [row[i] for i, (row, _) in enumerate(rows)]
+    d = lcm(*pivot_values)
+    out = []
+    for (row, _), p in zip(rows, pivot_values):
+        scale = d // p
+        out.append([scale * row.get(j, 0) for j in range(n, 2 * n)])
+    return out, d
 
 
-def _integer_inverse(a: list) -> Optional[tuple[list, int]]:
-    """``(N, d)`` with inverse(a) = N / d and d > 0 for a square ``int`` matrix,
-    or None when singular.
-
-    Fraction-free Gauss-Jordan (Bareiss) on [a | I]: after each step every
-    entry is the pivot times its Gauss-Jordan value, an integer minor, so
-    each division by the previous pivot is exact.
-    """
-    n = len(a)
-    m = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(a)]
-    prev = 1
-    for k in range(n):
-        p = next((i for i in range(k, n) if m[i][k]), None)
-        if p is None:
-            return None
-        m[k], m[p] = m[p], m[k]
-        pivot_row = m[k]
-        pk = pivot_row[k]
-        for i, row in enumerate(m):
-            if i != k:
-                f = row[k]
-                m[i] = [(pk * x - f * y) // prev for x, y in zip(row, pivot_row)]
-        prev = pk
-    sign = 1 if prev > 0 else -1
-    return [[sign * x for x in row[n:]] for row in m], sign * prev
+def invert(a: Matrix) -> Optional[Matrix]:
+    """Exact inverse of a square matrix, or None when singular."""
+    inverse = _integer_inverse(a)
+    if inverse is None:
+        return None
+    nums, d = inverse
+    return [[Fraction(v, d) for v in row] for row in nums]
 
 
 def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
@@ -298,6 +304,7 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
     dens: list[int] = []
     flipped = []
     for i, (row_values, bv) in enumerate(zip(a_eq, b_eq)):
+        # As ``_sparse_row``, but the right-hand side is converted even when zero.
         support = [j for j, v in enumerate(row_values) if v]
         values, den = _integer_row([row_values[j] for j in support] + [bv])
         rhs = values.pop()

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -95,21 +96,33 @@ def test_solve_consistent_and_nullspace():
             assert all(s == 0 for s in rla.mat_vec(a, v))
 
 
-def test_integer_inverse_matches_invert():
+def _leibniz_det(a):
+    n = len(a)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = -1 if inversions % 2 else 1
+        for i, j in enumerate(perm):
+            term *= a[i][j]
+        total += term
+    return total
+
+
+def test_integer_inverse_is_an_inverse_over_one_denominator():
     rng = random.Random(99)
     singular = 0
     for _ in range(300):
         n = rng.randint(1, 5)
-        a = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
-        inv = rla.invert(a)
+        max_den = rng.choice((1, 1, 3))  # int rows, and rows over their own denominators
+        a = [[Fraction(rng.randint(-3, 3), rng.randint(1, max_den)) for _ in range(n)] for _ in range(n)]
         got = rla._integer_inverse(a)
-        if inv is None:
+        if _leibniz_det(a) == 0:
             assert got is None
             singular += 1
             continue
         numerators, den = got
-        assert den > 0
-        assert [[Fraction(v, den) for v in row] for row in numerators] == inv
+        assert den > 0 and all(type(v) is int for row in numerators for v in row)
+        assert rla.mat_mul(a, numerators) == [[den * (i == j) for j in range(n)] for i in range(n)]
     assert 0 < singular < 300
 
 
