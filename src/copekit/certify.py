@@ -20,9 +20,10 @@ matrix, and their order changes no verdict and no evidence:
    decision this is its model, or a smaller one from the deterministic
    routes at inner dimension rank(C) when the model sits above rank; no
    heuristic restart runs.  Only float matrices, and exact ones whose
-   decision hit a guard, search inner dimensions with the seeded restarts;
-   when that finds nothing the verdict is an honest Undetermined carrying
-   the searched inner-dimension range.
+   decision hit a guard, search inner dimensions with the seeded restarts,
+   run at rank(C) alone and then at every larger inner dimension as one
+   zero-padded batch; when that finds nothing the verdict is an honest
+   Undetermined carrying the searched inner-dimension range.
 
 Q, the merged matrix and the rank are derived once per call and shared by
 every tier, including the verification of each model.
@@ -211,7 +212,8 @@ def certify(
     returned at once; a decided model is returned as it is, unless a
     deterministic route at inner dimension rank(C) gives a smaller one.
     It carries a note when its inner dimension exceeds ``max_k``.  Only
-    float matrices and guard-hit exact ones run the heuristic restarts.
+    float matrices and guard-hit exact ones run the heuristic restarts:
+    at rank(C) alone, then at rank(C) + 1 .. ``max_k`` as one batch.
     Every noncontextual verdict is re-verified before being returned.
     """
     opts = opts or NmfOptions()

@@ -3,16 +3,24 @@
 Positive results must be *sound*: every model returned here has been
 re-verified against the source matrix (exactly, on the rational backend).
 The search itself is allowed to be heuristic - seeded restarts of
-multiplicative updates, run together as one batched update and each
-polished by nonnegative least squares, followed by rational snapping and
-exact re-verification - plus a family of deterministic geometric routes
-for the equirank case: when the span-simplex polytope is itself a
-simplex, when the extremal columns already form one, when some subset of
-polytope vertices encloses every column, and (rank 3) the exact planar
-nested-triangle construction.  The routes only propose ``(effects,
-states)`` factor pairs; the caller verifies each pair once, at the model
-kind it needs (ontological for ``nmf``, noncontextual ontological for
-``enmf``).  Absence of a model is reported as ``None`` and proves nothing.
+multiplicative updates, each polished by nonnegative least squares,
+followed by rational snapping and exact re-verification - plus a family
+of deterministic geometric routes for the equirank case: when the
+span-simplex polytope is itself a simplex, when the extremal columns
+already form one, when some subset of polytope vertices encloses every
+column, and (rank 3) the exact planar nested-triangle construction.  The
+routes only propose ``(effects, states)`` factor pairs; the caller
+verifies each pair once, at the model kind it needs (ontological for
+``nmf``, noncontextual ontological for ``enmf``).  Absence of a model is
+reported as ``None`` and proves nothing.
+
+One batch runs the restarts of several seeds and inner dimensions as one
+stack of multiplicative updates: each (k, seed) slice is zero-padded to
+the largest k, and since a padded column of w and row of h stay exactly 0
+and add only exact zeros to each product, every slice ends bit for bit as
+the same restart run on its own.  ``nmf`` batches the seeds at its one
+inner dimension; ``enmf`` runs k = rank alone and, only when nothing
+verifies there, k = rank + 1 .. ``max_k`` as one batch.
 """
 
 from __future__ import annotations
@@ -52,6 +60,8 @@ class NmfOptions:
             raise ValueError("inner_dim must be >= 1")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be >= 1")
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be >= 1")
         if not self.snap_tol > 0:  # NaN fails too
             raise ValueError("snap_tol must be > 0")
 
@@ -184,25 +194,50 @@ def _nested_triangle(d: _Derived):
 # ---------------------------------------------------------------------------
 
 
-def _restarts(arr: np.ndarray, k: int, seeds: list, iterations: int) -> list:
-    """Seeded restarts as one batched multiplicative update, each NNLS-polished.
+def _restarts(arr: np.ndarray, widths: list, seeds: list, iterations: int) -> list:
+    """Seeded restarts at each inner dimension of ``widths``, run as one
+    batched multiplicative update and each NNLS-polished.
 
-    Restart s starts from ``default_rng(s)`` and runs the Lee-Seung updates
-    on its slice of an ``(S, m, k) x (S, k, n)`` stack; every 32 iterations
-    the restarts that already reproduce ``arr`` to 1e-13 leave the stack.
-    Each slice sees the same matrix products as a restart run on its own,
-    so the result does not depend on which other seeds share the batch.
-    Returns ``(residual, w, h)`` per seed, in seed order.
+    The restart at width k and seed s starts from ``default_rng(s)`` and
+    runs the Lee-Seung updates on its slice of an ``(S, m, K) x (S, K, n)``
+    stack of every (k, s), zero-padded to K = max(widths); every 32
+    iterations the slices that already reproduce ``arr`` to 1e-13 leave the
+    stack.  A padded column of w and row of h stay 0 (their numerators are
+    0) and only append exact zeros to the sums of each matrix product, so
+    each slice sees the same products as a restart run on its own,
+    whichever widths and seeds share the stack.  A product with a dimension
+    of 1 goes to a BLAS vector routine (gemv or dot), whose sums may
+    regroup when zeros are padded in, so when ``arr`` has a single row or
+    column, or a width is 1, each width gets a stack of its own.  Returns
+    ``(residual, w, h)`` per seed, in seed order, for each width in order.
     """
+    stacks = [widths] if min(*arr.shape, *widths) > 1 else [[k] for k in widths]
+    polished = []
+    for stack in stacks:
+        slices = [(k, seed) for k in stack for seed in seeds]
+        for (k, _), w, h in zip(slices, *_updates(arr, slices, iterations)):
+            polished.append(_nnls_polish(arr, w[:, :k].copy(), h[:k].copy()))
+    return [polished[i : i + len(seeds)] for i in range(0, len(polished), len(seeds))]
+
+
+def _updates(arr: np.ndarray, slices: list, iterations: int):
+    """The multiplicative updates of ``_restarts`` on one zero-padded stack
+    of ``(width, seed)`` slices: the final ``(w, h)`` stacks."""
     import numpy as np
 
     m, n = arr.shape
+    top = max(k for k, _ in slices)
+    w = np.zeros((len(slices), m, top))
+    h = np.zeros((len(slices), top, n))
+    for i, (k, seed) in enumerate(slices):
+        rng = np.random.default_rng(seed)
+        w[i, :, :k] = rng.uniform(0.2, 1.0, (m, k))
+        h[i, :k] = rng.uniform(0.2, 1.0, (k, n))
     scale = np.sqrt(max(arr.mean(), 1e-3))
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    w = np.stack([rng.uniform(0.2, 1.0, (m, k)) for rng in rngs]) * scale
-    h = np.stack([rng.uniform(0.2, 1.0, (k, n)) for rng in rngs]) * scale
+    w *= scale
+    h *= scale
     w_out, h_out = np.empty_like(w), np.empty_like(h)
-    active = np.arange(len(seeds))
+    active = np.arange(len(slices))
     tiny = 1e-12
     for it in range(iterations):
         w_t = w.transpose(0, 2, 1)
@@ -216,7 +251,7 @@ def _restarts(arr: np.ndarray, k: int, seeds: list, iterations: int) -> list:
             if not active.size:
                 break
     w_out[active], h_out[active] = w, h
-    return [_nnls_polish(arr, w_s, h_s) for w_s, h_s in zip(w_out, h_out)]
+    return w_out, h_out
 
 
 def _nnls_polish(arr: np.ndarray, w: np.ndarray, h: np.ndarray):
@@ -297,8 +332,27 @@ def _lifted_pairs(d: _Derived, w: np.ndarray, h: np.ndarray, snap_tol: float):
     yield r_ex, [[cols[j][l] for j in range(n)] for l in range(k)]
 
 
+def _restart_batch(d: _Derived, widths, opts: NmfOptions):
+    """The restarts at every inner dimension of ``widths``, as one
+    ``_restarts`` batch run on first use.
+
+    Returns ``at(k)``: the ``(seed, (residual, w, h))`` of every seed at
+    width k, in seed order.
+    """
+    seeds = [opts.seed + i for i in range(opts.max_restarts)]
+    batch = {}
+
+    def at(k: int) -> list:
+        if not batch:
+            results = _restarts(d.c.as_array(), list(widths), seeds, opts.max_iterations)
+            batch.update((width, list(zip(seeds, r))) for width, r in zip(widths, results))
+        return batch[k]
+
+    return at
+
+
 def search_candidates(
-    c: CopeMatrix, k: int, opts: NmfOptions, need_equirank: bool = False
+    c: CopeMatrix, k: int, opts: NmfOptions, need_equirank: bool = False, restarts=None
 ) -> list[ModelFactorization]:
     """All verified models found at inner dimension k.
 
@@ -307,7 +361,9 @@ def search_candidates(
     Deterministic candidates (trivial padding, then at k = rank the
     simplex routes) come first; when none verifies, heuristic restarts
     follow, ordered by (residual, seed), so the winner is the best fit and
-    ties go to the lowest seed.
+    ties go to the lowest seed.  ``restarts`` is a ``_restart_batch`` that
+    covers k, for a caller that batches several inner dimensions; by
+    default the restarts run at k alone.
     """
     d = _derived(c)
     c = d.c
@@ -323,10 +379,8 @@ def search_candidates(
     if found:
         return found
 
-    arr = c.as_array()
-    seeds = [opts.seed + i for i in range(opts.max_restarts)]
-    results = list(zip(seeds, _restarts(arr, k, seeds, opts.max_iterations)))
-    results.sort(key=lambda item: (item[1][0], item[0]))
+    results = (restarts or _restart_batch(d, [k], opts))(k)
+    results = sorted(results, key=lambda item: (item[1][0], item[0]))
 
     # A float restart off by more than eps cannot reconstruct C; the factor
     # 2 covers the rounding of _rescale and of the verifier's list product.
@@ -374,9 +428,12 @@ def enmf(
     (trivial padding, then ``equirank_simplex_model``), else is returned
     if its inner dimension is at most ``max_k`` (default rank + 3).  Only
     float matrices, and exact ones whose decision hit a guard, scan
-    k = rank .. ``max_k`` with ``search_candidates`` and its heuristic
-    restarts.  ``decision`` is a precomputed ``decide_enmf_existence``
-    result (None after a guard), else computed here.
+    k = rank .. ``max_k`` with ``search_candidates``.  Its heuristic
+    restarts run at k = rank alone, then at every k above rank as one
+    zero-padded batch (see the module docstring), and the first k with a
+    verified model wins, as if each k ran on its own.  ``decision`` is a
+    precomputed ``decide_enmf_existence`` result (None after a guard),
+    else computed here.
     """
     d = _derived(c)
     r = d.rank
@@ -399,8 +456,11 @@ def enmf(
                 model = decision.model
             return model
 
+    # Most restart-decided matrices decide at k = rank, so the restarts
+    # there run alone and the inner dimensions above share one batch.
+    above = _restart_batch(d, range(r + 1, bound + 1), opts)
     for k in range(r, bound + 1):
-        found = search_candidates(d, k, opts, need_equirank=True)
+        found = search_candidates(d, k, opts, need_equirank=True, restarts=above if k > r else None)
         if found:
             return found[0]
     return None

@@ -305,7 +305,7 @@ def test_max_k_below_rank_is_clamped_to_rank(spekkens_matrix):
 def test_decided_model_above_rank_ends_the_search(monkeypatch, rational_qubit_2):
     # Decided at inner dimension 4 > rank 3: no restart runs, and the
     # decided model is returned with or without the searched range covering it.
-    def no_restarts(*args):
+    def no_restarts(arr, widths, seeds, iterations):
         raise AssertionError("heuristic restarts ran on a decided exact matrix")
 
     monkeypatch.setattr(importlib.import_module("copekit.nmf"), "_restarts", no_restarts)
@@ -436,9 +436,9 @@ def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):
     hopeless, checked = [], []
     restarts, classify = nmf_mod._restarts, models_mod.classify_model
 
-    def spy_restarts(*args):
-        results = restarts(*args)
-        for residual, w, h in results:
+    def spy_restarts(arr, widths, seeds, iterations):
+        results = restarts(arr, widths, seeds, iterations)
+        for residual, w, h in (result for per_width in results for result in per_width):
             if residual > 2 * c.backend.eps:
                 _, h_s = nmf_mod._rescale(w, h, c.block_sizes[0])
                 hopeless.append(tuple(map(tuple, h_s.tolist())))
@@ -475,8 +475,45 @@ def test_float_model_found_only_by_the_restarts(monkeypatch):
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in classify_model(c, model).inferred_kinds
 
     nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
-    monkeypatch.setattr(nmf_mod, "_restarts", lambda *args: [])
+    monkeypatch.setattr(nmf_mod, "_restarts", lambda arr, widths, seeds, iterations: [[] for _ in widths])
     assert certify(c).verdict != NONCONTEXTUAL
+
+
+def _restart_widths(monkeypatch):
+    nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
+    widths = []
+    restarts = nmf_mod._restarts
+
+    def spy_restarts(arr, ks, seeds, iterations):
+        widths.append(list(ks))
+        return restarts(arr, ks, seeds, iterations)
+
+    monkeypatch.setattr(nmf_mod, "_restarts", spy_restarts)
+    return widths
+
+
+def test_certify_batches_the_restarts_above_rank(monkeypatch):
+    # An Undetermined float certify runs the restarts at k = rank alone,
+    # then at rank + 1 .. rank + 3 as one batch; a matrix decided at rank
+    # runs one batch.
+    cardinal = discrete_qubit(cardinal_directions())
+    generic = [discrete_qubit(generic_directions(n, 11)) for n in (2, 3, 4)]
+    for c in [cardinal, *generic]:
+        widths = _restart_widths(monkeypatch)
+        cert = certify(c)
+        assert cert.verdict == UNDETERMINED
+        r = rank(c)
+        assert widths == [[r], [r + 1, r + 2, r + 3]]
+        if c is cardinal:
+            digest = hashlib.sha256(emit_certificate(cert, c)).hexdigest()
+            assert digest == CERTIFICATE_DIGESTS["cardinal_qubit"]
+
+    from copekit.backend import floating
+
+    c = cope_matrix([[[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 1.0]]], backend=floating())
+    widths = _restart_widths(monkeypatch)
+    assert certify(c).verdict == NONCONTEXTUAL
+    assert widths == [[2]]
 
 
 # --- guard-hit exact matrices ----------------------------------------------------
@@ -486,7 +523,7 @@ def test_lp_guard_hit_certifies_spekkens_by_the_simplex_route(monkeypatch, spekk
     # The vertex program is over its variable cap, so the decision raises
     # before building it and enmf scans inner dimensions; at k = rank the
     # simplex route of search_candidates finds the model before any restart.
-    def no_restarts(*args):
+    def no_restarts(arr, widths, seeds, iterations):
         raise AssertionError("heuristic restarts ran although a simplex route fits")
 
     monkeypatch.setattr(importlib.import_module("copekit.enmf_decision"), "_LP_VARIABLE_CAP", 0)

@@ -246,3 +246,16 @@ def test_snap_tol_zero_exits_2_without_traceback(tmp_path, capsysbinary):
         argv = ["factorize", str(doc), "--kind", "nmf", "--inner-dim", "3", "--snap-tol", snap_tol]
         code, _, err = _run(capsysbinary, argv)
         assert (code, err) == (2, b"error: snap_tol must be > 0\n")
+
+
+def test_iterations_below_one_exit_2_without_traceback(tmp_path, capsysbinary):
+    # No multiplicative update would run: a usage error, not "no model found"
+    # (exit 3) or an Undetermined float certificate (exit 20).
+    from copekit import discrete_qubit, generic_directions
+
+    doc = tmp_path / "q3.json"
+    doc.write_bytes(emit_cope(discrete_qubit(generic_directions(3, seed=11))))
+    message = b"error: max_iterations must be >= 1\n"
+    argv = ["factorize", str(doc), "--kind", "nmf", "--inner-dim", "5", "--iterations", "-3"]
+    assert _run(capsysbinary, argv) == (2, b"", message)
+    assert _run(capsysbinary, ["certify", str(doc), "--iterations", "0"]) == (2, b"", message)

@@ -139,8 +139,10 @@ def test_search_candidates_deterministic(spekkens_matrix):
 
 
 def test_batched_restarts_match_reference():
-    # Every restart of the batch equals the same seed run on its own, bit
-    # for bit, whether it leaves the stack early or runs all iterations.
+    # Every (width, seed) slice of a batch equals the same restart run on
+    # its own, bit for bit: at k = rank alone, and zero-padded in one call
+    # for k = rank .. rank + 3 and for k = rank + 1 .. rank + 3, whether it
+    # leaves the stack early or runs all iterations.
     import numpy as np
 
     from copekit.nmf import _restarts
@@ -149,18 +151,27 @@ def test_batched_restarts_match_reference():
     cases = []
     for _ in range(6):
         c = random_cope(rng, max_blocks=2, max_outcomes=2, max_cols=4, max_den=2)
-        cases += [(c.as_array(), k) for k in range(rank(c), rank(c) + 3)]
-    cardinal = discrete_qubit(cardinal_directions()).as_array()
-    cases += [(cardinal, k) for k in range(4, 8)]
+        cases.append((c.as_array(), rank(c)))
+    cases.append((discrete_qubit(cardinal_directions()).as_array(), 4))
+    # 100 times a measurement whose second outcome is certain: at widths
+    # 2-4 most restarts reach 1e-13 and leave a zero-padded stack early.
+    cases.append((np.array([[0.0, 0.0, 0.0], [100.0, 100.0, 100.0]]), 1))
     seeds = list(range(6))
-    ran_full = set()
-    for arr, k in cases:
-        for seed, got in zip(seeds, _restarts(arr, k, seeds, 400)):
-            residual, w, h, ran = reference_mu_anls(arr, k, seed, 400)
-            assert got[0] == residual
-            assert np.array_equal(got[1], w) and np.array_equal(got[2], h)
-            ran_full.add(ran == 400)
-    assert ran_full == {True, False}
+    ran = Counter()
+    for arr, r in cases:
+        alone = {(k, seed): reference_mu_anls(arr, k, seed, 400) for k in range(r, r + 4) for seed in seeds}
+        for widths in ([r], list(range(r, r + 4)), list(range(r + 1, r + 4))):
+            batch = _restarts(arr, widths, seeds, 400)
+            assert len(batch) == len(widths)
+            padded = min(*arr.shape, *widths) > 1 and len(widths) > 1
+            for k, results in zip(widths, batch):
+                assert len(results) == len(seeds)
+                for seed, got in zip(seeds, results):
+                    residual, w, h, iterations = alone[k, seed]
+                    assert got[0] == residual
+                    assert np.array_equal(got[1], w) and np.array_equal(got[2], h)
+                    ran[padded, iterations == 400] += 1
+    assert len(ran) == 4 and ran[True, False] >= 10
 
 
 def test_import_does_not_load_scipy_optimize():
@@ -271,6 +282,9 @@ def test_options_validation():
         NmfOptions(inner_dim=0)
     with pytest.raises(ValueError):
         NmfOptions(inner_dim=2, max_restarts=0)
+    for iterations in (0, -3):
+        with pytest.raises(ValueError, match="max_iterations"):
+            NmfOptions(inner_dim=2, max_iterations=iterations)
     for snap_tol in (0, -1e-6, float("nan")):
         with pytest.raises(ValueError, match="snap_tol"):
             NmfOptions(inner_dim=2, snap_tol=snap_tol)
