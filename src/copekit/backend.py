@@ -11,6 +11,7 @@ float backend.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -92,12 +93,29 @@ def floating(eps: float = DEFAULT_EPS) -> Backend:
     return Backend(FLOAT, eps)
 
 
+# The canonical rational literal, in ASCII digits only: what format_scalar emits.
+_CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
 def parse_scalar(text, backend: Backend) -> Entry:
-    """Parse a JSON-level scalar (``"p/q"`` string or number) for ``backend``."""
+    """Parse a JSON-level scalar (``"p/q"`` string or number) for ``backend``.
+
+    A rational string of the canonical shape ``-?digits`` or
+    ``-?digits/digits`` (ASCII digits, no sign on the denominator, no
+    spaces) is read as ``Fraction(int(p), int(q))``, which skips
+    ``Fraction``'s general parser; every other string goes through
+    ``Fraction(text)``.  Both give the same value for the strings they share,
+    and an unreadable literal or a zero denominator raises the same
+    ``BackendError`` either way.
+    """
     if backend.is_exact:
         if isinstance(text, str):
             try:
-                return Fraction(text)
+                canonical = _CANONICAL_RATIONAL.fullmatch(text)
+                if canonical is None:
+                    return Fraction(text)
+                p, q = canonical.groups()
+                return Fraction(int(p), int(q)) if q else Fraction(int(p))
             except (ValueError, ZeroDivisionError) as exc:
                 raise BackendError(f"bad rational literal {text!r}") from exc
         if isinstance(text, int):
@@ -111,7 +129,12 @@ def parse_scalar(text, backend: Backend) -> Entry:
 
 
 def format_scalar(value: Entry, backend: Backend):
-    """Inverse of :func:`parse_scalar`: JSON-ready representation."""
+    """Inverse of :func:`parse_scalar`: JSON-ready representation.
+
+    On the rational backend that is ``str(Fraction(value))``, the canonical
+    ``"p/q"`` (or ``"p"``); a ``Fraction`` is already normalized, so it is
+    formatted as it is.
+    """
     if backend.is_exact:
-        return str(Fraction(value))
+        return str(value if type(value) is Fraction else Fraction(value))
     return float(value)

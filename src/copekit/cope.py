@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import TYPE_CHECKING, Optional, Sequence
 
 from . import rational_linalg as rla
@@ -156,13 +157,35 @@ def cope_matrix(
 
 
 def validate(c: CopeMatrix) -> list[Violation]:
-    """Report every broken invariant (empty list == valid)."""
+    """Report every broken invariant (empty list == valid).
+
+    Per block: every entry outside [0, 1], row by row, then every column
+    whose sum is not 1.  On the exact backend an entry is tested on its
+    numerator and denominator, and a column is summed as integers over one
+    common denominator; the Fraction total is built only for the message
+    of a column that fails.
+    """
     out: list[Violation] = []
     be = c.backend
+    if be.is_exact:
+        def in_range(x) -> bool:
+            return 0 <= x.numerator <= x.denominator
+
+        def column_total(column):
+            den = lcm(*(x.denominator for x in column))
+            num = sum(x.numerator * (den // x.denominator) for x in column)
+            return None if num == den else Fraction(num, den)
+    else:
+        def in_range(x) -> bool:
+            return be.leq(0, x) and be.leq(x, 1)
+
+        def column_total(column):
+            total = sum(column)
+            return None if be.eq(total, 1) else total
     for b, block in enumerate(c.blocks):
         for i, row in enumerate(block):
             for j, x in enumerate(row):
-                if not (be.leq(0, x) and be.leq(x, 1)):
+                if not in_range(x):
                     out.append(
                         Violation(
                             "entry_range",
@@ -172,9 +195,9 @@ def validate(c: CopeMatrix) -> list[Violation]:
                             f"entry ({b},{i},{j}) = {x} outside [0, 1]",
                         )
                     )
-        for j in range(c.n_preparations):
-            total = sum(row[j] for row in block)
-            if not be.eq(total, 1):
+        for j, column in enumerate(zip(*block)):
+            total = column_total(column)
+            if total is not None:
                 out.append(
                     Violation(
                         "column_sum",

@@ -24,7 +24,7 @@ from . import cope as cope_mod
 from . import rational_linalg as rla
 from .backend import Backend, floating
 from .cope import CopeMatrix, PreconditionError
-from .polytope import _derived
+from .polytope import _Derived, _derived
 
 if TYPE_CHECKING:
     import numpy as np
@@ -165,12 +165,15 @@ def _integer_matrix(rows) -> tuple[list[list[int]], int]:
     return [flat[i * width:(i + 1) * width] for i in range(len(rows))], den
 
 
-def _exact_flags(c: CopeMatrix, m: ModelFactorization) -> tuple:
-    """The entrywise tests of ``classify_model`` on integer rows.
+def _exact_flags(d: _Derived, m: ModelFactorization) -> tuple:
+    """The entrywise tests of ``classify_model`` on integer rows, and the
+    ranks of the effects and the states.
 
     The effects, the states and the unit are each brought over one
-    positive denominator (e, s and u), and every row of C over its own, so
-    each test compares integers by cross-multiplication.
+    positive denominator (e, s and u), and every row of C over its own
+    (``d.integer_rows``), so each test compares integers by
+    cross-multiplication.  A positive scale keeps the rank, so the ranks
+    come from the same integer matrices.
     """
     effects, e = _integer_matrix(m.effects)
     states, s = _integer_matrix(m.states)
@@ -179,7 +182,7 @@ def _exact_flags(c: CopeMatrix, m: ModelFactorization) -> tuple:
     scale = e * s
     reconstruction_ok = all(
         sum(x * y for x, y in zip(effect, column)) * den == row[j] * scale
-        for effect, (row, den) in zip(effects, map(rla._integer_row, c.stacked()))
+        for effect, (row, den) in zip(effects, d.integer_rows)
         for j, column in enumerate(columns)
     )
     unit_ok = all(
@@ -190,7 +193,8 @@ def _exact_flags(c: CopeMatrix, m: ModelFactorization) -> tuple:
     nonnegative_ok = all(x >= 0 for row in effects + states for x in row)
     states_column_stochastic_ok = all(sum(column) == s for column in columns)
     unit_all_ones = all(x == u for x in unit)
-    return reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
+    flags = reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
+    return flags, (rla.rank(effects), rla.rank(states))
 
 
 def _tolerant_flags(c: CopeMatrix, m: ModelFactorization, cmp: Backend) -> tuple:
@@ -241,16 +245,14 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
     # Exact comparisons only when both sides are exact; otherwise borrow the
     # float side's tolerance.
     if m.backend.is_exact and c.backend.is_exact:
-        flags = _exact_flags(c, m)
-    elif not m.backend.is_exact:
-        flags = _tolerant_flags(c, m, m.backend)
+        flags, (rank_effects, rank_states) = _exact_flags(derived, m)
     else:
-        flags = _tolerant_flags(c, m, c.backend)
+        flags = _tolerant_flags(c, m, c.backend if m.backend.is_exact else m.backend)
+        rank_effects = _matrix_rank(m.effects, m.backend)
+        rank_states = _matrix_rank(m.states, m.backend)
     reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones = flags
 
     rank_c = derived.rank
-    rank_effects = _matrix_rank(m.effects, m.backend)
-    rank_states = _matrix_rank(m.states, m.backend)
     equirank_ok = rank_c == rank_effects == rank_states
 
     kinds = set()

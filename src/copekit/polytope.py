@@ -171,9 +171,12 @@ class _Derived:
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
-    its own.  A guard hit while building Q is raised again on every ask.
-    For the simplex routes of ``nmf`` it also holds rank-many independent
-    rows I of the merged matrix and the merged columns restricted to I.
+    its own.  ``classify_model`` on the exact backend reads C's rows from
+    ``integer_rows``, so every model one call verifies shares one
+    conversion of C.  A guard hit while building Q is raised again on
+    every ask.  For the simplex routes of ``nmf`` it also holds rank-many
+    independent rows I of the merged matrix and the merged columns
+    restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -182,6 +185,11 @@ class _Derived:
     @cached_property
     def rank(self) -> int:
         return cope_mod.rank(self.c)
+
+    @cached_property
+    def integer_rows(self) -> list[tuple[list[int], int]]:
+        """Each stacked row of C as integer numerators over a positive denominator."""
+        return [rla._integer_row(row) for row in self.c.stacked()]
 
     @cached_property
     def merged(self) -> CopeMatrix:

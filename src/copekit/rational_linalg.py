@@ -263,17 +263,22 @@ def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
 
     Works in integers over the support of x, with x over one denominator;
     it converts the rows itself, independently of the kernel's ``_integer_row``.
+    ``int`` and ``Fraction`` entries are read through their numerator and
+    denominator; any other entry (a float, say) is first made a Fraction.
     """
+    def exact(v):
+        return v if type(v) in (int, Fraction) else Fraction(v)
+
     if any(v < 0 for v in x):
         raise AssertionError("invalid primal point (sign test)")
-    support = [(j, Fraction(v)) for j, v in enumerate(x) if v]
+    support = [(j, exact(v)) for j, v in enumerate(x) if v]
     x_den = lcm(*(v.denominator for _, v in support))
     x_num = [(j, v.numerator * (x_den // v.denominator)) for j, v in support]
     for row, bv in zip(a_eq, b_eq):
-        terms = [(Fraction(row[j]), xv) for j, xv in x_num if row[j]]
+        terms = [(exact(row[j]), xv) for j, xv in x_num if row[j]]
         den = lcm(*(a.denominator for a, _ in terms))
         total = sum(a.numerator * (den // a.denominator) * xv for a, xv in terms)
-        bv = Fraction(bv)
+        bv = exact(bv)
         # a_eq x = total / (den x_den) must equal bv.
         if total * bv.denominator != bv.numerator * den * x_den:
             raise AssertionError("invalid primal point (equality test)")

@@ -15,7 +15,7 @@ import scipy.optimize
 
 from copekit import rational_linalg as rla
 from copekit.backend import rational
-from copekit.cope import cope_matrix
+from copekit.cope import Violation, cope_matrix
 from copekit.models import ModelKind, VerificationReport
 from copekit.polytope import extreme_rays
 
@@ -166,6 +166,31 @@ def random_cope(rng: random.Random, max_blocks=3, max_outcomes=3, max_cols=6, ma
             cols.append([Fraction(p, den) for p in parts])
         blocks.append([[cols[j][i] for j in range(n_cols)] for i in range(size)])
     return cope_matrix(blocks, backend=rational())
+
+
+def reference_validate(c):
+    """``cope.validate`` on the backend's own comparisons and Fraction sums.
+
+    The reference for the library's integer tests on exact matrices: every
+    entry compared with 0 and 1 through the backend, and every column
+    summed entry by entry.
+    """
+    out = []
+    be = c.backend
+    for b, block in enumerate(c.blocks):
+        for i, row in enumerate(block):
+            for j, x in enumerate(row):
+                if not (be.leq(0, x) and be.leq(x, 1)):
+                    out.append(
+                        Violation("entry_range", b, i, j, f"entry ({b},{i},{j}) = {x} outside [0, 1]")
+                    )
+        for j in range(c.n_preparations):
+            total = sum(row[j] for row in block)
+            if not be.eq(total, 1):
+                out.append(
+                    Violation("column_sum", b, None, j, f"block {b} column {j} sums to {total}, expected 1")
+                )
+    return out
 
 
 def reference_lp_feasibility(a_eq, b_eq):

@@ -50,3 +50,36 @@ def test_scalar_parse_format_round_trip():
         parse_scalar(0.25, be)  # rational documents use strings
     with pytest.raises(BackendError):
         parse_scalar("1/2", bf)  # float documents use numbers
+
+
+# Canonical literals take parse_scalar's fast path; the rest fall back to
+# Fraction(text).  Either way the result must be Fraction(text)'s.
+LITERALS = [
+    "0", "1", "-1", "1/2", "-3/7", "12/35", "123456789012345678901234567890/7",
+    "+1/2", " 1/2 ", "1/2\n", "1_0/3", "2/4", "0.5", "1e-3", "-0", "00/01",
+    "1/0", "0/0", "1/-2", "1 / 2", "١/٢", "٣", "", "/", "1/", "--1",
+    "-", "-/2", "1/2/3", "abc",
+]
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_parse_scalar_agrees_with_fraction(text):
+    be = rational()
+    try:
+        expected = Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        with pytest.raises(BackendError, match="bad rational literal"):
+            parse_scalar(text, be)
+        return
+    value = parse_scalar(text, be)
+    assert type(value) is Fraction
+    assert value == expected
+    assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_format_scalar_agrees_with_str_of_fraction():
+    be = rational()
+    values = [Fraction(0), Fraction(-3, 7), Fraction(4, 2), Fraction(10**30, 3), 0, 5, -12,
+              True, False, 0.5, -0.0, 0.1, 3.0, 1e-300]
+    for v in values:
+        assert format_scalar(v, be) == str(Fraction(v))

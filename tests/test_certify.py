@@ -348,6 +348,28 @@ def test_certify_builds_q_and_rank_once_per_call(monkeypatch):
     assert (len(rays), len(ranks)) == (2, 2)
 
 
+def test_certify_converts_the_rows_of_c_once(monkeypatch):
+    # Spekkens is decided by a model, which the decision verifies and
+    # certify verifies again: two exact classifications, one conversion of C.
+    from functools import cached_property
+
+    from copekit.polytope import _Derived
+
+    conversions = []
+    rows_of = _Derived.integer_rows.func
+
+    def counted(self):
+        conversions.append(self)
+        return rows_of(self)
+
+    prop = cached_property(counted)
+    prop.__set_name__(_Derived, "integer_rows")
+    monkeypatch.setattr(_Derived, "integer_rows", prop)
+    classifications = _count_calls(monkeypatch, "copekit.models", "_exact_flags")
+    assert certify(spekkens()).verdict == NONCONTEXTUAL
+    assert (len(classifications), len(conversions)) == (2, 1)
+
+
 def test_absence_builds_q_once(monkeypatch):
     # The instance of test_absence_solves_the_vertex_program_once.
     c = cope_matrix(
@@ -477,6 +499,24 @@ def test_float_model_found_only_by_the_restarts(monkeypatch):
     nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
     monkeypatch.setattr(nmf_mod, "_restarts", lambda arr, widths, seeds, iterations: [[] for _ in widths])
     assert certify(c).verdict != NONCONTEXTUAL
+
+
+def test_float_search_verifies_only_the_model_it_keeps(monkeypatch):
+    # Eight restarts of the matrix above reach the cutoff and all verify;
+    # certify keeps the best, so it builds and verifies that one alone.
+    from copekit.backend import floating
+
+    c = cope_matrix([[[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 1.0]]], backend=floating())
+    expected = emit_certificate(certify(c), c)
+    verified = _count_calls(monkeypatch, "copekit.nmf", "_verified_model")
+    assert emit_certificate(certify(c), c) == expected
+    assert len(verified) == 1
+    nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
+    found = nmf_mod.search_candidates(c, 2, NmfOptions(), need_equirank=True)
+    assert len(found) == len(verified) - 1 == 8
+    assert found[0] == enmf(c, NmfOptions())
+    best = nmf_mod.nmf(c, NmfOptions(inner_dim=2))
+    assert (best.effects, best.states) == (found[0].effects, found[0].states)
 
 
 def _restart_widths(monkeypatch):

@@ -18,10 +18,10 @@ from copekit import (
     restrict_fragment,
     validate,
 )
-from copekit.backend import floating
+from copekit.backend import floating, rational
 from copekit.cope import float_rank
 
-from oracles import in_convex_hull, random_cope
+from oracles import in_convex_hull, random_cope, reference_validate
 
 H = Fraction(1, 2)
 
@@ -50,6 +50,31 @@ def test_entry_range_violation_is_reported():
     kinds = {(v.kind, v.row, v.column) for v in validate(c)}
     assert ("entry_range", 0, 0) in kinds
     assert ("entry_range", 1, 0) in kinds
+
+
+def _perturbed(c, rng, backend):
+    """``c`` with a few entries moved off [0, 1] or off their column sums, on ``backend``."""
+    blocks = [[list(row) for row in block] for block in c.blocks]
+    for _ in range(rng.randint(0, 4)):
+        row = rng.choice(rng.choice(blocks))
+        j = rng.randrange(len(row))
+        row[j] = rng.choice([row[j] + Fraction(1, 3), -row[j] - 1, row[j] * 2, Fraction(3, 2), row[j]])
+    if not backend.is_exact:
+        step = rng.choice([0.0, 1e-12, 1e-6])  # below and above eps
+        blocks = [[[float(x) + step for x in row] for row in block] for block in blocks]
+    return cope_matrix(blocks, backend=backend)
+
+
+def test_validate_is_identical_to_the_fraction_reference():
+    rng = random.Random(12)
+    for backend in (rational(), floating()):
+        seen = set()
+        for _ in range(150):
+            c = _perturbed(random_cope(rng), rng, backend)
+            expected = reference_validate(c)
+            assert validate(c) == expected
+            seen.update(v.kind for v in expected)
+        assert seen == {"entry_range", "column_sum"}
 
 
 def test_constructor_rejects_ragged_shapes():
@@ -148,7 +173,7 @@ def test_float_block_equivalence_needs_backtracking():
     # matches p.  A greedy matcher pairing u with p strands v; the valid
     # bijection is u->q, v->p.  (Entries are deliberately eps-perturbed;
     # block equivalence is a pure function of the entries.)
-    from copekit.backend import floating
+    from copekit.backend import floating, rational
     from copekit.cope import _blocks_equivalent
 
     eps = 1e-6

@@ -43,6 +43,25 @@ def test_rational_entries_serialized_as_strings(spekkens_matrix):
     assert doc["backend"] == "rational"
 
 
+def test_non_canonical_literals_parse_to_the_canonical_matrix():
+    doc = {
+        "backend": "rational",
+        "blocks": [[["1", "0", "0.5", " 1/2"], ["0", "1", "2/4", "+1/2"]]],
+        "format_version": "1",
+        "measurements": [{"name": "M1", "outcomes": ["1", "2"]}],
+        "preparations": ["P1", "P2", "P3", "P4"],
+        "type": "cope",
+    }
+    c = parse_cope(json.dumps(doc))
+    canonical = json.loads(emit_cope(c))
+    assert canonical["blocks"] == [[["1", "0", "1/2", "1/2"], ["0", "1", "1/2", "1/2"]]]
+    again = parse_cope(json.dumps(canonical))
+    assert emit_certificate(certify(c), c) == emit_certificate(certify(again), again)
+    doc["blocks"][0][0][0] = "1/0"
+    with pytest.raises(ParseError, match="bad rational literal '1/0'"):
+        parse_cope(json.dumps(doc))
+
+
 def test_deterministic_bytes(spekkens_matrix):
     assert emit_cope(spekkens_matrix) == emit_cope(spekkens_matrix)
 

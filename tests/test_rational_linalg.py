@@ -257,6 +257,24 @@ def test_checks_reject_corrupted_answers_to_vertex_programs_with_int_zeros():
         rla._check_farkas(a, [0] * len(b), y)
 
 
+def test_primal_check_reads_float_entries_exactly():
+    # Float entries are read at their exact binary value: 0.1 is not 1/10,
+    # so a point that solves the decimal system fails the float one.
+    a = [[0.5, 0.25, 0], [1, 1.0, True]]
+    b = [0.375, Fraction(3, 2)]
+    rla._check_primal(a, b, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
+    rla._check_primal(a, b, [0.5, 0.5, 0.5])
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla._check_primal(a, [0.375, 1.5000000000000002], [0.5, 0.5, 0.5])
+    rla._check_primal([[Fraction(1, 10)]], [Fraction(1, 10)], [1])
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla._check_primal([[0.1]], [Fraction(1, 10)], [1])
+    with pytest.raises(AssertionError, match="primal point .equality"):
+        rla._check_primal([[Fraction(1, 10)]], [0.1], [1])
+    with pytest.raises(AssertionError, match="primal point .sign"):
+        rla._check_primal(a, b, [0.5, -0.0 - 1e-300, 0.5])
+
+
 def test_convex_combination_basic():
     cols = [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     mid = [Fraction(1, 2), Fraction(1, 2)]
