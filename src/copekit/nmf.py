@@ -365,30 +365,19 @@ def search_candidates(
     covers k, for a caller that batches several inner dimensions; by
     default the restarts run at k alone.
     """
-    return list(_verified_candidates(c, k, opts, need_equirank, restarts))
-
-
-def _verified_candidates(
-    c: CopeMatrix, k: int, opts: NmfOptions, need_equirank: bool = False, restarts=None
-):
-    """The models of :func:`search_candidates`, in its order, each built and
-    verified only when the caller asks for it, so a caller that keeps the
-    first model verifies no other."""
     d = _derived(c)
     c = d.c
     r = d.rank
     if k < r:
-        return
+        return []
     kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL if need_equirank else ModelKind.ONTOLOGICAL
 
-    deterministic = False
-    for pairs in ([_trivial_padded(d, k)], _simplex_pairs(d) if k == r else []):
-        model = _first_verified(d, pairs, kind)
-        if model is not None:
-            deterministic = True
-            yield model
-    if deterministic:
-        return
+    found = [_first_verified(d, [_trivial_padded(d, k)], kind)]
+    if k == r:
+        found.append(_first_verified(d, _simplex_pairs(d), kind))
+    found = [model for model in found if model is not None]
+    if found:
+        return found
 
     results = (restarts or _restart_batch(d, [k], opts))(k)
     results = sorted(results, key=lambda item: (item[1][0], item[0]))
@@ -405,7 +394,8 @@ def _verified_candidates(
         else:
             model = _verified_model(d, w_s.tolist(), h_s.tolist(), kind)
         if model is not None:
-            yield model
+            found.append(model)
+    return found
 
 
 def nmf(c: CopeMatrix, opts: NmfOptions) -> Optional[ModelFactorization]:
@@ -414,7 +404,8 @@ def nmf(c: CopeMatrix, opts: NmfOptions) -> Optional[ModelFactorization]:
     Absence is a value: a None only means the search budget found nothing,
     except below rank(c) where no factorization can exist at all.
     """
-    return next(_verified_candidates(c, opts.inner_dim, opts), None)
+    candidates = search_candidates(c, opts.inner_dim, opts)
+    return candidates[0] if candidates else None
 
 
 _DECIDE = object()
@@ -437,11 +428,10 @@ def enmf(
     (trivial padding, then ``equirank_simplex_model``), else is returned
     if its inner dimension is at most ``max_k`` (default rank + 3).  Only
     float matrices, and exact ones whose decision hit a guard, scan
-    k = rank .. ``max_k`` with the routes of ``search_candidates``.  Its
-    heuristic restarts run at k = rank alone, then at every k above rank
-    as one zero-padded batch (see the module docstring), and the first k
-    with a verified model wins, as if each k ran on its own; the search
-    stops at that k's first model, so no later candidate is verified.  ``decision`` is a
+    k = rank .. ``max_k`` with ``search_candidates``.  Its heuristic
+    restarts run at k = rank alone, then at every k above rank as one
+    zero-padded batch (see the module docstring), and the first k with a
+    verified model wins, as if each k ran on its own.  ``decision`` is a
     precomputed ``decide_enmf_existence`` result (None after a guard),
     else computed here.
     """
@@ -470,8 +460,7 @@ def enmf(
     # there run alone and the inner dimensions above share one batch.
     above = _restart_batch(d, range(r + 1, bound + 1), opts)
     for k in range(r, bound + 1):
-        restarts = above if k > r else None
-        model = next(_verified_candidates(d, k, opts, need_equirank=True, restarts=restarts), None)
-        if model is not None:
-            return model
+        found = search_candidates(d, k, opts, need_equirank=True, restarts=above if k > r else None)
+        if found:
+            return found[0]
     return None

@@ -501,24 +501,6 @@ def test_float_model_found_only_by_the_restarts(monkeypatch):
     assert certify(c).verdict != NONCONTEXTUAL
 
 
-def test_float_search_verifies_only_the_model_it_keeps(monkeypatch):
-    # Eight restarts of the matrix above reach the cutoff and all verify;
-    # certify keeps the best, so it builds and verifies that one alone.
-    from copekit.backend import floating
-
-    c = cope_matrix([[[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 1.0]]], backend=floating())
-    expected = emit_certificate(certify(c), c)
-    verified = _count_calls(monkeypatch, "copekit.nmf", "_verified_model")
-    assert emit_certificate(certify(c), c) == expected
-    assert len(verified) == 1
-    nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
-    found = nmf_mod.search_candidates(c, 2, NmfOptions(), need_equirank=True)
-    assert len(found) == len(verified) - 1 == 8
-    assert found[0] == enmf(c, NmfOptions())
-    best = nmf_mod.nmf(c, NmfOptions(inner_dim=2))
-    assert (best.effects, best.states) == (found[0].effects, found[0].states)
-
-
 def _restart_widths(monkeypatch):
     nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
     widths = []

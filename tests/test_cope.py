@@ -173,7 +173,7 @@ def test_float_block_equivalence_needs_backtracking():
     # matches p.  A greedy matcher pairing u with p strands v; the valid
     # bijection is u->q, v->p.  (Entries are deliberately eps-perturbed;
     # block equivalence is a pure function of the entries.)
-    from copekit.backend import floating, rational
+    from copekit.backend import floating
     from copekit.cope import _blocks_equivalent
 
     eps = 1e-6
