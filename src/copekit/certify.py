@@ -26,7 +26,8 @@ matrix, and their order changes no verdict and no evidence:
    Undetermined carrying the searched inner-dimension range.
 
 Q, the merged matrix and the rank are derived once per call and shared by
-every tier, including the verification of each model.
+every tier and by ``_check``, the one evidence checker, which re-derives a
+certificate from its matrix on the way out of ``certify`` and on load.
 """
 
 from __future__ import annotations
@@ -39,7 +40,13 @@ from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, classify_model
 from .nmf import NmfOptions, _first_verified, _nested_triangle, _simplex_pairs, enmf
 from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
-from .sperner import SpernerWitness, sperner_submatrix
+from .sperner import (
+    SpernerWitness,
+    _zero_pattern,
+    sperner_ontic_bound,
+    sperner_span_bound,
+    sperner_submatrix,
+)
 
 NONCONTEXTUAL = "Noncontextual"
 CONTEXTUAL = "Contextual"
@@ -112,6 +119,64 @@ def vertex_forcing_certificate(
     return poly, forced
 
 
+_VERDICT_OF_EVIDENCE = {
+    EnmfModel: NONCONTEXTUAL,
+    VertexForcing: CONTEXTUAL,
+    SpernerSeparation: CONTEXTUAL,
+    ExhaustiveAbsence: CONTEXTUAL,
+    type(None): UNDETERMINED,
+}
+
+
+def _check(d: _Derived, cert: Certificate) -> Optional[tuple[str, str]]:
+    """(field, message) of the first claim of ``cert`` not re-derived from ``d``, else None.
+
+    Checks the verdict of the evidence, the rank, the searched range, the
+    model, the forcing polytope and the Sperner witness; not an absence log.
+    """
+    evidence, r = cert.evidence, d.rank
+    if cert.verdict != _VERDICT_OF_EVIDENCE.get(type(evidence)):
+        name = type(evidence).__name__
+        return "verdict", f"verdict {cert.verdict!r} does not follow from {name} evidence"
+    if cert.rank != r:
+        return "rank", f"rank claim {cert.rank} does not re-verify"
+    k_range = cert.searched_k_range
+    if k_range is not None and (len(k_range) != 2 or k_range[0] != r or k_range[1] < r):
+        return "searched_k_range", f"searched range {list(k_range)} is not [{r}, bound >= {r}]"
+    if isinstance(evidence, EnmfModel):
+        try:
+            report = classify_model(d, evidence.model)
+        except PreconditionError as exc:
+            return "evidence", f"embedded model: {exc}"
+        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
+            return "evidence", "model does not re-verify as equirank nonnegative"
+    elif isinstance(evidence, VertexForcing):
+        try:
+            rebuilt = vertex_forcing_certificate(d)
+        except (GuardExceeded, PreconditionError) as exc:
+            return "evidence", f"span-simplex polytope not rebuilt: {exc}"
+        if rebuilt is None or VertexForcing(*rebuilt) != evidence:
+            return "evidence", "forcing evidence does not re-derive from the matrix"
+    elif isinstance(evidence, SpernerSeparation):
+        w, zero = evidence.witness, _zero_pattern(d.c)
+        rows, cols = w.row_indices, w.col_indices
+        if w.m < 1 or not len(rows) == len(cols) == w.m:
+            return "evidence", "witness index lists do not match m"
+        if any((a == b) != zero[i][j] for a, i in enumerate(rows) for b, j in enumerate(cols)):
+            return "evidence", "witness zero pattern does not re-verify"
+        bounds = (w.ontic_dim_lower_bound, w.factor_span_lower_bound)
+        if bounds != (sperner_ontic_bound(w.m), sperner_span_bound(w.m)):
+            return "evidence", "witness bounds do not re-verify"
+        if evidence.rank != r or w.factor_span_lower_bound <= r:
+            return "evidence", "span bound does not exceed the rank"
+    return None
+
+
+def _absence_log(decision: AbsenceResult) -> tuple:
+    """The proof log of an infeasible vertex program, ending in its Farkas vector."""
+    return decision.log + ("farkas: " + " ".join(str(y) for y in decision.farkas),)
+
+
 @dataclass(frozen=True)
 class Exists:
     model: ModelFactorization
@@ -162,8 +227,7 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
 
     decision = decide_enmf_existence(d)
     if isinstance(decision, AbsenceResult):
-        farkas = "farkas: " + " ".join(str(y) for y in decision.farkas)
-        return NotExists(log=decision.log + (farkas,), all_k=True)
+        return NotExists(log=_absence_log(decision), all_k=True)
     if decision.model.inner_dim <= k:
         return Exists(decision.model)
 
@@ -214,7 +278,7 @@ def certify(
     It carries a note when its inner dimension exceeds ``max_k``.  Only
     float matrices and guard-hit exact ones run the heuristic restarts:
     at rank(C) alone, then at rank(C) + 1 .. ``max_k`` as one batch.
-    Every noncontextual verdict is re-verified before being returned.
+    A certificate that ``_check`` does not re-derive raises AssertionError.
     """
     opts = opts or NmfOptions()
     d = _Derived(c)
@@ -222,13 +286,10 @@ def certify(
     bound = max(max_k if max_k is not None else r + 3, r)
 
     def issue(verdict: str, evidence: Evidence, *notes: str) -> Certificate:
-        return Certificate(verdict, evidence, r, (r, bound), notes)
-
-    def verified(model: ModelFactorization, source: str, *notes: str) -> Certificate:
-        report = classify_model(d, model)
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-            raise AssertionError(f"{source} returned an unverifiable model")
-        return issue(NONCONTEXTUAL, EnmfModel(model), *notes)
+        cert = Certificate(verdict, evidence, r, (r, bound), notes)
+        if (problem := _check(d, cert)) is not None:
+            raise AssertionError(f"certificate does not re-derive: {problem[1]}")
+        return cert
 
     if c.backend.is_exact:
         try:
@@ -249,16 +310,15 @@ def certify(
         except GuardExceeded:
             pass
         if isinstance(decision, AbsenceResult):
-            farkas = "farkas: " + " ".join(str(y) for y in decision.farkas)
-            return issue(CONTEXTUAL, ExhaustiveAbsence(decision.log + (farkas,)))
+            return issue(CONTEXTUAL, ExhaustiveAbsence(_absence_log(decision)))
 
     model = enmf(d, opts, max_k=bound, decision=decision)
     if model is not None:
-        return verified(model, "equirank search")
+        return issue(NONCONTEXTUAL, EnmfModel(model))
     if isinstance(decision, ExistenceResult):
-        return verified(
-            decision.model,
-            "existence decision",
+        return issue(
+            NONCONTEXTUAL,
+            EnmfModel(decision.model),
             "model found by the complete vertex program; its inner dimension "
             "may exceed the searched range",
         )

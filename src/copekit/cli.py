@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import json
 import sys
 import time
 from typing import Optional
@@ -274,20 +275,8 @@ def _cmd_verify(args) -> int:
     c = _load_matrix(args)
     model = jsonio.parse_model(_read_input(args.model))
     report = classify_model(c, model)
-    doc = {
-        "reconstruction_ok": report.reconstruction_ok,
-        "unit_ok": report.unit_ok,
-        "nonnegative_ok": report.nonnegative_ok,
-        "states_column_stochastic_ok": report.states_column_stochastic_ok,
-        "unit_all_ones": report.unit_all_ones,
-        "rank_c": report.rank_c,
-        "rank_effects": report.rank_effects,
-        "rank_states": report.rank_states,
-        "equirank_ok": report.equirank_ok,
-        "inferred_kinds": sorted(k.value for k in report.inferred_kinds),
-    }
-    import json
-
+    doc = dataclasses.asdict(report)
+    doc["inferred_kinds"] = sorted(k.value for k in report.inferred_kinds)
     _write_output((json.dumps(doc, sort_keys=True, indent=2) + "\n").encode(), args.output)
     return EXIT_OK
 

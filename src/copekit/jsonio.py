@@ -3,7 +3,9 @@
 Rationals serialize as ``"p/q"`` strings so documents survive round trips
 bit-exactly; floats serialize as numbers and the document carries its eps.
 Emission is canonical (sorted keys, compact separators, trailing newline),
-so equal values produce equal bytes.
+so equal values produce equal bytes.  Loading a certificate here only
+parses it; ``certify._check``, the checker ``certify`` runs on every
+certificate it returns, re-derives it from its embedded matrix.
 """
 
 from __future__ import annotations
@@ -13,21 +15,18 @@ from typing import Optional, Union
 
 from .certify import (
     Certificate,
-    CONTEXTUAL,
-    NONCONTEXTUAL,
-    UNDETERMINED,
     EnmfModel,
     Evidence,
     ExhaustiveAbsence,
     SpernerSeparation,
     VertexForcing,
-    vertex_forcing_certificate,
+    _check,
 )
 from .backend import Backend, BackendError, floating, format_scalar, parse_scalar, rational
-from .cope import CopeMatrix, PreconditionError, cope_matrix, validate
-from .models import ModelFactorization, ModelKind, classify_model, make_model, _shape_error
-from .polytope import GuardExceeded, _Derived
-from .sperner import SpernerWitness, sperner_span_bound, sperner_ontic_bound
+from .cope import CopeMatrix, cope_matrix, validate
+from .models import ModelFactorization, ModelKind, make_model, _shape_error
+from .polytope import SpanSimplexPolytope, _Derived
+from .sperner import SpernerWitness
 
 FORMAT_VERSION = "1"
 
@@ -80,6 +79,10 @@ def _ints(values, field: str, limit: Optional[int] = None) -> tuple:
     return tuple(_int(x, field, limit) for x in _array(values, field))
 
 
+def _int_field(doc: dict, field: str) -> int:
+    return _int(_require(doc, field), field)
+
+
 def _backend_of(doc: dict) -> Backend:
     kind = _require(doc, "backend")
     if kind == "rational":
@@ -104,6 +107,14 @@ def _parse_matrix_rows(rows, backend: Backend, field: str):
     return out
 
 
+def _format_rows(rows, backend: Backend) -> list:
+    return [[format_scalar(x, backend) for x in row] for row in rows]
+
+
+def _rational_rows(doc: dict, field: str) -> tuple:
+    return tuple(map(tuple, _parse_matrix_rows(_require(doc, field), rational(), field)))
+
+
 # ---------------------------------------------------------------------------
 # COPE documents
 # ---------------------------------------------------------------------------
@@ -119,10 +130,7 @@ def cope_to_doc(c: CopeMatrix) -> dict:
             {"name": c.measurement_labels[b], "outcomes": list(c.outcome_labels[b])}
             for b in range(c.n_measurements)
         ],
-        "blocks": [
-            [[format_scalar(x, c.backend) for x in row] for row in block]
-            for block in c.blocks
-        ],
+        "blocks": [_format_rows(block, c.backend) for block in c.blocks],
     }
     if not c.backend.is_exact:
         doc["eps"] = c.backend.eps
@@ -195,8 +203,8 @@ def model_to_doc(m: ModelFactorization) -> dict:
         "kind": m.kind.value,
         "inner_dim": m.inner_dim,
         "block_sizes": list(m.block_sizes),
-        "effects": [[format_scalar(x, m.backend) for x in row] for row in m.effects],
-        "states": [[format_scalar(x, m.backend) for x in row] for row in m.states],
+        "effects": _format_rows(m.effects, m.backend),
+        "states": _format_rows(m.states, m.backend),
         "unit": [format_scalar(x, m.backend) for x in m.unit],
     }
     if not m.backend.is_exact:
@@ -260,14 +268,8 @@ def certificate_to_doc(
         payload = {
             "forced_rank": evidence.forced_rank,
             "ambient_dim": evidence.polytope.ambient_dim,
-            "basis": [
-                [format_scalar(x, rational()) for x in row]
-                for row in evidence.polytope.basis
-            ],
-            "vertices": [
-                [format_scalar(x, rational()) for x in v]
-                for v in evidence.polytope.vertices
-            ],
+            "basis": _format_rows(evidence.polytope.basis, rational()),
+            "vertices": _format_rows(evidence.polytope.vertices, rational()),
         }
     elif isinstance(evidence, SpernerSeparation):
         kind = "SpernerSeparation"
@@ -306,23 +308,14 @@ def emit_certificate(
     return _dumps(certificate_to_doc(cert, c, wall_time_ms))
 
 
-_VERDICT_OF_EVIDENCE = {
-    "EnmfModel": NONCONTEXTUAL,
-    "VertexForcing": CONTEXTUAL,
-    "SpernerSeparation": CONTEXTUAL,
-    "ExhaustiveAbsence": CONTEXTUAL,
-    "None": UNDETERMINED,
-}
-
-
 def parse_certificate(data: Union[bytes, str]):
-    """Load and re-verify a certificate; returns (Certificate, CopeMatrix).
+    """Load a certificate and re-derive it; returns (Certificate, CopeMatrix).
 
-    The verdict must be the one its evidence kind supports.  Embedded
-    models must classify with the claimed kind; forcing evidence must be
-    what vertex forcing re-derives from the embedded matrix (the vertices
-    of its rebuilt span-simplex polytope and their count); Sperner
-    witnesses must exhibit the claimed unique-zero pattern and bounds.
+    This function only parses: a field without its wire shape raises
+    ParseError naming it.  The claims (verdict, rank, searched range and
+    evidence) are re-derived from the embedded matrix by ``certify._check``,
+    the check ``certify`` runs on its way out; the first claim that does
+    not re-derive raises ParseError naming the field the check reports.
     """
     doc = _loads(data)
     if not isinstance(doc, dict):
@@ -331,86 +324,43 @@ def parse_certificate(data: Union[bytes, str]):
     verdict = _require(doc, "verdict")
     kind = _require(doc, "evidence_kind")
     payload = _require(doc, "evidence")
-    rank_claim = _int(_require(doc, "rank"), "rank")
+    rank = _int_field(doc, "rank")
     if not isinstance(payload, dict):
         raise ParseError("evidence is not an object", field="evidence")
-    if not isinstance(kind, str) or kind not in _VERDICT_OF_EVIDENCE:
-        raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
-    if verdict != _VERDICT_OF_EVIDENCE[kind]:
-        raise ParseError(f"verdict {verdict!r} does not follow from {kind} evidence", field="verdict")
-
-    d = _Derived(c)
-    if d.rank != rank_claim:
-        raise ParseError(f"rank claim {rank_claim} does not re-verify", field="rank")
 
     evidence: Evidence
     if kind == "EnmfModel":
-        model = doc_to_model(_require(payload, "model"))
-        try:
-            report = classify_model(d, model)
-        except PreconditionError as exc:
-            raise ParseError(f"embedded model: {exc}", field="evidence") from exc
-        if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:
-            raise ParseError("embedded model does not re-verify as equirank nonnegative", field="evidence")
-        evidence = EnmfModel(model)
+        evidence = EnmfModel(doc_to_model(_require(payload, "model")))
     elif kind == "VertexForcing":
-        forced = _int(_require(payload, "forced_rank"), "forced_rank")
-        listed = _parse_matrix_rows(_require(payload, "vertices"), rational(), "vertices")
-        vertices = set(map(tuple, listed))
-        try:
-            rebuilt = vertex_forcing_certificate(d)
-        except (GuardExceeded, PreconditionError) as exc:
-            raise ParseError(f"span-simplex polytope not rebuilt: {exc}", field="evidence") from exc
-        if rebuilt is None or set(rebuilt[0].vertices) != vertices or rebuilt[1] != forced:
-            raise ParseError("forcing evidence does not re-derive from the matrix", field="evidence")
-        evidence = VertexForcing(*rebuilt)
-    elif kind == "SpernerSeparation":
-        rows = _ints(_require(payload, "row_indices"), "row_indices", c.n_rows)
-        cols = _ints(_require(payload, "col_indices"), "col_indices", c.n_preparations)
-        m = _int(_require(payload, "m"), "m")
-        if len(rows) != m or len(cols) != m:
-            raise ParseError("witness index lists do not match m", field="evidence")
-        stacked = c.stacked()
-        be = c.backend
-        for a, ra in enumerate(rows):
-            for b, cb in enumerate(cols):
-                is_zero = be.is_zero(stacked[ra][cb])
-                if (a == b) != is_zero:
-                    raise ParseError("witness zero pattern does not re-verify", field="evidence")
-        witness = SpernerWitness(
-            row_indices=rows,
-            col_indices=cols,
-            m=m,
-            ontic_dim_lower_bound=sperner_ontic_bound(m),
-            factor_span_lower_bound=sperner_span_bound(m),
+        polytope = SpanSimplexPolytope(
+            ambient_dim=_int_field(payload, "ambient_dim"),
+            basis=_rational_rows(payload, "basis"),
+            vertices=_rational_rows(payload, "vertices"),
         )
-        claimed = _int(_require(payload, "ontic_dim_lower_bound"), "ontic_dim_lower_bound")
-        if witness.ontic_dim_lower_bound != claimed:
-            raise ParseError("ontic bound does not re-verify", field="evidence")
-        claimed = _int(_require(payload, "factor_span_lower_bound"), "factor_span_lower_bound")
-        if witness.factor_span_lower_bound != claimed:
-            raise ParseError("span bound does not re-verify", field="evidence")
-        if witness.factor_span_lower_bound <= rank_claim:
-            raise ParseError("span bound does not exceed the rank", field="evidence")
-        evidence = SpernerSeparation(witness, rank_claim)
+        evidence = VertexForcing(polytope, _int_field(payload, "forced_rank"))
+    elif kind == "SpernerSeparation":
+        witness = SpernerWitness(
+            row_indices=_ints(_require(payload, "row_indices"), "row_indices", c.n_rows),
+            col_indices=_ints(_require(payload, "col_indices"), "col_indices", c.n_preparations),
+            m=_int_field(payload, "m"),
+            ontic_dim_lower_bound=_int_field(payload, "ontic_dim_lower_bound"),
+            factor_span_lower_bound=_int_field(payload, "factor_span_lower_bound"),
+        )
+        evidence = SpernerSeparation(witness, rank)
     elif kind == "ExhaustiveAbsence":
         log = _array(_require(payload, "log"), "log")
         evidence = ExhaustiveAbsence(tuple(str(x) for x in log))
-    else:
+    elif kind == "None":
         evidence = None
+    else:
+        raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
 
     raw_range = doc.get("searched_k_range")
     k_range = None if raw_range is None else _ints(raw_range, "searched_k_range")
-    if k_range is not None and len(k_range) != 2:
-        raise ParseError("searched_k_range must be null or two integers", field="searched_k_range")
     notes = _array(doc.get("notes", []), "notes")
     if not all(isinstance(note, str) for note in notes):
         raise ParseError("notes must be strings", field="notes")
-    cert = Certificate(
-        verdict=verdict,
-        evidence=evidence,
-        rank=rank_claim,
-        searched_k_range=k_range,
-        notes=tuple(notes),
-    )
+    cert = Certificate(verdict, evidence, rank, k_range, tuple(notes))
+    if (problem := _check(_Derived(c), cert)) is not None:
+        raise ParseError(problem[1], field=problem[0])
     return cert, c

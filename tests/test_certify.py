@@ -24,6 +24,7 @@ from copekit import (
     cope_matrix,
     discrete_qubit,
     emit_certificate,
+    emit_cope,
     emit_model,
     enmf,
     exhaustive_enmf_decision,
@@ -446,6 +447,40 @@ def test_acceptance_8_enmf_bytes_are_pinned():
     models = (enmf(c, NmfOptions()) for c in _acceptance_8_batch())
     data = b"".join(b"None" if m is None else emit_model(m) for m in models)
     assert hashlib.sha256(data).hexdigest() == ACCEPTANCE_8_ENMF_DIGEST
+
+
+def _misplaced_sperner_zeros(monkeypatch):
+    # A witness whose columns are rotated by one, so the zeros leave the diagonal.
+    from dataclasses import replace
+
+    certify_mod = importlib.import_module("copekit.certify")  # copekit.certify is the function
+    original = certify_mod.sperner_submatrix
+
+    def rotated(c):
+        w = original(c)
+        return replace(w, col_indices=w.col_indices[1:] + w.col_indices[:1])
+
+    monkeypatch.setattr(certify_mod, "sperner_submatrix", rotated)
+
+
+def test_certify_rechecks_a_sperner_witness_on_the_way_out(monkeypatch):
+    q = discrete_qubit(generic_directions(5, seed=11))
+    _misplaced_sperner_zeros(monkeypatch)
+    with pytest.raises(AssertionError, match="zero pattern"):
+        certify(q)
+
+
+def test_cli_reports_an_unchecked_sperner_witness_without_traceback(
+    monkeypatch, tmp_path, capsys
+):
+    from copekit.cli import run_cli
+
+    path = tmp_path / "q5.json"
+    path.write_bytes(emit_cope(discrete_qubit(generic_directions(5, seed=11))))
+    _misplaced_sperner_zeros(monkeypatch)
+    assert run_cli(["certify", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "internal check failed" in err and "Traceback" not in err
 
 
 def test_float_restarts_off_by_more_than_eps_are_not_verified(monkeypatch):

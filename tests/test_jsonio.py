@@ -3,13 +3,16 @@ import json
 import pytest
 
 from copekit import (
+    NmfOptions,
     ParseError,
     boxworld,
+    cardinal_directions,
     certify,
     discrete_qubit,
     emit_certificate,
     emit_cope,
     emit_model,
+    extended_boxworld,
     generic_directions,
     gpt,
     parse_certificate,
@@ -231,6 +234,20 @@ def test_forged_vertex_forcing_rejected(spekkens_matrix):
         parse_certificate(json.dumps(doc).encode())
 
 
+@pytest.mark.parametrize(
+    "edits",
+    [{"basis": [["1"]]}, {"ambient_dim": 3}, {"basis": [["1"]], "ambient_dim": 3}],
+)
+def test_forged_forcing_polytope_rejected(boxworld_matrix, edits):
+    # The vertices and forced rank are genuine; the claimed basis or ambient
+    # dimension is not that of the rebuilt span-simplex polytope.
+    doc = json.loads(emit_certificate(certify(boxworld_matrix), boxworld_matrix))
+    doc["evidence"].update(edits)
+    with pytest.raises(ParseError, match="does not re-derive") as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+
+
 @pytest.mark.parametrize("fixture", ["boxworld_matrix", "ebw_matrix"])
 def test_genuine_vertex_forcing_loads_with_rebuilt_polytope(request, fixture):
     c = request.getfixturevalue(fixture)
@@ -238,6 +255,16 @@ def test_genuine_vertex_forcing_loads_with_rebuilt_polytope(request, fixture):
     assert isinstance(cert.evidence, VertexForcing)
     loaded, _ = parse_certificate(emit_certificate(cert, c))
     assert loaded.evidence == cert.evidence
+
+
+def test_empty_sperner_witness_rejected():
+    # m = 0 with empty index lists has no antichain bound to re-derive.
+    q = discrete_qubit(generic_directions(5, seed=11))
+    doc = json.loads(emit_certificate(certify(q), q))
+    doc["evidence"].update(m=0, row_indices=[], col_indices=[])
+    with pytest.raises(ParseError) as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
 
 
 _CERTIFIED = {
@@ -264,6 +291,12 @@ _CERTIFIED = {
         ("spekkens", ("evidence", "model", "effects", 0), ["1"], "effects"),
         ("spekkens", ("evidence", "model", "unit"), ["1"], "unit"),
         ("spekkens", ("evidence", "model", "block_sizes"), [1], "block_sizes"),
+        ("boxworld", ("evidence", "basis"), None, "basis"),
+        ("boxworld", ("evidence", "basis", 0, 0), "x", "basis"),
+        ("boxworld", ("evidence", "ambient_dim"), None, "ambient_dim"),
+        ("boxworld", ("evidence", "ambient_dim"), "3", "ambient_dim"),
+        ("spekkens", ("searched_k_range",), [9, 2], "searched_k_range"),
+        ("spekkens", ("searched_k_range",), [0, 99], "searched_k_range"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):
@@ -276,3 +309,29 @@ def test_malformed_certificate_field_raises_parse_error(theory, path, value, fie
     with pytest.raises(ParseError) as err:
         parse_certificate(json.dumps(doc).encode())
     assert err.value.field == field
+
+
+def test_certificates_round_trip_to_the_same_bytes():
+    # The parser rebuilds exactly the evidence it was given, so emitting the
+    # loaded certificate gives back the input bytes.
+    from copekit.backend import floating
+    from copekit.cope import cope_matrix
+
+    from test_certify import _acceptance_8_batch
+
+    positive = cope_matrix(
+        [[[0.6, 0.3, 0.5], [0.4, 0.7, 0.5]], [[0.2, 0.9, 0.4], [0.8, 0.1, 0.6]]],
+        backend=floating(),
+    )
+    cases = [(c, None) for c in (spekkens(), boxworld(), extended_boxworld())]
+    cases.append((_CERTIFIED["sperner_qubit"](), None))
+    cases.append((positive, NmfOptions(inner_dim=1, max_restarts=1, max_iterations=40)))
+    cases.append((discrete_qubit(cardinal_directions()), None))  # Undetermined
+    cases += [(c, None) for c in _acceptance_8_batch()]
+    verdicts = set()
+    for c, opts in cases:
+        cert = certify(c, opts)
+        data = emit_certificate(cert, c)
+        assert emit_certificate(*parse_certificate(data)) == data
+        verdicts.add(type(cert.evidence).__name__)
+    assert len(verdicts) == 5  # every evidence kind, and None
