@@ -3,9 +3,11 @@
 Rationals serialize as ``"p/q"`` strings so documents survive round trips
 bit-exactly; floats serialize as numbers and the document carries its eps.
 Emission is canonical (sorted keys, compact separators, trailing newline),
-so equal values produce equal bytes.  Loading a certificate here only
-parses it; ``certify._check``, the checker ``certify`` runs on every
-certificate it returns, re-derives it from its embedded matrix.
+so equal values produce equal bytes.  Every document carries its ``type``
+and ``format_version``, and a parser rejects a missing or different value.
+Loading a certificate here only parses it; ``certify._check``, the checker
+``certify`` runs on every certificate it returns, re-derives it from its
+embedded matrix.
 """
 
 from __future__ import annotations
@@ -59,6 +61,14 @@ def _require(doc: dict, field: str):
     if field not in doc:
         raise ParseError(f"missing field {field!r}", field=field)
     return doc[field]
+
+
+def _require_header(doc: dict, doc_type: str) -> None:
+    """Reject a document of another ``type`` or ``format_version``."""
+    for field, expected in (("type", doc_type), ("format_version", FORMAT_VERSION)):
+        value = _require(doc, field)
+        if value != expected:
+            raise ParseError(f"{field}: expected {expected!r}, got {value!r}", field=field)
 
 
 def _array(value, field: str) -> list:
@@ -167,6 +177,7 @@ def doc_to_cope(doc) -> CopeMatrix:
             )
         outcome_labels.append([str(x) for x in outcomes])
         blocks.append(parsed)
+    _require_header(doc, "cope")
     c = cope_matrix(
         blocks=blocks,
         backend=backend,
@@ -228,6 +239,7 @@ def doc_to_model(doc) -> ModelFactorization:
     except BackendError as exc:
         raise ParseError(f"unit: {exc}", field="unit") from exc
     block_sizes = _ints(_require(doc, "block_sizes"), "block_sizes")
+    _require_header(doc, "model")
     problem = _shape_error(effects, states, unit, block_sizes)
     if problem is not None:
         raise ParseError(problem[1], field=problem[0])
@@ -360,6 +372,7 @@ def parse_certificate(data: Union[bytes, str]):
     notes = _array(doc.get("notes", []), "notes")
     if not all(isinstance(note, str) for note in notes):
         raise ParseError("notes must be strings", field="notes")
+    _require_header(doc, "certificate")
     cert = Certificate(verdict, evidence, rank, k_range, tuple(notes))
     if (problem := _check(_Derived(c), cert)) is not None:
         raise ParseError(problem[1], field=problem[0])

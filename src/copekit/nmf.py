@@ -9,17 +9,19 @@ of deterministic geometric routes for the equirank case: when the
 span-simplex polytope is itself a simplex, when the extremal columns
 already form one, when some subset of polytope vertices encloses every
 column, and (rank 3) the exact planar nested-triangle construction.  The
-routes only propose ``(effects, states)`` factor pairs; the caller
-verifies each pair once, at the model kind it needs (ontological for
-``nmf``, noncontextual ontological for ``enmf``).  Absence of a model is
-reported as ``None`` and proves nothing.
+routes only propose ``(effects, states)`` factor pairs.
+``search_candidates``, the one entry point of the search, verifies each
+pair once, at the model kind its caller needs (ontological for ``nmf``,
+noncontextual ontological for ``enmf``), and stops at the first that
+passes: a noncontextuality verdict needs one equirank model, not all of
+them.  Absence of a model is reported as ``None`` and proves nothing.
 
 One batch runs the restarts of several seeds and inner dimensions as one
 stack of multiplicative updates: each (k, seed) slice is zero-padded to
 the largest k, and since a padded column of w and row of h stay exactly 0
 and add only exact zeros to each product, every slice ends bit for bit as
 the same restart run on its own.  ``nmf`` batches the seeds at its one
-inner dimension; ``enmf`` runs k = rank alone and, only when nothing
+inner dimension; ``enmf`` searches k = rank alone and, only when nothing
 verifies there, k = rank + 1 .. ``max_k`` as one batch.
 """
 
@@ -28,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from typing import TYPE_CHECKING, Optional
 
 from . import cope as cope_mod
@@ -171,11 +173,12 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
     """Deterministic search for an equirank nonnegative factorization.
 
     Each factor pair the deterministic routes propose at inner dimension
-    rank(C) is verified once, as ontological; the first that passes is
-    returned.  Exact backend only.
+    rank(C) is verified once, as noncontextual ontological (on the exact
+    backend the same test as ontological at that inner dimension); the
+    first that passes is returned.  Exact backend only.
     """
     d = _derived(c)
-    return _first_verified(d, _simplex_pairs(d), ModelKind.ONTOLOGICAL)
+    return _first_verified(d, _simplex_pairs(d), ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
 
 
 def _nested_triangle(d: _Derived):
@@ -332,80 +335,60 @@ def _lifted_pairs(d: _Derived, w: np.ndarray, h: np.ndarray, snap_tol: float):
     yield r_ex, [[cols[j][l] for j in range(n)] for l in range(k)]
 
 
-def _restart_batch(d: _Derived, widths, opts: NmfOptions):
-    """The restarts at every inner dimension of ``widths``, as one
-    ``_restarts`` batch run on first use.
-
-    Returns ``at(k)``: the ``(seed, (residual, w, h))`` of every seed at
-    width k, in seed order.
-    """
-    seeds = [opts.seed + i for i in range(opts.max_restarts)]
-    batch = {}
-
-    def at(k: int) -> list:
-        if not batch:
-            results = _restarts(d.c.as_array(), list(widths), seeds, opts.max_iterations)
-            batch.update((width, list(zip(seeds, r))) for width, r in zip(widths, results))
-        return batch[k]
-
-    return at
-
-
 def search_candidates(
-    c: CopeMatrix, k: int, opts: NmfOptions, need_equirank: bool = False, restarts=None
-) -> list[ModelFactorization]:
-    """All verified models found at inner dimension k.
+    c: CopeMatrix, widths, opts: NmfOptions, need_equirank: bool = False
+) -> Optional[ModelFactorization]:
+    """The first verified model at the smallest inner dimension of
+    ``widths`` that has one, or None; widths below rank(c) are skipped.
 
-    The routes propose factor pairs and each is verified once: as
-    noncontextual ontological with ``need_equirank``, else as ontological.
-    Deterministic candidates (trivial padding, then at k = rank the
-    simplex routes) come first; when none verifies, heuristic restarts
-    follow, ordered by (residual, seed), so the winner is the best fit and
-    ties go to the lowest seed.  ``restarts`` is a ``_restart_batch`` that
-    covers k, for a caller that batches several inner dimensions; by
-    default the restarts run at k alone.
+    Each factor pair is verified once: as noncontextual ontological with
+    ``need_equirank``, else as ontological, and the search stops at the
+    first that passes.  At each k the deterministic candidates come first
+    (trivial padding, then at k = rank the simplex routes); when none
+    verifies, the heuristic restarts at k follow, ordered by (residual,
+    seed), so the winner is the best fit that verifies and ties go to the
+    lowest seed.  The restarts of every width run as one ``_restarts``
+    batch, the first time the deterministic candidates fail.
     """
     d = _derived(c)
     c = d.c
     r = d.rank
-    if k < r:
-        return []
+    widths = [k for k in widths if k >= r]
     kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL if need_equirank else ModelKind.ONTOLOGICAL
-
-    found = [_first_verified(d, [_trivial_padded(d, k)], kind)]
-    if k == r:
-        found.append(_first_verified(d, _simplex_pairs(d), kind))
-    found = [model for model in found if model is not None]
-    if found:
-        return found
-
-    results = (restarts or _restart_batch(d, [k], opts))(k)
-    results = sorted(results, key=lambda item: (item[1][0], item[0]))
-
     # A float restart off by more than eps cannot reconstruct C; the factor
     # 2 covers the rounding of _rescale and of the verifier's list product.
     cutoff = 1e-4 if c.backend.is_exact else 2 * c.backend.eps
-    for seed, (residual, w, h) in results:
-        if residual > cutoff:
-            continue
-        w_s, h_s = _rescale(w, h, c.block_sizes[0])
-        if c.backend.is_exact:
-            model = _exact_from_floats(d, w_s, h_s, opts, kind)
-        else:
-            model = _verified_model(d, w_s.tolist(), h_s.tolist(), kind)
+    batch = None
+    for i, k in enumerate(widths):
+        simplex = _simplex_pairs(d) if k == r else ()
+        model = _first_verified(d, chain([_trivial_padded(d, k)], simplex), kind)
         if model is not None:
-            found.append(model)
-    return found
+            return model
+        if batch is None:
+            seeds = [opts.seed + s for s in range(opts.max_restarts)]
+            batch = _restarts(c.as_array(), widths, seeds, opts.max_iterations)
+        # The sort is stable, so equal residuals keep seed order.
+        for residual, w, h in sorted(batch[i], key=lambda result: result[0]):
+            if residual > cutoff:
+                continue
+            w_s, h_s = _rescale(w, h, c.block_sizes[0])
+            if c.backend.is_exact:
+                model = _exact_from_floats(d, w_s, h_s, opts, kind)
+            else:
+                model = _verified_model(d, w_s.tolist(), h_s.tolist(), kind)
+            if model is not None:
+                return model
+    return None
 
 
 def nmf(c: CopeMatrix, opts: NmfOptions) -> Optional[ModelFactorization]:
     """Best verified nonnegative factorization at opts.inner_dim, or None.
 
+    The first candidate that verifies wins (see ``search_candidates``).
     Absence is a value: a None only means the search budget found nothing,
     except below rank(c) where no factorization can exist at all.
     """
-    candidates = search_candidates(c, opts.inner_dim, opts)
-    return candidates[0] if candidates else None
+    return search_candidates(c, [opts.inner_dim], opts)
 
 
 _DECIDE = object()
@@ -427,13 +410,13 @@ def enmf(
     way to the first deterministic candidate at rank(c) that verifies
     (trivial padding, then ``equirank_simplex_model``), else is returned
     if its inner dimension is at most ``max_k`` (default rank + 3).  Only
-    float matrices, and exact ones whose decision hit a guard, scan
-    k = rank .. ``max_k`` with ``search_candidates``.  Its heuristic
-    restarts run at k = rank alone, then at every k above rank as one
-    zero-padded batch (see the module docstring), and the first k with a
-    verified model wins, as if each k ran on its own.  ``decision`` is a
-    precomputed ``decide_enmf_existence`` result (None after a guard),
-    else computed here.
+    float matrices, and exact ones whose decision hit a guard, run
+    ``search_candidates``: at k = rank alone, then over rank + 1 ..
+    ``max_k`` as one search, so the restarts above rank share one
+    zero-padded batch (see the module docstring) and the first verified
+    model at the smallest k wins, as if each k ran on its own.
+    ``decision`` is a precomputed ``decide_enmf_existence`` result (None
+    after a guard), else computed here.
     """
     d = _derived(c)
     r = d.rank
@@ -449,18 +432,14 @@ def enmf(
         if isinstance(decision, ExistenceResult):
             if decision.model.inner_dim == r:
                 return decision.model
-            simplex = equirank_simplex_model(d)
-            pairs = [_trivial_padded(d, r), simplex and (simplex.effects, simplex.states)]
-            model = _first_verified(d, pairs, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+            kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+            model = _first_verified(d, [_trivial_padded(d, r)], kind) or equirank_simplex_model(d)
             if model is None and decision.model.inner_dim <= bound:
                 model = decision.model
             return model
 
     # Most restart-decided matrices decide at k = rank, so the restarts
     # there run alone and the inner dimensions above share one batch.
-    above = _restart_batch(d, range(r + 1, bound + 1), opts)
-    for k in range(r, bound + 1):
-        found = search_candidates(d, k, opts, need_equirank=True, restarts=above if k > r else None)
-        if found:
-            return found[0]
-    return None
+    return search_candidates(d, [r], opts, True) or search_candidates(
+        d, range(r + 1, bound + 1), opts, True
+    )

@@ -323,6 +323,31 @@ def test_decided_model_above_rank_ends_the_search(monkeypatch, rational_qubit_2)
     assert enmf(c, NmfOptions(), max_k=3) is None
 
 
+def test_simplex_model_at_rank_is_verified_once(monkeypatch):
+    # Decided at inner dimension 4 > rank 3, with a simplex model at rank 3
+    # and no trivial padding (4 preparations): enmf classifies that model
+    # once, as noncontextual ontological, and returns it.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    blocks = [
+        [[0, 0, 2 * third, third], [1, 1, third, 2 * third]],
+        [[half, 1, half, half], [half, 0, half, half]],
+    ]
+    c = cope_matrix(blocks, backend=rational())
+    decision = decide_enmf_existence(c)
+    assert rank(c) == 3 and decision.model.inner_dim == 4
+    models_mod = importlib.import_module("copekit.models")
+    classify, checked = models_mod.classify_model, []
+
+    def spy_classify(matrix, model):
+        checked.append(model)
+        return classify(matrix, model)
+
+    monkeypatch.setattr(models_mod, "classify_model", spy_classify)
+    model = enmf(c, NmfOptions(), decision=decision)
+    assert model.inner_dim == 3 and model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+    assert [(m.effects, m.states) for m in checked] == [(model.effects, model.states)]
+
+
 # --- derived objects, once per call ----------------------------------------------
 
 
@@ -534,6 +559,33 @@ def test_float_model_found_only_by_the_restarts(monkeypatch):
     nmf_mod = importlib.import_module("copekit.nmf")  # copekit.nmf is the function
     monkeypatch.setattr(nmf_mod, "_restarts", lambda arr, widths, seeds, iterations: [[] for _ in widths])
     assert certify(c).verdict != NONCONTEXTUAL
+
+
+def test_equirank_search_verifies_only_the_first_passing_restart(monkeypatch):
+    # On the matrix above every restart at k = 2 would verify; nmf and enmf
+    # each classify only the best one, and return that model.
+    from copekit import nmf
+    from copekit.backend import floating
+
+    c = cope_matrix([[[0.0, 1.0, 1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 1.0, 1.0]]], backend=floating())
+    models_mod = importlib.import_module("copekit.models")
+    classify = models_mod.classify_model
+    checked = []
+
+    def spy_classify(matrix, model):
+        checked.append(model)
+        return classify(matrix, model)
+
+    monkeypatch.setattr(models_mod, "classify_model", spy_classify)
+    found = []
+    for search in (lambda: nmf(c, NmfOptions(inner_dim=2)), lambda: enmf(c, NmfOptions())):
+        checked.clear()
+        model = search()
+        assert len(checked) == 1
+        assert (checked[0].effects, checked[0].states) == (model.effects, model.states)
+        found.append(model)
+    assert found[0].states == found[1].states
+    assert found[1].kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
 
 
 def _restart_widths(monkeypatch):

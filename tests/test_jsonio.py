@@ -297,6 +297,12 @@ _CERTIFIED = {
         ("boxworld", ("evidence", "ambient_dim"), "3", "ambient_dim"),
         ("spekkens", ("searched_k_range",), [9, 2], "searched_k_range"),
         ("spekkens", ("searched_k_range",), [0, 99], "searched_k_range"),
+        ("spekkens", ("type",), "model", "type"),
+        ("spekkens", ("format_version",), "99", "format_version"),
+        ("spekkens", ("cope", "type"), "certificate", "type"),
+        ("spekkens", ("cope", "format_version"), "7", "format_version"),
+        ("spekkens", ("evidence", "model", "type"), "cope", "type"),
+        ("spekkens", ("evidence", "model", "format_version"), 1, "format_version"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):
@@ -309,6 +315,22 @@ def test_malformed_certificate_field_raises_parse_error(theory, path, value, fie
     with pytest.raises(ParseError) as err:
         parse_certificate(json.dumps(doc).encode())
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("field", ["type", "format_version"])
+def test_document_without_its_header_field_raises_parse_error(spekkens_matrix, field):
+    cert = certify(spekkens_matrix)
+    documents = [
+        (parse_cope, emit_cope(spekkens_matrix)),
+        (parse_model, emit_model(cert.evidence.model)),
+        (parse_certificate, emit_certificate(cert, spekkens_matrix)),
+    ]
+    for parse, data in documents:
+        doc = json.loads(data)
+        del doc[field]
+        with pytest.raises(ParseError) as err:
+            parse(json.dumps(doc).encode())
+        assert err.value.field == field
 
 
 def test_certificates_round_trip_to_the_same_bytes():
