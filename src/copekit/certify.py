@@ -37,7 +37,7 @@ from typing import Optional, Union
 
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, classify_model
+from .models import ModelFactorization, ModelKind, _report
 from .nmf import NmfOptions, _first_verified, _nested_triangle, _simplex_pairs, enmf
 from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
 from .sperner import (
@@ -133,6 +133,7 @@ def _check(d: _Derived, cert: Certificate) -> Optional[tuple[str, str]]:
 
     Checks the verdict of the evidence, the rank, the searched range, the
     model, the forcing polytope and the Sperner witness; not an absence log.
+    A model that ``d`` already accepted is not classified again.
     """
     evidence, r = cert.evidence, d.rank
     if cert.verdict != _VERDICT_OF_EVIDENCE.get(type(evidence)):
@@ -145,7 +146,7 @@ def _check(d: _Derived, cert: Certificate) -> Optional[tuple[str, str]]:
         return "searched_k_range", f"searched range {list(k_range)} is not [{r}, bound >= {r}]"
     if isinstance(evidence, EnmfModel):
         try:
-            report = classify_model(d, evidence.model)
+            report = _report(d, evidence.model)
         except PreconditionError as exc:
             return "evidence", f"embedded model: {exc}"
         if ModelKind.NONCONTEXTUAL_ONTOLOGICAL not in report.inferred_kinds:

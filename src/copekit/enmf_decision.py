@@ -53,16 +53,19 @@ class AbsenceResult:
 Existence = Union[ExistenceResult, AbsenceResult]
 
 
-def _vertex_lp(merged: CopeMatrix, vertices) -> tuple:
+def _vertex_lp(c: CopeMatrix, vertices) -> tuple:
     """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }.
 
-    Dense rows of width k n, with the ``int`` 0 wherever a row is zero:
-    each row is filled from the support of its vertex or kernel entries.
+    ``c`` is the merged matrix C' or a call's derived view, whose echelon
+    form of C' (shared with Q's basis) gives the kernel K.  Dense rows of
+    width k n, with the ``int`` 0 wherever a row is zero: each row is
+    filled from the support of its vertex or kernel entries.
     """
+    d = _derived(c)
     k = len(vertices)
-    n = merged.n_preparations
-    stacked = merged.stacked()
-    kernel = rla.nullspace(stacked)
+    n = d.merged.n_preparations
+    stacked = d.merged.stacked()
+    kernel = rla._kernel(*d.echelon, n)
     # Variable P[l][j] is column l * n + j.
     a_rows = []
     b = []
@@ -123,7 +126,7 @@ def decide_enmf_existence(c: CopeMatrix) -> Existence:
         raise GuardExceeded(
             f"vertex program with {len(vertices) * n} variables exceeds the cap"
         )
-    a_rows, b = _vertex_lp(merged, vertices)
+    a_rows, b = _vertex_lp(d, vertices)
     solution, farkas = rla.lp_feasibility(a_rows, b)
     if solution is None:
         return AbsenceResult(

@@ -119,7 +119,9 @@ def _verified_model(
 
     The model takes the block sizes and backend of ``c`` (a matrix or a
     certifier call's derived view) and is returned only when ``kind`` is
-    among the kinds :func:`classify_model` infers for it; else None.
+    among the kinds :func:`classify_model` infers for it; else None.  The
+    report of a returned model is kept on the derived view (see
+    :func:`_report`).
     """
     derived = _derived(c)
     backend = derived.c.backend
@@ -131,9 +133,19 @@ def _verified_model(
         block_sizes=derived.c.block_sizes,
         backend=backend,
     )
-    if kind in classify_model(derived, model).inferred_kinds:
-        return model
-    return None
+    report = classify_model(derived, model)
+    if kind not in report.inferred_kinds:
+        return None
+    derived.reports[id(model)] = model, report
+    return model
+
+
+def _report(d: _Derived, m: ModelFactorization) -> VerificationReport:
+    """``classify_model(d, m)``, read from ``d.reports`` when ``_verified_model``
+    accepted this very model object with ``d`` (which keeps it, so its id is
+    not reused)."""
+    kept = d.reports.get(id(m))
+    return kept[1] if kept is not None else classify_model(d, m)
 
 
 @dataclass(frozen=True)
@@ -173,7 +185,10 @@ def _exact_flags(d: _Derived, m: ModelFactorization) -> tuple:
     positive denominator (e, s and u), and every row of C over its own
     (``d.integer_rows``), so each test compares integers by
     cross-multiplication.  A positive scale keeps the rank, so the ranks
-    come from the same integer matrices.
+    come from the same integer matrices.  When E S = C with k = rank(C)
+    state rows, rank(C) = rank(E S) <= rank(E), rank(S) <= k, so both
+    ranks are rank(C) and no elimination runs.  k counts the state rows,
+    never the ``inner_dim`` field, which ``classify_model`` checks first.
     """
     effects, e = _integer_matrix(m.effects)
     states, s = _integer_matrix(m.states)
@@ -194,6 +209,8 @@ def _exact_flags(d: _Derived, m: ModelFactorization) -> tuple:
     states_column_stochastic_ok = all(sum(column) == s for column in columns)
     unit_all_ones = all(x == u for x in unit)
     flags = reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
+    if reconstruction_ok and len(states) == d.rank:
+        return flags, (d.rank, d.rank)
     return flags, (rla.rank(effects), rla.rank(states))
 
 
@@ -233,11 +250,18 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
     """Check a factorization against a matrix, ignoring its kind tag.
 
     Comparisons run on the model's backend unless both sides are exact.
-    Raises on dimension mismatch.  ``c`` may be a certifier call's derived
-    view (``polytope._Derived``), whose rank(c) is then reused.
+    Raises PreconditionError, naming the field, on a model whose fields
+    disagree in shape (``inner_dim`` included), and on dimension mismatch.
+    ``c`` may be a certifier call's derived view (``polytope._Derived``),
+    whose rank(c) is then reused.
     """
     derived = _derived(c)
     c = derived.c
+    problem = _shape_error(m.effects, m.states, m.unit, m.block_sizes)
+    if problem is None and m.inner_dim != len(m.states):
+        problem = "inner_dim", "inner dimension must equal the number of state rows"
+    if problem is not None:
+        raise PreconditionError(f"model {problem[0]}: {problem[1]}")
     if m.n_rows != c.n_rows or m.n_preparations != c.n_preparations:
         raise PreconditionError("model dimensions do not match the matrix")
     if m.block_sizes != c.block_sizes:

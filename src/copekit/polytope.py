@@ -132,17 +132,20 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
     """Vertices of column-space(C) intersected with the probability simplex.
 
     Requires the exact backend and a merged (single-block) matrix; apply
-    :func:`copekit.cope.merge_measurements` first.
+    :func:`copekit.cope.merge_measurements` first.  ``c`` may instead be a
+    certifier call's derived view (``_Derived``), whose merged matrix and
+    its echelon form are then used.
     """
-    if not c.backend.is_exact:
+    d = _derived(c)
+    if not d.c.backend.is_exact:
         raise PreconditionError("vertex enumeration requires the exact backend")
-    if c.n_measurements != 1:
+    if not isinstance(c, _Derived) and c.n_measurements != 1:
         raise PreconditionError("merge measurements before enumerating vertices")
-    ambient = c.n_rows
+    ambient = d.merged.n_rows
     if ambient > AMBIENT_LIMIT:
         raise GuardExceeded(f"ambient dimension {ambient} exceeds {AMBIENT_LIMIT}")
-    stacked = c.stacked()
-    _, pivots = rla.rref(stacked)
+    stacked = d.merged.stacked()
+    _, pivots = d.echelon
     basis = [[stacked[i][j] for j in pivots] for i in range(ambient)]
     # B = B_int / den with one positive den, so the vertex B t / sum(B t) of
     # a ray t is (B_int t) / sum(B_int t): integers until the last division.
@@ -166,21 +169,26 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
 
 
 class _Derived:
-    """rank(c), the merged matrix and Q of one matrix, each built on first use.
+    """rank(c), the merged matrix C', its echelon form and Q of one matrix,
+    each built on first use.
 
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
-    its own.  ``classify_model`` on the exact backend reads C's rows from
-    ``integer_rows``, so every model one call verifies shares one
-    conversion of C.  A guard hit while building Q is raised again on
-    every ask.  For the simplex routes of ``nmf`` it also holds rank-many
-    independent rows I of the merged matrix and the merged columns
-    restricted to I.
+    its own.  One Gauss-Jordan of C' (``echelon``) gives both Q's basis
+    and the vertex program's kernel.  ``classify_model`` on the exact
+    backend reads C's rows from ``integer_rows``, so every model one call
+    verifies shares one conversion of C.  ``reports`` maps the ``id`` of
+    each model ``models._verified_model`` accepted to (model, report); the
+    model is kept so its id is not reused, and rejected candidates are not
+    kept.  A guard hit while building Q is raised again on every ask.  For
+    the simplex routes of ``nmf`` it also holds rank-many independent rows
+    I of C' and the merged columns restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
         self.c = c
+        self.reports: dict[int, tuple] = {}
 
     @cached_property
     def rank(self) -> int:
@@ -194,6 +202,11 @@ class _Derived:
     @cached_property
     def merged(self) -> CopeMatrix:
         return cope_mod.merge_measurements(self.c)
+
+    @cached_property
+    def echelon(self) -> tuple[list, list[int]]:
+        """The reduced row echelon form of C' and its pivot columns."""
+        return rla.rref(self.merged.stacked())
 
     @cached_property
     def independent_rows(self) -> list[int]:
@@ -212,7 +225,7 @@ class _Derived:
     @cached_property
     def _polytope(self):
         try:
-            return span_simplex_polytope(self.merged)
+            return span_simplex_polytope(self)
         except GuardExceeded as exc:
             return exc
 

@@ -18,7 +18,7 @@ keeps the sign of every entry and every ratio of two, so each routine makes
 the pivots, and returns the Fractions, of elimination on Fraction entries.
 The simplex checks both of its answers exactly, on the caller's rows,
 before returning them.  Rows reach these routines as lists, and only their
-nonzeros are converted.  ``_integer_inverse`` gives the kernel's inverse as
+nonzeros are converted; an all-``int`` row is taken as it is.  ``_integer_inverse`` gives the kernel's inverse as
 ``int`` numerators over one denominator, for the double description's start
 and the candidate simplices of ``nmf``; ``invert`` turns it into Fractions.
 """
@@ -54,7 +54,12 @@ def mat_vec(a: Matrix, v: Sequence) -> Row:
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
-    """Integer numerators and a positive common denominator for ``values``."""
+    """Integer numerators and a positive common denominator for ``values``.
+
+    A row whose entries are all ``int`` is returned as it is, over 1.
+    """
+    if all(type(x) is int for x in values):
+        return values, 1
     pairs = [(x if type(x) in (Fraction, int) else Fraction(x)).as_integer_ratio() for x in values]
     den = lcm(*{d for _, d in pairs})
     return [p * (den // d) if p else 0 for p, d in pairs], den
@@ -175,8 +180,12 @@ def rank_factorization(a: Matrix) -> tuple[Matrix, Matrix]:
 
 def nullspace(a: Matrix) -> list[Row]:
     """Basis of the right kernel of ``a``."""
-    red, pivots = rref(a)
-    n_cols = len(a[0]) if a else 0
+    return _kernel(*rref(a), len(a[0]) if a else 0)
+
+
+def _kernel(red: Matrix, pivots: list[int], n_cols: int) -> list[Row]:
+    """Basis of the right kernel of a matrix with ``n_cols`` columns, read off
+    its reduced row echelon form ``red`` and pivot columns."""
     free = [j for j in range(n_cols) if j not in pivots]
     basis = []
     for j in free:

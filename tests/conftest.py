@@ -33,13 +33,20 @@ def rational_qubit_2():
 
 
 @pytest.fixture(scope="session")
-def exact_pool_matrices():
-    # The exact matrices of the benchmark pools (exact-corpus, random-exact
-    # and the exact documents of cli), built by perfbench/corpus.py.
+def perfbench_corpus():
+    # perfbench/corpus.py, the generators of the benchmark pools.
     path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
     spec = importlib.util.spec_from_file_location("perfbench_corpus", path)
     corpus = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = corpus  # its dataclasses look their module up
     spec.loader.exec_module(corpus)
+    return corpus
+
+
+@pytest.fixture(scope="session")
+def exact_pool_matrices(perfbench_corpus):
+    # The exact matrices of the benchmark pools (exact-corpus, random-exact
+    # and the exact documents of cli).
+    corpus = perfbench_corpus
     pools = [corpus.build(w) for w in ("exact-corpus", "random-exact", "cli")]
     return [inst.matrix for pool in pools for inst in pool if inst.matrix.backend.is_exact]

@@ -369,6 +369,33 @@ def reference_classify_model(c, m):
     )
 
 
+def reference_exact_flags(d, m):
+    """``models._exact_flags`` before the forced-rank shortcut: the same
+    entrywise tests on integer rows, and both ranks always by elimination."""
+    from copekit.models import _block_slices, _integer_matrix
+
+    effects, e = _integer_matrix(m.effects)
+    states, s = _integer_matrix(m.states)
+    unit, u = rla._integer_row(m.unit)
+    columns = list(zip(*states))
+    scale = e * s
+    reconstruction_ok = all(
+        sum(x * y for x, y in zip(effect, column)) * den == row[j] * scale
+        for effect, (row, den) in zip(effects, d.integer_rows)
+        for j, column in enumerate(columns)
+    )
+    unit_ok = all(
+        sum(effects[i][l] for i in range(lo, hi)) * u == unit[l] * e
+        for lo, hi in _block_slices(m.block_sizes)
+        for l in range(m.inner_dim)
+    )
+    nonnegative_ok = all(x >= 0 for row in effects + states for x in row)
+    states_column_stochastic_ok = all(sum(column) == s for column in columns)
+    unit_all_ones = all(x == u for x in unit)
+    flags = reconstruction_ok, unit_ok, nonnegative_ok, states_column_stochastic_ok, unit_all_ones
+    return flags, (rla.rank(effects), rla.rank(states))
+
+
 def reference_mu_anls(arr, k: int, seed: int, iterations: int):
     """One multiplicative-update restart run on its own, then an NNLS polish.
 

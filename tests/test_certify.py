@@ -375,8 +375,8 @@ def test_certify_builds_q_and_rank_once_per_call(monkeypatch):
 
 
 def test_certify_converts_the_rows_of_c_once(monkeypatch):
-    # Spekkens is decided by a model, which the decision verifies and
-    # certify verifies again: two exact classifications, one conversion of C.
+    # Spekkens is decided by a model, which the decision verifies; certify's
+    # check reads that report back: one exact classification, one conversion of C.
     from functools import cached_property
 
     from copekit.polytope import _Derived
@@ -393,7 +393,50 @@ def test_certify_converts_the_rows_of_c_once(monkeypatch):
     monkeypatch.setattr(_Derived, "integer_rows", prop)
     classifications = _count_calls(monkeypatch, "copekit.models", "_exact_flags")
     assert certify(spekkens()).verdict == NONCONTEXTUAL
-    assert (len(classifications), len(conversions)) == (2, 1)
+    assert (len(classifications), len(conversions)) == (1, 1)
+
+
+def test_certify_eliminates_the_merged_matrix_once(monkeypatch):
+    # Q's basis and the vertex program's kernel read one echelon form of C'.
+    from copekit import merge_measurements
+
+    c = spekkens()
+    merged_rows = merge_measurements(c).stacked()
+    eliminations = _count_calls(monkeypatch, "copekit.rational_linalg", "rref")
+    assert certify(c).verdict == NONCONTEXTUAL
+    assert [args[0] for args in eliminations].count(merged_rows) == 1
+
+
+def test_a_loaded_certificate_classifies_its_model_again(monkeypatch):
+    # The report a certify call keeps lives on that call's derived view; a
+    # loaded certificate gets a fresh one and is classified in full.
+    from copekit import parse_certificate
+
+    c = spekkens()
+    data = emit_certificate(certify(c), c)
+    classifications = _count_calls(monkeypatch, "copekit.models", "_exact_flags")
+    cert, _ = parse_certificate(data)
+    assert cert.verdict == NONCONTEXTUAL and len(classifications) == 1
+
+
+def test_only_accepted_models_keep_their_report(spekkens_matrix, perfbench_corpus):
+    from copekit.models import _verified_model
+    from copekit.nmf import _trivial_padded, equirank_simplex_model
+    from copekit.polytope import _Derived
+
+    # The trivial model of Spekkens is ontological but not equirank.
+    d = _Derived(spekkens_matrix)
+    trivial = _trivial_padded(d, spekkens_matrix.n_preparations)
+    assert _verified_model(d, *trivial, ModelKind.NONCONTEXTUAL_ONTOLOGICAL) is None
+    assert d.reports == {}
+    model = _verified_model(d, *trivial, ModelKind.ONTOLOGICAL)
+    assert list(d.reports.values()) == [(model, classify_model(spekkens_matrix, model))]
+
+    # The 3-pair rational qubit: no simplex candidate at rank(C) is kept.
+    corpus = perfbench_corpus
+    d = _Derived(corpus.rational_qubit(corpus.rational_directions(3)))
+    model = equirank_simplex_model(d)
+    assert [m for m, _ in d.reports.values()] == ([] if model is None else [model])
 
 
 def test_absence_builds_q_once(monkeypatch):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -18,10 +19,13 @@ from copekit import (
     reference_models,
     trivial_ontological,
 )
+from copekit import rational_linalg as rla
+from copekit.certify import Certificate, EnmfModel, _check
 from copekit.cope import PreconditionError
-from copekit.models import make_model
+from copekit.models import _exact_flags, make_model
+from copekit.polytope import _Derived
 
-from oracles import random_cope, reference_classify_model
+from oracles import random_cope, reference_classify_model, reference_exact_flags
 
 H = Fraction(1, 2)
 
@@ -332,3 +336,92 @@ def test_classify_model_is_identical_to_the_fraction_reference():
                     flags.setdefault(name, set()).add(value)
     assert len(flags) == 6
     assert all(seen == {True, False} for seen in flags.values()), flags
+
+
+# --- a model's fields are checked against its factors, not trusted ----------------
+
+
+def _spekkens_with_unused_state(inner_dim=5, unit_length=5):
+    """The noncontextual Spekkens model plus a fifth ontic state that no
+    preparation uses, with effect column 1/3 (each block sums to 2/3 there),
+    and its ``inner_dim`` and ``unit`` fields as given."""
+    ncom = {m.kind: m for m in reference_models("spekkens")}[ModelKind.NONCONTEXTUAL_ONTOLOGICAL]
+    model = make_model(
+        [list(row) + [Fraction(1, 3)] for row in ncom.effects],
+        list(ncom.states) + [[Fraction(0)] * ncom.n_preparations],
+        [Fraction(1)] * 5,
+        ncom.kind,
+        ncom.block_sizes,
+        ncom.backend,
+    )
+    return dataclasses.replace(model, inner_dim=inner_dim, unit=model.unit[:unit_length])
+
+
+def test_classify_model_checks_inner_dim_and_unit_against_the_factors(spekkens_matrix):
+    honest = classify_model(spekkens_matrix, _spekkens_with_unused_state())
+    assert honest.reconstruction_ok and not honest.unit_ok
+    assert honest.inferred_kinds == frozenset()
+    forged = [
+        (_spekkens_with_unused_state(inner_dim=4), "inner_dim"),
+        (_spekkens_with_unused_state(inner_dim=9), "inner_dim"),
+        (_spekkens_with_unused_state(unit_length=4), "unit"),
+    ]
+    for model, field in forged:
+        with pytest.raises(PreconditionError, match=f"model {field}:"):
+            classify_model(spekkens_matrix, model)
+        cert = Certificate(NONCONTEXTUAL, EnmfModel(model), 4, (4, 7))
+        problem = _check(_Derived(spekkens_matrix), cert)
+        assert problem[0] == "evidence" and f"embedded model: model {field}:" in problem[1]
+
+
+def test_exact_flags_are_identical_to_the_rank_reference(monkeypatch, spekkens_matrix):
+    # The ranks are read off rank(C), with no elimination, only for a model
+    # that reconstructs C with rank(C) state rows; every other model is
+    # eliminated as before.
+    # The forged models carry inner_dim = rank(C) over rank(C) + 1 state
+    # rows (an unused effect column of zeros and one extra state row), so a
+    # shortcut that trusted inner_dim would claim rank(states) = rank(C).
+    rng = random.Random(4242)
+    cases = [(spekkens_matrix, _spekkens_with_unused_state(inner_dim=4))]
+    for _ in range(150):
+        c = random_cope(rng, max_blocks=3, max_outcomes=3, max_cols=7, max_den=3)
+        g = gpt(c)
+        r, n = g.inner_dim, c.n_preparations
+        broken = [list(row) for row in g.effects]
+        broken[0][0] += Fraction(1, 5)
+        padded = make_model(
+            [list(row) + [Fraction(0)] for row in g.effects],
+            list(g.states) + [[Fraction(int(j == 0)) for j in range(n)]],
+            [Fraction(1)] * (r + 1),
+            g.kind,
+            g.block_sizes,
+            g.backend,
+        )
+        cases += [
+            (c, g),
+            (c, trivial_ontological(c)),
+            (c, make_model(broken, g.states, g.unit, g.kind, g.block_sizes, g.backend)),
+            (c, dataclasses.replace(padded, inner_dim=r)),
+        ]
+    eliminations = []
+    rank = rla.rank
+    monkeypatch.setattr(rla, "rank", lambda a: eliminations.append(a) or rank(a))
+    seen = set()
+    for c, model in cases:
+        d = _Derived(c)
+        _ = d.rank, d.integer_rows  # derived before counting
+        eliminations.clear()
+        got = _exact_flags(d, model)
+        forced = not eliminations
+        assert got == reference_exact_flags(d, model)
+        (reconstruction_ok, *_), ranks = got
+        assert forced == (reconstruction_ok and len(model.states) == d.rank)
+        if forced:
+            seen.add("forced")
+        elif not reconstruction_ok:
+            seen.add("not reconstructed")
+        elif ranks[1] > model.inner_dim == d.rank:
+            seen.add("forged inner_dim")
+        else:
+            seen.add("eliminated")
+    assert seen == {"forced", "not reconstructed", "forged inner_dim", "eliminated"}

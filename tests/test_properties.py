@@ -2,7 +2,9 @@
 
 One seeded sweep of 1000 generated instances (up to 6x6, denominators up to
 4) drives the factorization postconditions; hypothesis covers structural
-invariants of the matrix operations with shrinking.
+invariants of the matrix operations with shrinking.  Two seeded sweeps
+check the certifier's evidence: every certificate survives the wire format
+byte for byte, and the exhaustive decision agrees with the complete one.
 """
 
 import random
@@ -12,12 +14,17 @@ from itertools import combinations
 from hypothesis import given, settings, strategies as st
 
 from copekit import (
+    GuardExceeded,
     ModelKind,
     NmfOptions,
+    certify,
     classify_model,
+    emit_certificate,
+    exhaustive_enmf_decision,
     gpt,
     merge_measurements,
     nmf,
+    parse_certificate,
     pregpt_from_svd,
     quasi_from_gpt,
     quotient_extremal,
@@ -25,8 +32,10 @@ from copekit import (
     validate,
 )
 from copekit import rational_linalg as rla
-from copekit.backend import rational
+from copekit.backend import floating, rational
+from copekit.certify import Exists, NotExists
 from copekit.cope import cope_matrix
+from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 
 from oracles import random_cope
 
@@ -111,6 +120,50 @@ def test_factorization_property_sweep():
                 assert report.states_column_stochastic_ok, case
                 assert report.equirank_ok, case  # inner dim == rank
     assert nmf_outputs >= 40
+
+
+def test_every_certificate_round_trips_to_the_same_bytes():
+    # 150 exact draws, and the float copy of every fifteenth.
+    rng = random.Random(4242)
+    verdicts = set()
+    for case in range(150):
+        c = random_cope(rng, max_blocks=3, max_outcomes=3, max_cols=7, max_den=3)
+        copies = [c]
+        if case % 15 == 0:
+            blocks = [[[float(x) for x in row] for row in block] for block in c.blocks]
+            copies.append(cope_matrix(blocks, backend=floating()))
+        for matrix in copies:
+            data = emit_certificate(certify(matrix), matrix)
+            cert, loaded = parse_certificate(data)
+            assert emit_certificate(cert, loaded) == data, case
+            verdicts.add((cert.verdict, matrix.backend.is_exact))
+    assert {verdict for verdict, _ in verdicts} >= {"Noncontextual", "Contextual"}
+    assert {is_exact for _, is_exact in verdicts} == {True, False}
+
+
+def test_exhaustive_decision_agrees_with_the_complete_decision():
+    # Whenever the exhaustive decision answers for every inner dimension
+    # (an Exists model, or a NotExists proof marked all_k), the vertex
+    # program answers the same.
+    rng = random.Random(4243)
+    answers = set()
+    compared = 0
+    while compared < 150:
+        c = random_cope(rng, max_blocks=2, max_outcomes=3, max_cols=6, max_den=3)
+        if c.n_rows + c.n_preparations > 10:
+            continue
+        compared += 1
+        k = min(rank(c) + compared % 3, 5)
+        try:
+            answer = exhaustive_enmf_decision(c, k)
+        except GuardExceeded:
+            continue
+        if isinstance(answer, NotExists) and not answer.all_k:
+            continue
+        expected = ExistenceResult if isinstance(answer, Exists) else AbsenceResult
+        assert isinstance(decide_enmf_existence(c), expected), compared
+        answers.add(type(answer))
+    assert answers == {Exists, NotExists}
 
 
 # --- hypothesis strategies ----------------------------------------------------
