@@ -20,6 +20,7 @@ from typing import Optional
 
 from . import cope as cope_mod
 from . import jsonio
+from . import rational_linalg as rla
 from .backend import floating
 from .certify import CONTEXTUAL, NONCONTEXTUAL, UNDETERMINED, certify
 from .cope import CopeMatrix, FragmentRestriction, PreconditionError, cope_matrix
@@ -32,7 +33,7 @@ from .models import (
     trivial_ontological,
 )
 from .nmf import NmfOptions, enmf, nmf
-from .polytope import GuardExceeded, _independent_rows
+from .polytope import GuardExceeded
 from .theories import (
     boxworld,
     cardinal_directions,
@@ -184,7 +185,7 @@ def _independent_state_columns(model) -> list[int]:
     r = model.inner_dim
     columns = [list(col) for col in zip(*model.states)]
     if model.backend.is_exact:
-        return _independent_rows(columns, r)
+        return rla.independent_rows(columns)
     chosen: list[int] = []
     for j in range(len(columns)):
         if cope_mod.float_rank([columns[i] for i in chosen + [j]], model.backend.eps) > len(chosen):

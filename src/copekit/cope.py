@@ -22,7 +22,12 @@ if TYPE_CHECKING:
 
 
 class PreconditionError(ValueError):
-    """An operation was called outside its stated domain."""
+    """An operation was called outside its stated domain; ``field`` names the
+    offending field of a model when its construction raised it."""
+
+    def __init__(self, message: str, field: str = ""):
+        super().__init__(message)
+        self.field = field
 
 
 @dataclass(frozen=True)

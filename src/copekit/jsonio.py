@@ -25,8 +25,8 @@ from .certify import (
     _check,
 )
 from .backend import Backend, BackendError, floating, format_scalar, parse_scalar, rational
-from .cope import CopeMatrix, cope_matrix, validate
-from .models import ModelFactorization, ModelKind, make_model, _shape_error
+from .cope import CopeMatrix, PreconditionError, cope_matrix, validate
+from .models import ModelFactorization, ModelKind
 from .polytope import SpanSimplexPolytope, _Derived
 from .sperner import SpernerWitness
 
@@ -239,18 +239,15 @@ def doc_to_model(doc) -> ModelFactorization:
     except BackendError as exc:
         raise ParseError(f"unit: {exc}", field="unit") from exc
     block_sizes = _ints(_require(doc, "block_sizes"), "block_sizes")
+    inner_dim = _int_field(doc, "inner_dim")
     _require_header(doc, "model")
-    problem = _shape_error(effects, states, unit, block_sizes)
-    if problem is not None:
-        raise ParseError(problem[1], field=problem[0])
-    return make_model(
-        effects=effects,
-        states=states,
-        unit=unit,
-        kind=kind,
-        block_sizes=block_sizes,
-        backend=backend,
-    )
+    try:  # the model's construction checks its shape, inner_dim included
+        return ModelFactorization(
+            tuple(map(tuple, effects)), tuple(map(tuple, states)), tuple(unit),
+            kind=kind, inner_dim=inner_dim, block_sizes=block_sizes, backend=backend,
+        )
+    except PreconditionError as exc:
+        raise ParseError(str(exc), field=exc.field) from exc
 
 
 def parse_model(data: Union[bytes, str]) -> ModelFactorization:

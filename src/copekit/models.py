@@ -44,6 +44,9 @@ class ModelFactorization:
 
     ``effects`` has one row per outcome, partitioned into the same blocks
     as the source matrix; ``states`` has one column per preparation.
+    Construction (``dataclasses.replace`` included) checks the shape once: a
+    field that disagrees with the factors, ``inner_dim`` and ``unit`` among
+    them, raises PreconditionError naming it in ``field``.
     """
 
     effects: tuple  # n_rows x inner_dim
@@ -53,6 +56,11 @@ class ModelFactorization:
     inner_dim: int
     block_sizes: tuple
     backend: Backend
+
+    def __post_init__(self):
+        problem = _shape_error(self)
+        if problem is not None:
+            raise PreconditionError(f"model {problem[0]}: {problem[1]}", field=problem[0])
 
     @property
     def n_rows(self) -> int:
@@ -73,17 +81,19 @@ class ModelFactorization:
         return np.array([[float(x) for x in row] for row in self.states], dtype=float)
 
 
-def _shape_error(effects, states, unit, block_sizes) -> Optional[tuple[str, str]]:
-    """(field, message) of the first shape rule a factor pair breaks, else None."""
-    inner = len(states)
-    if any(len(row) != len(states[0]) for row in states):
+def _shape_error(m: ModelFactorization) -> Optional[tuple[str, str]]:
+    """(field, message) of the first shape rule a model breaks, else None."""
+    inner = len(m.states)
+    if any(len(row) != len(m.states[0]) for row in m.states):
         return "states", "state rows must have equal length"
-    if any(len(row) != inner for row in effects):
+    if any(len(row) != inner for row in m.effects):
         return "effects", "effects width must equal the number of state rows"
-    if len(unit) != inner:
+    if len(m.unit) != inner:
         return "unit", "unit length must equal the inner dimension"
-    if sum(block_sizes) != len(effects):
+    if sum(m.block_sizes) != len(m.effects):
         return "block_sizes", "block sizes must partition the effect rows"
+    if m.inner_dim != inner:
+        return "inner_dim", "inner dimension must equal the number of state rows"
     return None
 
 
@@ -95,12 +105,10 @@ def make_model(
     block_sizes,
     backend: Backend,
 ) -> ModelFactorization:
+    """The model of these factors over ``backend``, ``inner_dim`` their state row count."""
     eff = tuple(tuple(backend.coerce(x) for x in row) for row in effects)
     sta = tuple(tuple(backend.coerce(x) for x in row) for row in states)
     uni = tuple(backend.coerce(x) for x in unit)
-    problem = _shape_error(eff, sta, uni, block_sizes)
-    if problem is not None:
-        raise PreconditionError(problem[1])
     return ModelFactorization(
         effects=eff,
         states=sta,
@@ -187,8 +195,8 @@ def _exact_flags(d: _Derived, m: ModelFactorization) -> tuple:
     cross-multiplication.  A positive scale keeps the rank, so the ranks
     come from the same integer matrices.  When E S = C with k = rank(C)
     state rows, rank(C) = rank(E S) <= rank(E), rank(S) <= k, so both
-    ranks are rank(C) and no elimination runs.  k counts the state rows,
-    never the ``inner_dim`` field, which ``classify_model`` checks first.
+    ranks are rank(C) and no elimination runs.  k is the number of state
+    rows, which the model's construction made its ``inner_dim``.
     """
     effects, e = _integer_matrix(m.effects)
     states, s = _integer_matrix(m.states)
@@ -250,18 +258,14 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
     """Check a factorization against a matrix, ignoring its kind tag.
 
     Comparisons run on the model's backend unless both sides are exact.
-    Raises PreconditionError, naming the field, on a model whose fields
-    disagree in shape (``inner_dim`` included), and on dimension mismatch.
-    ``c`` may be a certifier call's derived view (``polytope._Derived``),
-    whose rank(c) is then reused.
+    The model's shape was checked when it was built, so only its checks
+    against the matrix run here: a model whose dimensions or block sizes
+    differ from those of ``c`` raises PreconditionError.  ``c`` may be a
+    certifier call's derived view (``polytope._Derived``), whose rank(c) is
+    then reused.
     """
     derived = _derived(c)
     c = derived.c
-    problem = _shape_error(m.effects, m.states, m.unit, m.block_sizes)
-    if problem is None and m.inner_dim != len(m.states):
-        problem = "inner_dim", "inner dimension must equal the number of state rows"
-    if problem is not None:
-        raise PreconditionError(f"model {problem[0]}: {problem[1]}")
     if m.n_rows != c.n_rows or m.n_preparations != c.n_preparations:
         raise PreconditionError("model dimensions do not match the matrix")
     if m.block_sizes != c.block_sizes:

@@ -45,20 +45,6 @@ def _primitive(ints) -> tuple:
     return tuple(v // g for v in ints) if g > 1 else tuple(ints)
 
 
-def _independent_rows(a, r: int) -> list[int]:
-    """Indices of r linearly independent rows of ``a``."""
-    chosen: list[int] = []
-    current: list = []
-    for i, row in enumerate(a):
-        candidate = current + [list(row)]
-        if rla.rank(candidate) > len(current):
-            chosen.append(i)
-            current = candidate
-            if len(chosen) == r:
-                return chosen
-    raise ValueError("matrix does not have the requested row rank")
-
-
 def extreme_rays(a) -> list[tuple]:
     """Extreme rays of the pointed cone { t : a @ t >= 0 }.
 
@@ -72,30 +58,28 @@ def extreme_rays(a) -> list[tuple]:
     keeps every sign and every tight set.  Rays are primitive ``int``
     tuples.
     """
-    m = len(a)
     r = len(a[0])
     a = [rla._integer_row(row)[0] for row in a]
-    init = _independent_rows(a, r)
+    init = rla.independent_rows(a)
+    if len(init) < r:
+        raise ValueError("matrix does not have full column rank")
 
     def exact_tight(ray, processed) -> frozenset:
         return frozenset(
             i for i in processed if sum(x * y for x, y in zip(a[i], ray)) == 0
         )
 
-    inverse = rla._integer_inverse([a[i] for i in init])
-    if inverse is None:
-        raise ValueError("initial rows are singular")
-    d_inv, _ = inverse  # a positive multiple of the inverse
+    # r independent rows: their inverse exists, as a positive multiple.
+    d_inv, _ = rla._integer_inverse([a[i] for i in init])
     processed = list(init)
     rays = []
     for col in range(r):
         ray = _primitive([d_inv[row][col] for row in range(r)])
         rays.append((ray, exact_tight(ray, processed)))
 
-    for idx in range(m):
+    for idx, row in enumerate(a):
         if idx in init:
             continue
-        row = a[idx]
         evaluated = []
         for ray, tight in rays:
             s = sum(x * y for x, y in zip(row, ray))
@@ -182,8 +166,9 @@ class _Derived:
     each model ``models._verified_model`` accepted to (model, report); the
     model is kept so its id is not reused, and rejected candidates are not
     kept.  A guard hit while building Q is raised again on every ask.  For
-    the simplex routes of ``nmf`` it also holds rank-many independent rows
-    I of C' and the merged columns restricted to I.
+    the simplex routes of ``nmf`` it also holds the first rank-many
+    independent rows I of C' (``rational_linalg.independent_rows``, one
+    elimination) and the merged columns restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -210,8 +195,8 @@ class _Derived:
 
     @cached_property
     def independent_rows(self) -> list[int]:
-        """Rank-many linearly independent rows I of the merged matrix."""
-        return _independent_rows(self.merged.stacked(), self.rank)
+        """The first rank-many linearly independent rows I of the merged matrix."""
+        return rla.independent_rows(self.merged.stacked())
 
     def at_rows(self, points) -> list[tuple[list[int], int]]:
         """Each point at the rows I: integer numerators over a positive denominator."""

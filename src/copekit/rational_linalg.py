@@ -7,7 +7,7 @@ they must be exact.
 
 One elimination kernel serves every routine that eliminates: ``rank``,
 Gauss-Jordan (``rref``, through it ``nullspace``, ``solve_consistent`` and
-``rank_factorization``, and ``invert``) and the simplex of
+``rank_factorization``, ``independent_rows`` and ``invert``) and the simplex of
 ``lp_feasibility``.  A kernel row is sparse and fraction-free: a dict from
 column index to its nonzero ``int`` numerator, over one positive ``int``
 denominator, reduced by the gcd after every update.  The matrices met here
@@ -143,6 +143,15 @@ def _gauss_jordan(rows: list, n_cols: int) -> tuple[list, list[int]]:
     return rows, pivots
 
 
+def independent_rows(a: Matrix) -> list[int]:
+    """Indices of the lexicographically first maximal set of linearly
+    independent rows of ``a``: the pivot columns of one Gauss-Jordan of its
+    transpose, as many as its rank."""
+    if not a or not a[0]:
+        return []
+    return _gauss_jordan([_sparse_row(column) for column in zip(*a)], len(a))[1]
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
 
@@ -202,14 +211,11 @@ def solve_consistent(a: Matrix, b: Sequence) -> Optional[Row]:
     if not a:
         return None
     n_cols = len(a[0])
-    aug = [list(row) + [Fraction(bv)] for row, bv in zip(a, b)]
-    red, pivots = rref(aug)
-    for row in red:
-        if all(x == 0 for x in row[:-1]) and row[-1] != 0:
-            return None
+    red, pivots = rref([list(row) + [Fraction(bv)] for row, bv in zip(a, b)])
+    if n_cols in pivots:  # a pivot on the right-hand side reads 0 = 1
+        return None
     x = [F0] * n_cols
-    pivots_in_a = [p for p in pivots if p < n_cols]
-    for i, pc in enumerate(pivots_in_a):
+    for i, pc in enumerate(pivots):
         x[pc] = red[i][-1]
     return x
 

@@ -313,6 +313,22 @@ def reference_rref(a):
     return m, pivots
 
 
+def reference_independent_rows(a) -> list[int]:
+    """The lexicographically first maximal set of linearly independent rows.
+
+    The reference for ``rational_linalg.independent_rows``: row i is kept
+    when it raises the rank of the rows kept before it, one ``rank`` of
+    each growing prefix.
+    """
+    chosen: list[int] = []
+    kept: list = []
+    for i, row in enumerate(a):
+        if rla.rank(kept + [list(row)]) > len(kept):
+            chosen.append(i)
+            kept.append(list(row))
+    return chosen
+
+
 def reference_classify_model(c, m):
     """``models.classify_model`` for exact matrices and models, on Fraction entries.
 

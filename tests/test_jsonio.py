@@ -303,6 +303,9 @@ _CERTIFIED = {
         ("spekkens", ("cope", "format_version"), "7", "format_version"),
         ("spekkens", ("evidence", "model", "type"), "cope", "type"),
         ("spekkens", ("evidence", "model", "format_version"), 1, "format_version"),
+        ("spekkens", ("evidence", "model", "inner_dim"), 99, "inner_dim"),
+        ("spekkens", ("evidence", "model", "inner_dim"), "x", "inner_dim"),
+        ("spekkens", ("evidence", "model", "inner_dim"), None, "inner_dim"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):

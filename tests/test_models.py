@@ -338,15 +338,14 @@ def test_classify_model_is_identical_to_the_fraction_reference():
     assert all(seen == {True, False} for seen in flags.values()), flags
 
 
-# --- a model's fields are checked against its factors, not trusted ----------------
+# --- a model's fields are checked against its factors when it is built -------
 
 
-def _spekkens_with_unused_state(inner_dim=5, unit_length=5):
+def _spekkens_with_unused_state():
     """The noncontextual Spekkens model plus a fifth ontic state that no
-    preparation uses, with effect column 1/3 (each block sums to 2/3 there),
-    and its ``inner_dim`` and ``unit`` fields as given."""
+    preparation uses, with effect column 1/3 (each block sums to 2/3 there)."""
     ncom = {m.kind: m for m in reference_models("spekkens")}[ModelKind.NONCONTEXTUAL_ONTOLOGICAL]
-    model = make_model(
+    return make_model(
         [list(row) + [Fraction(1, 3)] for row in ncom.effects],
         list(ncom.states) + [[Fraction(0)] * ncom.n_preparations],
         [Fraction(1)] * 5,
@@ -354,35 +353,36 @@ def _spekkens_with_unused_state(inner_dim=5, unit_length=5):
         ncom.block_sizes,
         ncom.backend,
     )
-    return dataclasses.replace(model, inner_dim=inner_dim, unit=model.unit[:unit_length])
 
 
-def test_classify_model_checks_inner_dim_and_unit_against_the_factors(spekkens_matrix):
-    honest = classify_model(spekkens_matrix, _spekkens_with_unused_state())
+def test_a_model_is_checked_against_its_factors_when_built(spekkens_matrix, boxworld_matrix):
+    model = _spekkens_with_unused_state()
+    honest = classify_model(spekkens_matrix, model)
     assert honest.reconstruction_ok and not honest.unit_ok
     assert honest.inferred_kinds == frozenset()
     forged = [
-        (_spekkens_with_unused_state(inner_dim=4), "inner_dim"),
-        (_spekkens_with_unused_state(inner_dim=9), "inner_dim"),
-        (_spekkens_with_unused_state(unit_length=4), "unit"),
+        ({"inner_dim": 4}, "inner_dim"),
+        ({"inner_dim": 9}, "inner_dim"),
+        ({"unit": model.unit[:4]}, "unit"),
     ]
-    for model, field in forged:
-        with pytest.raises(PreconditionError, match=f"model {field}:"):
-            classify_model(spekkens_matrix, model)
-        cert = Certificate(NONCONTEXTUAL, EnmfModel(model), 4, (4, 7))
-        problem = _check(_Derived(spekkens_matrix), cert)
-        assert problem[0] == "evidence" and f"embedded model: model {field}:" in problem[1]
+    for fields, field in forged:
+        with pytest.raises(PreconditionError, match=f"model {field}:") as err:
+            dataclasses.replace(model, **fields)
+        assert err.value.field == field
+    # What is left to check against a matrix: its dimensions, here on load.
+    d = _Derived(boxworld_matrix)
+    problem = _check(d, Certificate(NONCONTEXTUAL, EnmfModel(model), d.rank))
+    assert problem == ("evidence", "embedded model: model dimensions do not match the matrix")
 
 
 def test_exact_flags_are_identical_to_the_rank_reference(monkeypatch, spekkens_matrix):
     # The ranks are read off rank(C), with no elimination, only for a model
     # that reconstructs C with rank(C) state rows; every other model is
-    # eliminated as before.
-    # The forged models carry inner_dim = rank(C) over rank(C) + 1 state
-    # rows (an unused effect column of zeros and one extra state row), so a
-    # shortcut that trusted inner_dim would claim rank(states) = rank(C).
+    # eliminated as before.  A model padded to rank(C) + 1 state rows (an
+    # unused effect column of zeros and one extra state row) cannot claim
+    # inner_dim = rank(C): it is refused when built.
     rng = random.Random(4242)
-    cases = [(spekkens_matrix, _spekkens_with_unused_state(inner_dim=4))]
+    cases = [(spekkens_matrix, _spekkens_with_unused_state())]
     for _ in range(150):
         c = random_cope(rng, max_blocks=3, max_outcomes=3, max_cols=7, max_den=3)
         g = gpt(c)
@@ -397,11 +397,13 @@ def test_exact_flags_are_identical_to_the_rank_reference(monkeypatch, spekkens_m
             g.block_sizes,
             g.backend,
         )
+        with pytest.raises(PreconditionError, match="model inner_dim:"):
+            dataclasses.replace(padded, inner_dim=r)
         cases += [
             (c, g),
             (c, trivial_ontological(c)),
             (c, make_model(broken, g.states, g.unit, g.kind, g.block_sizes, g.backend)),
-            (c, dataclasses.replace(padded, inner_dim=r)),
+            (c, padded),
         ]
     eliminations = []
     rank = rla.rank
@@ -420,8 +422,6 @@ def test_exact_flags_are_identical_to_the_rank_reference(monkeypatch, spekkens_m
             seen.add("forced")
         elif not reconstruction_ok:
             seen.add("not reconstructed")
-        elif ranks[1] > model.inner_dim == d.rank:
-            seen.add("forged inner_dim")
         else:
             seen.add("eliminated")
-    assert seen == {"forced", "not reconstructed", "forged inner_dim", "eliminated"}
+    assert seen == {"forced", "not reconstructed", "eliminated"}

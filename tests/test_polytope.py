@@ -11,7 +11,7 @@ from copekit import (
 )
 from copekit import rational_linalg as rla
 from copekit.cope import PreconditionError
-from copekit.polytope import affine_chart, contains_point
+from copekit.polytope import affine_chart, contains_point, extreme_rays
 
 from oracles import enumerate_vertices, random_cope, reference_vertices
 
@@ -101,6 +101,12 @@ def test_vertices_are_feasible_points(boxworld_matrix):
     for v in poly.vertices:
         assert all(x >= 0 for x in v)
         assert sum(v) == 1
+
+
+def test_extreme_rays_rejects_a_rank_deficient_constraint_matrix():
+    # Without full column rank the cone { t : a t >= 0 } is not pointed.
+    with pytest.raises(ValueError):
+        extreme_rays([[1, 2], [2, 4], [0, 0], [-1, -2]])
 
 
 def test_requires_exact_backend():

@@ -9,7 +9,7 @@ from copekit import boxworld, extended_boxworld, merge_measurements, spekkens, s
 from copekit import rational_linalg as rla
 from copekit.enmf_decision import _vertex_lp
 
-from oracles import reference_lp_feasibility, reference_rref
+from oracles import reference_independent_rows, reference_lp_feasibility, reference_rref
 
 
 def _random_fraction_matrix(rng, m, n, den=5):
@@ -67,6 +67,31 @@ def test_rref_and_rank_are_identical_to_the_fraction_reference():
     assert deficient > 50
     assert rla.rref([]) == reference_rref([])
     assert rla.rank([]) == 0
+
+
+def test_independent_rows_are_identical_to_the_prefix_rank_reference():
+    # Rows are combinations of fewer random rows than fit, with zero rows
+    # and duplicates mixed in, so most matrices are rank-deficient.
+    rng = random.Random(2024)
+    seen = set()
+    for _ in range(200):
+        n, k = rng.randint(1, 6), rng.randint(1, 4)
+        basis = _random_fraction_matrix(rng, k, n)
+        a = [
+            [sum(rng.randint(-2, 2) * b[j] for b in basis) for j in range(n)]
+            for _ in range(rng.randint(1, 6))
+        ]
+        for _ in range(rng.randint(0, 2)):
+            a.insert(rng.randint(0, len(a)), [Fraction(0)] * n)
+        for _ in range(rng.randint(0, 2)):
+            a.insert(rng.randint(0, len(a)), list(rng.choice(a)))
+        got = rla.independent_rows(a)
+        assert got == reference_independent_rows(a)
+        assert len(got) == rla.rank(a)
+        seen.add("zero row" if [0] * n in a else "no zero row")
+        seen.add("duplicate" if len({tuple(row) for row in a}) < len(a) else "distinct")
+        seen.add("deficient" if len(got) < min(len(a), n) else "full")
+    assert seen == {"zero row", "no zero row", "duplicate", "distinct", "deficient", "full"}
 
 
 def test_rank_factorization_reconstructs():
