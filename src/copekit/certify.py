@@ -14,8 +14,9 @@ matrix, and their order changes no verdict and no evidence:
 2. a unique-zero (Sperner) witness whose span bound exceeds the rank -
    contextual;
 3. the complete vertex-program decision (exact backend, within its
-   guards), solved once: an infeasible program comes with a Farkas vector
-   excluding every inner dimension - contextual;
+   guards), solved once, or not at all when Q is a simplex, whose vertices
+   give the program's one solution: an infeasible program comes with a
+   Farkas vector excluding every inner dimension - contextual;
 4. a verified equirank model (noncontextual, constructive).  After the
    decision this is its model, or a smaller one from the deterministic
    routes at inner dimension rank(C) when the model sits above rank; no
@@ -270,7 +271,8 @@ def certify(
 
     Tier order: vertex forcing (contextual, exact backend), Sperner
     separation (contextual), the complete vertex-program decision (exact
-    backend, within its guards; solved once), equirank model search
+    backend, within its guards; solved once, or not at all when Q is a
+    simplex), equirank model search
     (noncontextual), otherwise Undetermined with the searched range.  The
     two contextual tiers are sound, so they never fire on a noncontextual
     matrix and running them first changes no verdict.  A proven absence is

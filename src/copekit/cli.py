@@ -260,7 +260,7 @@ def _cmd_factorize(args) -> int:
     elif args.kind == "trivial":
         model = trivial_ontological(c)
     elif args.kind == "nmf":
-        k = args.inner_dim if args.inner_dim else cope_mod.rank(c)
+        k = cope_mod.rank(c) if args.inner_dim is None else args.inner_dim
         model = nmf(c, dataclasses.replace(opts, inner_dim=k))
         if model is None:
             raise _CliError(f"no nonnegative factorization found at inner dimension {k}", EXIT_GUARD)

@@ -19,6 +19,15 @@ where K spans the right kernel of C' (the kernel constraint pins the row
 space, forcing rank P* = rank C).  That set is an exact linear program;
 infeasibility comes with a Farkas vector, so negative answers are
 machine-checkable certificates, not search failures.
+
+A simplex Q needs no program.  Q has dimension r - 1 for r = rank(C), so
+when it has exactly r vertices they are affinely independent; they lie on
+the hyperplane sum = 1, which misses the origin, so they are linearly
+independent too.  Then V P = C' has exactly one solution P*: every column
+of C' lies in Q, so P* is nonnegative and column stochastic, its rows are
+combinations of the rows of C', and all r of them are nonzero because
+rank(C') = r.  The program can only return P*, which is the simplex model
+on Q's vertices (``_model_from_simplex``), the same bytes.
 """
 
 from __future__ import annotations
@@ -108,21 +117,65 @@ def _model_from_vertex_coefficients(
     return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
 
 
+def _model_from_simplex(d: _Derived, points, points_at_rows) -> Optional[tuple]:
+    """Factor pair whose merged response columns are the given simplex points,
+    or None when some column is not a convex combination of them.
+
+    ``points`` are r = rank(C) points of column-space(C') with unit sums,
+    and ``points_at_rows`` the same points at the independent rows I of
+    ``d`` (``d.at_rows(points)``).  Restriction to I is one-to-one on the
+    column space, so when the r x r restriction T is invertible each column
+    c has the unique coefficients T^-1 c_I, which sum to one as the points
+    and the columns do; a singular T spans fewer than r dimensions and
+    misses some column.  T is inverted once, fraction-free, and the
+    coefficients stay integers until every column has passed the sign test.
+    """
+    r = len(points)
+    # T = U S^-1: column l of U holds point l's numerators, S its denominators.
+    inverse = rla._integer_inverse([[nums[i] for nums, _ in points_at_rows] for i in range(r)])
+    if inverse is None:
+        return None
+    inv, det = inverse
+    scales = [s for _, s in points_at_rows]
+    coefficients = []
+    for col, den in d.columns_at_rows:
+        # T^-1 c_I = S U^-1 (col / den) = S inv col / (det den).
+        nums = []
+        for row, s in zip(inv, scales):
+            v = s * sum(a * x for a, x in zip(row, col))
+            if v < 0:
+                return None
+            nums.append(v)
+        coefficients.append((nums, det * den))
+    states = [[Fraction(nums[l], q) for nums, q in coefficients] for l in range(r)]
+    j_count = d.c.n_measurements
+    effects = [[p[i] * j_count for p in points] for i in range(d.merged.n_rows)]
+    return effects, states
+
+
 def decide_enmf_existence(c: CopeMatrix) -> Existence:
     """Does any equirank nonnegative factorization of ``c`` exist?
 
     Exact backend only.  Complete: a positive answer carries a verified
     model, a negative answer carries a Farkas vector certifying that the
     vertex linear program is empty, which excludes every inner dimension.
-    Raises GuardExceeded when the instance is too large for exact vertex
-    enumeration or the resulting program.
+    When Q has exactly rank(C) vertices the program's one solution is the
+    simplex model on them, returned without building the program; this
+    comes before the program's variable cap, which limits only the
+    program.  Raises GuardExceeded when the instance is too large for
+    exact vertex enumeration or, Q not a simplex, for the program.
     """
     d = _derived(c)
     if not d.c.backend.is_exact:
         raise PreconditionError("the existence decision requires the exact backend")
-    merged = d.merged
     vertices = list(d.polytope.vertices)
-    n = merged.n_preparations
+    if len(vertices) == d.rank:
+        pair = _model_from_simplex(d, vertices, d.at_rows(vertices))
+        model = pair and _verified_model(d, *pair, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+        if model is None:
+            raise AssertionError("a simplex Q must yield a verifiable model")
+        return ExistenceResult(model)
+    n = d.merged.n_preparations
     if len(vertices) * n > _LP_VARIABLE_CAP:
         raise GuardExceeded(
             f"vertex program with {len(vertices) * n} variables exceeds the cap"

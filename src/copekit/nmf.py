@@ -37,7 +37,7 @@ from . import cope as cope_mod
 from . import planar
 from . import rational_linalg as rla
 from .cope import CopeMatrix
-from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
+from .enmf_decision import AbsenceResult, ExistenceResult, _model_from_simplex, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, _verified_model
 from .polytope import GuardExceeded, _Derived, _derived, affine_chart
 
@@ -92,42 +92,6 @@ def _first_verified(d: _Derived, pairs, kind: ModelKind) -> Optional[ModelFactor
 # ---------------------------------------------------------------------------
 # Deterministic equirank routes (exact backend)
 # ---------------------------------------------------------------------------
-
-
-def _model_from_simplex(d: _Derived, points, points_at_rows) -> Optional[tuple]:
-    """Factor pair whose merged response columns are the given simplex points,
-    or None when some column is not a convex combination of them.
-
-    ``points`` are r = rank(C) points of column-space(C') with unit sums,
-    and ``points_at_rows`` the same points at the independent rows I of
-    ``d`` (``d.at_rows(points)``).  Restriction to I is one-to-one on the
-    column space, so when the r x r restriction T is invertible each column
-    c has the unique coefficients T^-1 c_I, which sum to one as the points
-    and the columns do; a singular T spans fewer than r dimensions and
-    misses some column.  T is inverted once, fraction-free, and the
-    coefficients stay integers until every column has passed the sign test.
-    """
-    r = len(points)
-    # T = U S^-1: column l of U holds point l's numerators, S its denominators.
-    inverse = rla._integer_inverse([[nums[i] for nums, _ in points_at_rows] for i in range(r)])
-    if inverse is None:
-        return None
-    inv, det = inverse
-    scales = [s for _, s in points_at_rows]
-    coefficients = []
-    for col, den in d.columns_at_rows:
-        # T^-1 c_I = S U^-1 (col / den) = S inv col / (det den).
-        nums = []
-        for row, s in zip(inv, scales):
-            v = s * sum(a * x for a, x in zip(row, col))
-            if v < 0:
-                return None
-            nums.append(v)
-        coefficients.append((nums, det * den))
-    states = [[Fraction(nums[l], q) for nums, q in coefficients] for l in range(r)]
-    j_count = d.c.n_measurements
-    effects = [[p[i] * j_count for p in points] for i in range(d.merged.n_rows)]
-    return effects, states
 
 
 def _simplex_pairs(d: _Derived):

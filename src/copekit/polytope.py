@@ -166,9 +166,9 @@ class _Derived:
     each model ``models._verified_model`` accepted to (model, report); the
     model is kept so its id is not reused, and rejected candidates are not
     kept.  A guard hit while building Q is raised again on every ask.  For
-    the simplex routes of ``nmf`` it also holds the first rank-many
-    independent rows I of C' (``rational_linalg.independent_rows``, one
-    elimination) and the merged columns restricted to I.
+    the simplex routes of ``nmf`` and the decision on a simplex Q it also
+    holds the first rank-many independent rows I of C' (one elimination
+    of its pivot columns) and the merged columns restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -195,8 +195,11 @@ class _Derived:
 
     @cached_property
     def independent_rows(self) -> list[int]:
-        """The first rank-many linearly independent rows I of the merged matrix."""
-        return rla.independent_rows(self.merged.stacked())
+        """The first rank-many linearly independent rows I of the merged matrix,
+        from its r pivot columns: C' is those columns times the independent
+        rows of ``echelon``, so its rows obey the same linear relations."""
+        _, pivots = self.echelon
+        return rla.independent_rows([[row[j] for j in pivots] for row in self.merged.stacked()])
 
     def at_rows(self, points) -> list[tuple[list[int], int]]:
         """Each point at the rows I: integer numerators over a positive denominator."""

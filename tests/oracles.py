@@ -93,9 +93,10 @@ def reference_vertices(basis) -> tuple:
 def reference_model_from_simplex(d, points):
     """Factor pair on the simplex ``points``, one Fraction solve per column.
 
-    The reference for ``nmf._model_from_simplex``: each merged column is
-    solved for its coefficients on the points plus a unit-sum row, and a
-    column without a solution, or with a negative coefficient, gives None.
+    The reference for ``enmf_decision._model_from_simplex``: each merged
+    column is solved for its coefficients on the points plus a unit-sum
+    row, and a column without a solution, or with a negative coefficient,
+    gives None.
     """
     merged = d.merged
     r = len(points)
@@ -111,6 +112,23 @@ def reference_model_from_simplex(d, points):
     states_t = [[states[j][l] for j in range(len(states))] for l in range(r)]
     effects = [[points[l][i] * d.c.n_measurements for l in range(r)] for i in range(ambient)]
     return effects, states_t
+
+
+def reference_vertex_decision(d):
+    """(model, farkas) of the vertex program, solved by the LP on every Q.
+
+    The reference for ``enmf_decision.decide_enmf_existence``, which skips
+    the program when Q is a simplex: ``_vertex_lp``, then the exact LP, then
+    ``_model_from_vertex_coefficients``.  The model is None when the program
+    is infeasible, and the Farkas vector None when it is feasible.
+    """
+    from copekit.enmf_decision import _model_from_vertex_coefficients, _vertex_lp
+
+    vertices = list(d.polytope.vertices)
+    solution, farkas = rla.lp_feasibility(*_vertex_lp(d, vertices))
+    if solution is None:
+        return None, farkas
+    return _model_from_vertex_coefficients(d, vertices, solution), None
 
 
 def max_antichain_size(k: int) -> int:

@@ -259,3 +259,17 @@ def test_iterations_below_one_exit_2_without_traceback(tmp_path, capsysbinary):
     argv = ["factorize", str(doc), "--kind", "nmf", "--inner-dim", "5", "--iterations", "-3"]
     assert _run(capsysbinary, argv) == (2, b"", message)
     assert _run(capsysbinary, ["certify", str(doc), "--iterations", "0"]) == (2, b"", message)
+
+
+def test_inner_dim_zero_is_rejected_not_replaced(tmp_path, capsysbinary):
+    # Only an absent --inner-dim means rank(C); a zero goes to NmfOptions,
+    # which rejects it like any other inner dimension below one.
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(emit_cope(spekkens()))
+    message = b"error: inner_dim must be >= 1\n"
+    for inner_dim in ("0", "-3"):
+        argv = ["factorize", str(doc), "--kind", "nmf", "--inner-dim", inner_dim]
+        assert _run(capsysbinary, argv) == (2, b"", message)
+    code, out, _ = _run(capsysbinary, ["factorize", str(doc), "--kind", "nmf"])
+    assert code == 0
+    assert json.loads(out)["inner_dim"] == 4

@@ -1,25 +1,35 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from copekit import (
     FragmentRestriction,
+    GuardExceeded,
     ModelKind,
     NmfOptions,
+    certify,
     classify_model,
     cope_matrix,
+    emit_certificate,
+    emit_model,
     nmf,
     rank,
     restrict_fragment,
+    spekkens,
 )
+from copekit import enmf_decision
 from copekit.cope import PreconditionError
 from copekit.enmf_decision import (
     AbsenceResult,
     ExistenceResult,
     decide_enmf_existence,
 )
+from copekit.polytope import _Derived
 
 from oracles import random_cope
+
+H = Fraction(1, 2)
 
 
 def test_spekkens_existence(spekkens_matrix):
@@ -109,3 +119,45 @@ def test_planar_decision_consistent_with_complete_decision():
         if seen_rank3 >= 25:
             break
     assert seen_rank3 >= 10
+
+
+def _simplex_q(c) -> bool:
+    d = _Derived(c)
+    return len(d.polytope.vertices) == d.rank
+
+
+def test_certify_solves_the_vertex_program_only_when_q_is_not_a_simplex(monkeypatch):
+    # A simplex Q fixes the program's one solution, so certifying the
+    # acceptance-8 batch solves it only on the 14 instances that reach the
+    # decision with more vertices than the rank.
+    from test_certify import _acceptance_8_batch, _count_calls
+
+    calls = _count_calls(monkeypatch, "copekit.rational_linalg", "lp_feasibility")
+    solved = 0
+    for case, c in enumerate(_acceptance_8_batch()):
+        calls.clear()
+        certify(c)
+        if _simplex_q(c):
+            assert calls == [], case
+        else:
+            assert len(calls) <= 1, case
+            solved += len(calls)
+    assert solved == 14
+
+
+def test_simplex_q_is_decided_below_the_program_cap(monkeypatch):
+    # Rank 2 with four columns: Q is the segment between (1, 0) and (0, 1).
+    # With the cap at zero no program fits, yet the simplex answer needs
+    # none, and certify emits the same bytes as with the cap left alone.
+    c = cope_matrix([[[1, 0, H, H], [0, 1, H, H]]])
+    assert rank(c) == 2 and _simplex_q(c)
+    expected = emit_certificate(certify(c), c)
+    model = decide_enmf_existence(c).model
+    monkeypatch.setattr(enmf_decision, "_LP_VARIABLE_CAP", 0)
+    decision = decide_enmf_existence(c)
+    assert isinstance(decision, ExistenceResult)
+    assert emit_model(decision.model) == emit_model(model)
+    assert emit_certificate(certify(c), c) == expected
+    # A Q that is not a simplex still meets the cap.
+    with pytest.raises(GuardExceeded):
+        decide_enmf_existence(restrict_fragment(FragmentRestriction(spekkens(), (0, 1, 2, 3), (0, 1))))

@@ -25,7 +25,8 @@ from copekit import (
     spekkens,
 )
 from copekit import rational_linalg as rla
-from copekit.nmf import _model_from_simplex, equirank_simplex_model
+from copekit.enmf_decision import _model_from_simplex
+from copekit.nmf import equirank_simplex_model
 from copekit.polytope import _Derived
 
 from oracles import random_cope, reference_model_from_simplex, reference_mu_anls

@@ -11,9 +11,14 @@ from copekit import (
 )
 from copekit import rational_linalg as rla
 from copekit.cope import PreconditionError
-from copekit.polytope import affine_chart, contains_point, extreme_rays
+from copekit.polytope import _Derived, affine_chart, contains_point, extreme_rays
 
-from oracles import enumerate_vertices, random_cope, reference_vertices
+from oracles import (
+    enumerate_vertices,
+    random_cope,
+    reference_independent_rows,
+    reference_vertices,
+)
 
 
 def _merged(c):
@@ -151,3 +156,12 @@ def test_vertices_are_identical_to_the_fraction_reference(exact_pool_matrices):
         assert poly.basis == tuple(map(tuple, basis))
         assert poly.vertices == reference_vertices(basis)
         assert all(type(x) is Fraction for v in poly.vertices for x in v)
+
+
+def test_derived_independent_rows_are_those_of_the_merged_matrix(exact_pool_matrices):
+    # _Derived eliminates only the pivot columns of the merged matrix; the
+    # rows it picks must be the prefix-rank rows of the whole matrix.
+    rng = random.Random(1415)
+    for c in exact_pool_matrices + [random_cope(rng) for _ in range(150)]:
+        d = _Derived(c)
+        assert d.independent_rows == reference_independent_rows(d.merged.stacked())

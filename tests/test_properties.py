@@ -2,9 +2,11 @@
 
 One seeded sweep of 1000 generated instances (up to 6x6, denominators up to
 4) drives the factorization postconditions; hypothesis covers structural
-invariants of the matrix operations with shrinking.  Two seeded sweeps
+invariants of the matrix operations with shrinking.  Three seeded sweeps
 check the certifier's evidence: every certificate survives the wire format
-byte for byte, and the exhaustive decision agrees with the complete one.
+byte for byte, the exhaustive decision agrees with the complete one, and
+the complete one gives the vertex program's bytes without solving it when
+Q is a simplex.
 """
 
 import random
@@ -20,6 +22,7 @@ from copekit import (
     certify,
     classify_model,
     emit_certificate,
+    emit_model,
     exhaustive_enmf_decision,
     gpt,
     merge_measurements,
@@ -36,8 +39,9 @@ from copekit.backend import floating, rational
 from copekit.certify import Exists, NotExists
 from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
+from copekit.polytope import _Derived
 
-from oracles import random_cope
+from oracles import random_cope, reference_vertex_decision
 
 CASES = 1000
 
@@ -164,6 +168,32 @@ def test_exhaustive_decision_agrees_with_the_complete_decision():
         assert isinstance(decide_enmf_existence(c), expected), compared
         answers.add(type(answer))
     assert answers == {Exists, NotExists}
+
+
+def test_simplex_q_decision_is_identical_to_the_vertex_program():
+    # On a simplex Q the decision builds no vertex program; its model must
+    # be the bytes of the program's one solution.  Draws whose Q has more
+    # vertices than the rank must agree too, so the shortcut fires on
+    # nothing else.
+    rng = random.Random(1717)
+    simplex_ranks = []
+    compared = 0
+    while len(simplex_ranks) < 150:
+        c = random_cope(rng, max_blocks=2, max_outcomes=3, max_cols=5, max_den=3)
+        d = _Derived(c)
+        model, farkas = reference_vertex_decision(d)
+        decision = decide_enmf_existence(c)
+        if model is None:
+            assert isinstance(decision, AbsenceResult), compared
+            assert list(decision.farkas) == farkas, compared
+        else:
+            assert isinstance(decision, ExistenceResult), compared
+            assert emit_model(decision.model) == emit_model(model), compared
+        if len(d.polytope.vertices) == d.rank:
+            simplex_ranks.append(d.rank)
+        compared += 1
+    assert set(simplex_ranks) == {1, 2, 3}
+    assert compared > len(simplex_ranks)
 
 
 # --- hypothesis strategies ----------------------------------------------------
