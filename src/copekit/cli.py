@@ -106,7 +106,6 @@ def _indices(text: str, what: str) -> list[int]:
 
 def _nmf_options(args) -> NmfOptions:
     return NmfOptions(
-        inner_dim=max(1, getattr(args, "inner_dim", 1) or 1),
         max_restarts=args.restarts,
         max_iterations=args.iterations,
         seed=args.seed,
@@ -155,7 +154,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["pregpt", "gpt", "quasi", "trivial", "nmf", "enmf"],
     )
-    p.add_argument("--inner-dim", type=int, default=None, dest="inner_dim")
+    p.add_argument("--inner-dim", type=int, default=None, dest="inner_dim", help="nmf only")
     p.add_argument("--tom-columns", default=None, dest="tom_columns")
 
     p = sub.add_parser("verify", help="classify a model against a matrix")
@@ -244,6 +243,8 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
+    if args.inner_dim is not None and args.kind != "nmf":
+        raise _CliError(f"--inner-dim applies only to --kind nmf, not --kind {args.kind}")
     c = _load_matrix(args)
     opts = _nmf_options(args)
     if args.kind == "pregpt":

@@ -9,6 +9,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import numpy as np
 import scipy.optimize
@@ -329,6 +330,37 @@ def reference_rref(a):
         if r == n_rows:
             break
     return m, pivots
+
+
+def reference_integer_inverse(a):
+    """``(N, d)`` as ``rational_linalg._integer_inverse`` returns it, or None.
+
+    Gauss-Jordan on the Fraction rows of [a | I], the pivot of each column
+    the first remaining row with a nonzero there and no row divided by its
+    pivot, as the kernel eliminates.  Row i then holds the i-th row of the
+    inverse times its pivot value; written as coprime integers over their
+    least denominator, its pivot numerator is p_i, d is the least common
+    multiple of the p_i and N's row i is row i's inverse part times d / p_i.
+    """
+    n = len(a)
+    m = [[Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+         for i, row in enumerate(a)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if m[i][col] != 0), None)
+        if pivot is None:
+            return None
+        m[col], m[pivot] = m[pivot], m[col]
+        for i in range(n):
+            if i != col and m[i][col] != 0:
+                factor = m[i][col] / m[col][col]
+                m[i] = [x - factor * y for x, y in zip(m[i], m[col])]
+    integer_rows = []
+    for row in m:
+        den = lcm(*(x.denominator for x in row))
+        integer_rows.append([x.numerator * (den // x.denominator) for x in row])
+    pivots = [row[i] for i, row in enumerate(integer_rows)]
+    d = lcm(*pivots)
+    return [[d // p * v for v in row[n:]] for row, p in zip(integer_rows, pivots)], d
 
 
 def reference_independent_rows(a) -> list[int]:

@@ -469,6 +469,14 @@ CERTIFICATE_DIGESTS = {
     "boxworld": "06c1803575e1c98ee0a659f448fe9b2f945de302e3f5221021e66589d6410abf",
     "extended_boxworld": "adf8908e34693b1bcf5b41c8eadda092814a4a6fe919f830b2465a02362aff96",
     "cardinal_qubit": "b4f7a3680945060e865d5f9d57cf90f573d4289000cd2d44c68fbccd631fff63",
+    # The rational qubits of the exact-corpus benchmark pool.  The model of
+    # 3 pairs is the vertex program's primal point (inner dimension 7); the
+    # absence logs of 4 and 5 pairs carry Bland's Farkas vector of 120 x 96
+    # and 206 x 160 programs.
+    "rational_qubit_2": "51fdeabd58003f407761da5efafeb3770d36977ddf6eb4fafc7fae2e851b5559",
+    "rational_qubit_3": "c64d5a25717158028b554a436b229e24db708b2fbd66ad7557c5031b074c5e0b",
+    "rational_qubit_4": "fc05e4045ebfe98511b72e3fa2a5fc7c3812447b0b445044c58abb08857995f9",
+    "rational_qubit_5": "4ab2f5cb9c5562b300508e883d9dbd622a79b7d52419b123d4e9fbec64c39f9b",
 }
 
 
@@ -483,13 +491,16 @@ ACCEPTANCE_8_ENMF_DIGEST = "66c38dffa1ae17e8a6822398b181f5eda71c0123d9ed8515b316
 
 
 @pytest.mark.parametrize("name", sorted(CERTIFICATE_DIGESTS))
-def test_certificate_bytes_are_pinned(name):
+def test_certificate_bytes_are_pinned(name, perfbench_corpus):
     theories = {
         "spekkens": spekkens,
         "boxworld": boxworld,
         "extended_boxworld": extended_boxworld,
         "cardinal_qubit": lambda: discrete_qubit(cardinal_directions()),
     }
+    for inst in perfbench_corpus.build("exact-corpus"):
+        if inst.name.startswith("rational_qubit_"):
+            theories[inst.name] = lambda c=inst.matrix: c
     c = theories[name]()
     digest = hashlib.sha256(emit_certificate(certify(c), c)).hexdigest()
     assert digest == CERTIFICATE_DIGESTS[name]

@@ -273,3 +273,17 @@ def test_inner_dim_zero_is_rejected_not_replaced(tmp_path, capsysbinary):
     code, out, _ = _run(capsysbinary, ["factorize", str(doc), "--kind", "nmf"])
     assert code == 0
     assert json.loads(out)["inner_dim"] == 4
+
+
+def test_inner_dim_is_rejected_by_every_kind_but_nmf(tmp_path, capsysbinary):
+    # Only --kind nmf reads --inner-dim; any other kind refuses it rather
+    # than ignore it, whatever its value.
+    doc = tmp_path / "spekkens.json"
+    doc.write_bytes(emit_cope(spekkens()))
+    for kind in ("pregpt", "gpt", "quasi", "trivial", "enmf"):
+        for inner_dim in ("-3", "4"):
+            argv = ["factorize", str(doc), "--kind", kind, "--inner-dim", inner_dim]
+            message = f"error: --inner-dim applies only to --kind nmf, not --kind {kind}\n"
+            assert _run(capsysbinary, argv) == (2, b"", message.encode())
+        code, out, _ = _run(capsysbinary, ["factorize", str(doc), "--kind", kind])
+        assert code == 0 and json.loads(out)["type"] == "model"

@@ -9,7 +9,41 @@ from copekit import boxworld, extended_boxworld, merge_measurements, spekkens, s
 from copekit import rational_linalg as rla
 from copekit.enmf_decision import _vertex_lp
 
-from oracles import reference_independent_rows, reference_lp_feasibility, reference_rref
+from oracles import (
+    reference_independent_rows,
+    reference_integer_inverse,
+    reference_lp_feasibility,
+    reference_rref,
+)
+
+
+@pytest.fixture
+def kernel_branches(monkeypatch):
+    """Counts the kernel's row updates that were reduced by their gcd and
+    those kept over their scaled denominator."""
+    counts = {"reduced": 0, "kept": 0, "_reduced calls": 0}
+    reduced, eliminate = rla._reduced, rla._eliminate
+
+    def counting_reduced(row, den):
+        counts["_reduced calls"] += 1
+        return reduced(row, den)
+
+    def spying_eliminate(row, den, pivot_row, col):
+        before = counts["_reduced calls"]
+        out = eliminate(row, den, pivot_row, col)
+        counts["reduced" if counts["_reduced calls"] > before else "kept"] += 1
+        return out
+
+    monkeypatch.setattr(rla, "_reduced", counting_reduced)
+    monkeypatch.setattr(rla, "_eliminate", spying_eliminate)
+    return counts
+
+
+def _wide_fraction(rng, bits=60):
+    """Zero in one draw of four, else a fraction whose denominator is near 2**bits."""
+    if rng.random() < 0.25:
+        return Fraction(0)
+    return Fraction(rng.randint(-2**bits, 2**bits), rng.randint(2 ** (bits - 1), 2**bits))
 
 
 def _random_fraction_matrix(rng, m, n, den=5):
@@ -121,6 +155,21 @@ def test_solve_consistent_and_nullspace():
             assert all(s == 0 for s in rla.mat_vec(a, v))
 
 
+def test_rref_and_rank_are_identical_across_the_reduction_bound(kernel_branches):
+    # Rows over denominators near 2**60 pass _REDUCE_BITS after a few
+    # updates, so both the kept and the reduced updates are compared.
+    rng = random.Random(1808)
+    for _ in range(25):
+        m, n = rng.randint(3, 8), rng.randint(3, 8)
+        a = [[_wide_fraction(rng) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.4:
+            a[-1] = [x - 3 * y for x, y in zip(a[0], a[1])]
+        red, pivots = reference_rref(a)
+        assert rla.rref(a) == (red, pivots)
+        assert rla.rank(a) == len(pivots)
+    assert kernel_branches["reduced"] > 0 and kernel_branches["kept"] > 0
+
+
 def _leibniz_det(a):
     n = len(a)
     total = 0
@@ -141,6 +190,7 @@ def test_integer_inverse_is_an_inverse_over_one_denominator():
         max_den = rng.choice((1, 1, 3))  # int rows, and rows over their own denominators
         a = [[Fraction(rng.randint(-3, 3), rng.randint(1, max_den)) for _ in range(n)] for _ in range(n)]
         got = rla._integer_inverse(a)
+        assert got == reference_integer_inverse(a)
         if _leibniz_det(a) == 0:
             assert got is None
             singular += 1
@@ -149,6 +199,25 @@ def test_integer_inverse_is_an_inverse_over_one_denominator():
         assert den > 0 and all(type(v) is int for row in numerators for v in row)
         assert rla.mat_mul(a, numerators) == [[den * (i == j) for j in range(n)] for i in range(n)]
     assert 0 < singular < 300
+
+
+def test_integer_inverse_is_identical_to_the_reference_across_the_reduction_bound(kernel_branches):
+    # Rows over denominators near 2**60 pass _REDUCE_BITS after a few
+    # updates; (N, d) is still the one coprime rows give.
+    rng = random.Random(1809)
+    singular = 0
+    for _ in range(40):
+        n = rng.randint(1, 7)
+        a = [[_wide_fraction(rng) for _ in range(n)] for _ in range(n)]
+        got = rla._integer_inverse(a)
+        assert got == reference_integer_inverse(a)
+        if got is None:
+            singular += 1
+            continue
+        numerators, den = got
+        assert rla.mat_mul(a, numerators) == [[den * (i == j) for j in range(n)] for i in range(n)]
+    assert 0 < singular < 40
+    assert kernel_branches["reduced"] > 0 and kernel_branches["kept"] > 0
 
 
 def test_invert():
@@ -228,6 +297,39 @@ def test_lp_feasibility_is_identical_to_the_fraction_reference():
         outcomes.add(got[0] is None)
     assert outcomes == {True, False}
     assert rla.lp_feasibility([], []) == reference_lp_feasibility([], [])
+
+
+def test_lp_feasibility_is_identical_across_the_reduction_bound(kernel_branches):
+    # Entries over denominators near 2**60 take tableau rows past
+    # _REDUCE_BITS, so Bland's pivots and both answers are compared on
+    # reduced and on kept updates.
+    rng = random.Random(1810)
+    outcomes = set()
+    for _ in range(40):
+        m, n = rng.randint(2, 5), rng.randint(2, 6)
+        a = [[_wide_fraction(rng) for _ in range(n)] for _ in range(m)]
+        b = [_wide_fraction(rng) for _ in range(m)]
+        got = rla.lp_feasibility(a, b)
+        assert got == reference_lp_feasibility(a, b)
+        outcomes.add(got[0] is None)
+    assert outcomes == {True, False}
+    assert kernel_branches["reduced"] > 0 and kernel_branches["kept"] > 0
+
+
+@pytest.mark.parametrize("pairs", [2, 3])
+def test_vertex_programs_do_not_depend_on_the_reduction_bound(pairs, perfbench_corpus, monkeypatch,
+                                                              kernel_branches):
+    # Rational qubits from Bloch integers up to 40: a feasible program for 2
+    # pairs, a Farkas vector for 3.  The answer is the reference's with the
+    # shipped bound, with every update reduced, and in between.
+    corpus = perfbench_corpus
+    merged = merge_measurements(corpus.rational_qubit(corpus.rational_directions(pairs, span=40)))
+    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    reference = reference_lp_feasibility(a, b)
+    for bits in (rla._REDUCE_BITS, 64, 0):
+        monkeypatch.setattr(rla, "_REDUCE_BITS", bits)
+        assert rla.lp_feasibility(a, b) == reference
+    assert kernel_branches["reduced"] > 0 and kernel_branches["kept"] > 0
 
 
 @pytest.mark.parametrize("theory", [spekkens, boxworld, extended_boxworld])
