@@ -155,7 +155,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=["pregpt", "gpt", "quasi", "trivial", "nmf", "enmf"],
     )
     p.add_argument("--inner-dim", type=int, default=None, dest="inner_dim", help="nmf only")
-    p.add_argument("--tom-columns", default=None, dest="tom_columns")
+    p.add_argument("--tom-columns", default=None, dest="tom_columns", help="quasi only")
 
     p = sub.add_parser("verify", help="classify a model against a matrix")
     _add_common(p)
@@ -243,8 +243,11 @@ def _cmd_restrict(args) -> int:
 
 
 def _cmd_factorize(args) -> int:
-    if args.inner_dim is not None and args.kind != "nmf":
-        raise _CliError(f"--inner-dim applies only to --kind nmf, not --kind {args.kind}")
+    # A flag the kind would not read is refused (certify reads --max-k too).
+    for flag, value, kind in (("--inner-dim", args.inner_dim, "nmf"), ("--max-k", args.max_k, "enmf"),
+                              ("--tom-columns", args.tom_columns, "quasi")):
+        if value is not None and args.kind != kind:
+            raise _CliError(f"{flag} applies only to --kind {kind}, not --kind {args.kind}")
     c = _load_matrix(args)
     opts = _nmf_options(args)
     if args.kind == "pregpt":

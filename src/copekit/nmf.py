@@ -148,12 +148,10 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
 def _nested_triangle(d: _Derived):
     """Rank 3: ``(chart, triangle)``; the triangle nests between the column
     polygon and Q's polygon, in plane coordinates, and is None if none does."""
-    merged = d.merged
     chart = affine_chart(d.polytope)
-    stacked = merged.stacked()
-    inner = [chart.to_plane([row[j] for row in stacked]) for j in range(merged.n_preparations)]
-    outer = [chart.to_plane(v) for v in d.polytope.vertices]
-    return chart, planar.nested_triangle(inner, outer)
+    points = chart.to_plane([*zip(*d.merged.stacked()), *d.polytope.vertices])
+    n = d.merged.n_preparations
+    return chart, planar.nested_triangle(points[:n], points[n:])
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,12 @@ an edge of P, so the decision enumerates flush starting sides and wraps
 greedily: extend the side to its far intersection with the boundary of Q,
 then repeatedly take the supporting line of P through the current point
 that advances the most.  If any chain closes in three sides the triangle is
-returned; otherwise no nested triangle exists.  All arithmetic is rational.
+returned; otherwise no nested triangle exists.  Points are integer triples
+(X, Y, W), W > 0, for (X / W, Y / W), the inputs over one common W; only the
+returned triangle is made of Fractions.  An orientation (a 3 x 3 determinant,
+the rational one times the W's) keeps its sign, chord bounds n / d, d > 0,
+compare by cross-multiplication, and a common W keeps the lexicographic
+order and distance ratios along a line, so no branch can move.
 """
 
 from __future__ import annotations
@@ -15,24 +20,40 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Optional, Sequence
 
-Point = tuple  # (Fraction, Fraction)
+Point = tuple  # (X, Y, W), W > 0, standing for (X / W, Y / W)
 
 
-def _sub(a: Point, b: Point) -> Point:
-    return (a[0] - b[0], a[1] - b[1])
+def _sub(q: Point, p: Point) -> tuple:
+    """The vector q - p times p_W q_W > 0, in integers."""
+    return (q[0] * p[2] - p[0] * q[2], q[1] * p[2] - p[1] * q[2])
 
 
-def _cross(u: Point, v: Point) -> Fraction:
+def _cross(u: tuple, v: tuple) -> int:
     return u[0] * v[1] - u[1] * v[0]
 
 
-def _orient(a: Point, b: Point, c: Point) -> Fraction:
-    """Positive when a->b->c turns left."""
-    return _cross(_sub(b, a), _sub(c, a))
+def _orient(a: Point, b: Point, c: Point) -> int:
+    """Positive when a->b->c turns left: the determinant of the three triples."""
+    (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = a, b, c
+    return ax * (by * cw - cy * bw) - ay * (bx * cw - cx * bw) + aw * (bx * cy - cx * by)
+
+
+def _same(p: Point, q: Point) -> bool:
+    return p[0] * q[2] == q[0] * p[2] and p[1] * q[2] == q[1] * p[2]
+
+
+def _along(origin: Point, direction: tuple, s: tuple) -> Point:
+    """origin + (n / d) * direction, for s = (n, d) with d > 0."""
+    (n, d), w = s, origin[2]
+    return (origin[0] * d + n * w * direction[0], origin[1] * d + n * w * direction[1], w * d)
+
+
+def _rational(points) -> tuple:
+    return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in points)
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:
-    """Strict convex hull, counterclockwise, no collinear interior vertices."""
+    """Strict convex hull of points sharing one W, counterclockwise, no collinear interior vertices."""
     pts = sorted(set(points))
     if len(pts) <= 2:
         return pts
@@ -50,42 +71,29 @@ def convex_hull(points: Sequence[Point]) -> list[Point]:
 
 
 def point_in_hull(p: Point, hull: Sequence[Point]) -> bool:
-    """Membership in a CCW convex polygon (boundary counts as inside)."""
+    """Membership in a CCW convex polygon of three or more vertices (boundary counts as inside)."""
     n = len(hull)
-    if n == 0:
-        return False
-    if n == 1:
-        return p == hull[0]
-    if n == 2:
-        if _orient(hull[0], hull[1], p) != 0:
-            return False
-        lo = min(hull[0], hull[1])
-        hi = max(hull[0], hull[1])
-        return lo <= p <= hi
     return all(_orient(hull[i], hull[(i + 1) % n], p) >= 0 for i in range(n))
 
 
-def _chord_range(origin: Point, direction: Point, hull: Sequence[Point]):
-    """Parameter interval [lo, hi] of { origin + s * direction } inside hull."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    n = len(hull)
-    for i in range(n):
-        a, b = hull[i], hull[(i + 1) % n]
-        edge = _sub(b, a)
-        coeff = _cross(edge, direction)
-        const = _cross(edge, _sub(origin, a))
-        # Inside condition: const + s * coeff >= 0.
+def _chord_range(origin: Point, direction: tuple, hull: Sequence[Point]):
+    """Interval [lo, hi] of s with origin + s * direction in hull; a bound is (n, d) for n / d, d > 0."""
+    lo = hi = None
+    for a, b in zip(hull, [*hull[1:], hull[0]]):
+        # Inside condition: const + s * coeff >= 0, both times a_W b_W origin_W.
+        coeff = _cross(_sub(b, a), direction) * origin[2]
+        const = _orient(a, b, origin)
         if coeff == 0:
             if const < 0:
                 return None
             continue
-        bound = -const / coeff
         if coeff > 0:
-            lo = bound if lo is None or bound > lo else lo
+            bound = (-const, coeff)
+            lo = bound if lo is None or bound[0] * lo[1] > lo[0] * bound[1] else lo
         else:
-            hi = bound if hi is None or bound < hi else hi
-    if lo is None or hi is None or lo > hi:
+            bound = (const, -coeff)
+            hi = bound if hi is None or bound[0] * hi[1] < hi[0] * bound[1] else hi
+    if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
         return None
     return lo, hi
 
@@ -98,7 +106,7 @@ def _advancing_tangent(x: Point, hull: Sequence[Point]) -> Optional[Point]:
     """
     best: Optional[Point] = None
     for t in hull:
-        if t == x:
+        if _same(t, x):
             continue
         if all(_orient(x, t, q) >= 0 for q in hull):
             if best is None:
@@ -106,6 +114,7 @@ def _advancing_tangent(x: Point, hull: Sequence[Point]) -> Optional[Point]:
             else:
                 # Same supporting line: prefer the farther contact point.
                 if _orient(x, best, t) == 0:
+                    # best and t share their W, so both vectors carry x_W t_W.
                     db = _sub(best, x)
                     dt = _sub(t, x)
                     if dt[0] * dt[0] + dt[1] * dt[1] > db[0] * db[0] + db[1] * db[1]:
@@ -118,30 +127,27 @@ def _advancing_tangent(x: Point, hull: Sequence[Point]) -> Optional[Point]:
     return best
 
 
-def _line_intersection(p1: Point, d1: Point, p2: Point, d2: Point) -> Optional[Point]:
-    denom = _cross(d1, d2)
-    if denom == 0:
-        return None
-    s = _cross(_sub(p2, p1), d2) / denom
-    return (p1[0] + s * d1[0], p1[1] + s * d1[1])
-
-
-def nested_triangle(
-    inner: Sequence[Point], outer: Sequence[Point]
-) -> Optional[tuple[Point, Point, Point]]:
+def nested_triangle(inner: Sequence[tuple], outer: Sequence[tuple]) -> Optional[tuple]:
     """A triangle T with hull(inner) inside T inside hull(outer), or None.
 
     Both polygons must be full-dimensional (three or more hull vertices)
-    and the inner hull must lie inside the outer one.
+    and the inner hull must lie inside the outer one.  Points are (x, y)
+    pairs of ``Fraction`` (or ``int``), and so are the triangle's corners.
     """
-    p_hull = convex_hull(inner)
-    q_hull = convex_hull(outer)
+    w = 1  # a common denominator of every input coordinate
+    for den in {v.denominator for p in (*inner, *outer) for v in p}:
+        w *= den
+    p_hull, q_hull = (
+        convex_hull([(x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
+                     for x, y in pts])
+        for pts in (inner, outer)
+    )
     if len(p_hull) < 3 or len(q_hull) < 3:
         raise ValueError("nested_triangle expects full-dimensional polygons")
     if len(p_hull) == 3:
-        return (p_hull[0], p_hull[1], p_hull[2])
+        return _rational(p_hull)
     if len(q_hull) == 3:
-        return (q_hull[0], q_hull[1], q_hull[2])
+        return _rational(q_hull)
 
     n = len(p_hull)
     for i in range(n):
@@ -150,8 +156,7 @@ def nested_triangle(
         rng = _chord_range(pa, d0, q_hull)
         if rng is None:
             continue
-        _, hi = rng
-        a = (pa[0] + hi * d0[0], pa[1] + hi * d0[1])
+        a = _along(pa, d0, rng[1])
 
         t1 = _advancing_tangent(a, p_hull)
         if t1 is None:
@@ -160,11 +165,11 @@ def nested_triangle(
         rng1 = _chord_range(a, d1, q_hull)
         if rng1 is None:
             continue
-        _, hi1 = rng1
-        if hi1 <= 0:
+        hi1 = rng1[1]
+        if hi1[0] <= 0:
             continue
-        b = (a[0] + hi1 * d1[0], a[1] + hi1 * d1[1])
-        if b == a:
+        b = _along(a, d1, hi1)
+        if _same(b, a):
             continue
 
         t2 = _advancing_tangent(b, p_hull)
@@ -172,19 +177,17 @@ def nested_triangle(
             continue
         d2 = _sub(t2, b)
 
-        v = _line_intersection(b, d2, pa, d0)
-        if v is None:
+        # v = b + s * d2 on the line of pa and d0.
+        denom = _cross(d2, d0) * b[2] * pa[2]
+        if denom == 0:
             continue
+        num = _cross(_sub(pa, b), d0)
+        v = _along(b, d2, (num, denom) if denom > 0 else (-num, -denom))
         triangle = (a, b, v)
         if _orient(a, b, v) <= 0:
             continue
         if not point_in_hull(v, q_hull):
             continue
-        sides_ok = all(
-            _orient(triangle[s], triangle[(s + 1) % 3], q) >= 0
-            for s in range(3)
-            for q in p_hull
-        )
-        if sides_ok:
-            return triangle
+        if all(_orient(triangle[s], triangle[(s + 1) % 3], q) >= 0 for s in range(3) for q in p_hull):
+            return _rational(triangle)
     return None

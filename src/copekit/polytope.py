@@ -255,16 +255,16 @@ class AffineChart:
                 t[i] += alpha * d[i]
         return tuple(rla.mat_vec([list(row) for row in self.basis], t))
 
-    def to_plane(self, point) -> tuple:
-        t = rla.solve_consistent([list(row) for row in self.basis], list(point))
-        if t is None:
+    def to_plane(self, points) -> list[tuple]:
+        """Coordinates of each point: one elimination for all parameter vectors, one for all coordinates."""
+        ts = rla.solve_columns([list(row) for row in self.basis], list(points))
+        if None in ts:
             raise ValueError("point is not in the column space")
-        delta = [ti - t0i for ti, t0i in zip(t, self.t0)]
         dir_cols = [[d[i] for d in self.dirs] for i in range(len(self.t0))]
-        coords = rla.solve_consistent(dir_cols, delta)
-        if coords is None:
+        coords = rla.solve_columns(dir_cols, [[ti - t0i for ti, t0i in zip(t, self.t0)] for t in ts])
+        if None in coords:
             raise ValueError("point is not in the affine span")
-        return tuple(coords)
+        return [tuple(x) for x in coords]
 
 
 def affine_chart(poly: SpanSimplexPolytope) -> AffineChart:

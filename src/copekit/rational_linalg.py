@@ -6,8 +6,8 @@ produced elsewhere in the package are re-checked with these routines, so
 they must be exact.
 
 One elimination kernel serves every routine that eliminates: ``rank``,
-Gauss-Jordan (``rref``, through it ``nullspace``, ``solve_consistent`` and
-``rank_factorization``, ``independent_rows`` and ``invert``) and the simplex of
+Gauss-Jordan (``rref``, through it ``nullspace`` and ``rank_factorization``,
+``solve_columns``, ``independent_rows`` and ``invert``) and the simplex of
 ``lp_feasibility``.  A kernel row is sparse and fraction-free: a dict from
 column index to its nonzero ``int`` numerator, over one positive ``int``
 denominator.  The matrices met here stay mostly zero while they are
@@ -227,18 +227,24 @@ def _kernel(red: Matrix, pivots: list[int], n_cols: int) -> list[Row]:
     return basis
 
 
-def solve_consistent(a: Matrix, b: Sequence) -> Optional[Row]:
-    """One exact solution of ``a x = b``, or None when inconsistent."""
+def solve_columns(a: Matrix, rhs: Sequence) -> list[Optional[Row]]:
+    """``solve_consistent(a, b)`` for each ``b`` of ``rhs``: one Gauss-Jordan of [a | rhs], pivoting in a."""
     if not a:
-        return None
+        return [None] * len(rhs)
     n_cols = len(a[0])
-    red, pivots = rref([list(row) + [Fraction(bv)] for row, bv in zip(a, b)])
-    if n_cols in pivots:  # a pivot on the right-hand side reads 0 = 1
-        return None
-    x = [F0] * n_cols
-    for i, pc in enumerate(pivots):
-        x[pc] = red[i][-1]
-    return x
+    rows, pivots = _gauss_jordan([_sparse_row([*row, *(b[i] for b in rhs)]) for i, row in enumerate(a)], n_cols)
+    solutions = [None] * len(rhs)
+    for k, col in enumerate(range(n_cols, n_cols + len(rhs))):
+        if not any(col in row for row, _ in rows[len(pivots):]):  # else a row reads 0 = b_i
+            solutions[k] = x = [F0] * n_cols
+            for (row, _), pc in zip(rows, pivots):
+                x[pc] = Fraction(row.get(col, 0), row[pc])
+    return solutions
+
+
+def solve_consistent(a: Matrix, b: Sequence) -> Optional[Row]:
+    """One exact solution of ``a x = b`` (free variables at 0), or None when inconsistent."""
+    return solve_columns(a, [b])[0]
 
 
 def _integer_inverse(a: Sequence) -> Optional[tuple[list, int]]:

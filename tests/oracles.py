@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+from typing import Optional, Sequence
 
 import numpy as np
 import scipy.optimize
@@ -492,3 +493,184 @@ def reference_mu_anls(arr, k: int, seed: int, iterations: int):
         w = np.maximum(w, 0.0)
     residual = float(np.abs(arr - w @ h).max())
     return residual, w, h, ran
+
+
+# ---------------------------------------------------------------------------
+# The rational nested-triangle decision: planar.nested_triangle as it was on
+# Fraction points, kept verbatim (public names prefixed with reference_) to
+# check the integer version branch for branch.
+# ---------------------------------------------------------------------------
+
+Point = tuple  # (Fraction, Fraction)
+
+
+def _sub(a: Point, b: Point) -> Point:
+    return (a[0] - b[0], a[1] - b[1])
+
+
+def _cross(u: Point, v: Point) -> Fraction:
+    return u[0] * v[1] - u[1] * v[0]
+
+
+def _orient(a: Point, b: Point, c: Point) -> Fraction:
+    """Positive when a->b->c turns left."""
+    return _cross(_sub(b, a), _sub(c, a))
+
+
+def reference_convex_hull(points: Sequence[Point]) -> list[Point]:
+    """Strict convex hull, counterclockwise, no collinear interior vertices."""
+    pts = sorted(set(points))
+    if len(pts) <= 2:
+        return pts
+    lower: list[Point] = []
+    for p in pts:
+        while len(lower) >= 2 and _orient(lower[-2], lower[-1], p) <= 0:
+            lower.pop()
+        lower.append(p)
+    upper: list[Point] = []
+    for p in reversed(pts):
+        while len(upper) >= 2 and _orient(upper[-2], upper[-1], p) <= 0:
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def reference_point_in_hull(p: Point, hull: Sequence[Point]) -> bool:
+    """Membership in a CCW convex polygon (boundary counts as inside)."""
+    n = len(hull)
+    if n == 0:
+        return False
+    if n == 1:
+        return p == hull[0]
+    if n == 2:
+        if _orient(hull[0], hull[1], p) != 0:
+            return False
+        lo = min(hull[0], hull[1])
+        hi = max(hull[0], hull[1])
+        return lo <= p <= hi
+    return all(_orient(hull[i], hull[(i + 1) % n], p) >= 0 for i in range(n))
+
+
+def _chord_range(origin: Point, direction: Point, hull: Sequence[Point]):
+    """Parameter interval [lo, hi] of { origin + s * direction } inside hull."""
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    n = len(hull)
+    for i in range(n):
+        a, b = hull[i], hull[(i + 1) % n]
+        edge = _sub(b, a)
+        coeff = _cross(edge, direction)
+        const = _cross(edge, _sub(origin, a))
+        # Inside condition: const + s * coeff >= 0.
+        if coeff == 0:
+            if const < 0:
+                return None
+            continue
+        bound = -const / coeff
+        if coeff > 0:
+            lo = bound if lo is None or bound > lo else lo
+        else:
+            hi = bound if hi is None or bound < hi else hi
+    if lo is None or hi is None or lo > hi:
+        return None
+    return lo, hi
+
+
+def _advancing_tangent(x: Point, hull: Sequence[Point]) -> Optional[Point]:
+    """Vertex t of hull with the hull weakly left of the line x -> t.
+
+    Among admissible vertices the farthest along the tangent direction is
+    chosen (maximal advance).  Returns None when x is strictly inside.
+    """
+    best: Optional[Point] = None
+    for t in hull:
+        if t == x:
+            continue
+        if all(_orient(x, t, q) >= 0 for q in hull):
+            if best is None:
+                best = t
+            else:
+                # Same supporting line: prefer the farther contact point.
+                if _orient(x, best, t) == 0:
+                    db = _sub(best, x)
+                    dt = _sub(t, x)
+                    if dt[0] * dt[0] + dt[1] * dt[1] > db[0] * db[0] + db[1] * db[1]:
+                        best = t
+                else:
+                    # Distinct supporting directions can only happen at a
+                    # vertex of the hull itself; take the more advanced one.
+                    if _orient(x, best, t) < 0:
+                        best = t
+    return best
+
+
+def _line_intersection(p1: Point, d1: Point, p2: Point, d2: Point) -> Optional[Point]:
+    denom = _cross(d1, d2)
+    if denom == 0:
+        return None
+    s = _cross(_sub(p2, p1), d2) / denom
+    return (p1[0] + s * d1[0], p1[1] + s * d1[1])
+
+
+def reference_nested_triangle(
+    inner: Sequence[Point], outer: Sequence[Point]
+) -> Optional[tuple[Point, Point, Point]]:
+    """A triangle T with hull(inner) inside T inside hull(outer), or None.
+
+    Both polygons must be full-dimensional (three or more hull vertices)
+    and the inner hull must lie inside the outer one.
+    """
+    p_hull = reference_convex_hull(inner)
+    q_hull = reference_convex_hull(outer)
+    if len(p_hull) < 3 or len(q_hull) < 3:
+        raise ValueError("nested_triangle expects full-dimensional polygons")
+    if len(p_hull) == 3:
+        return (p_hull[0], p_hull[1], p_hull[2])
+    if len(q_hull) == 3:
+        return (q_hull[0], q_hull[1], q_hull[2])
+
+    n = len(p_hull)
+    for i in range(n):
+        pa, pb = p_hull[i], p_hull[(i + 1) % n]
+        d0 = _sub(pb, pa)
+        rng = _chord_range(pa, d0, q_hull)
+        if rng is None:
+            continue
+        _, hi = rng
+        a = (pa[0] + hi * d0[0], pa[1] + hi * d0[1])
+
+        t1 = _advancing_tangent(a, p_hull)
+        if t1 is None:
+            continue
+        d1 = _sub(t1, a)
+        rng1 = _chord_range(a, d1, q_hull)
+        if rng1 is None:
+            continue
+        _, hi1 = rng1
+        if hi1 <= 0:
+            continue
+        b = (a[0] + hi1 * d1[0], a[1] + hi1 * d1[1])
+        if b == a:
+            continue
+
+        t2 = _advancing_tangent(b, p_hull)
+        if t2 is None:
+            continue
+        d2 = _sub(t2, b)
+
+        v = _line_intersection(b, d2, pa, d0)
+        if v is None:
+            continue
+        triangle = (a, b, v)
+        if _orient(a, b, v) <= 0:
+            continue
+        if not reference_point_in_hull(v, q_hull):
+            continue
+        sides_ok = all(
+            _orient(triangle[s], triangle[(s + 1) % 3], q) >= 0
+            for s in range(3)
+            for q in p_hull
+        )
+        if sides_ok:
+            return triangle
+    return None

@@ -287,3 +287,28 @@ def test_inner_dim_is_rejected_by_every_kind_but_nmf(tmp_path, capsysbinary):
             assert _run(capsysbinary, argv) == (2, b"", message.encode())
         code, out, _ = _run(capsysbinary, ["factorize", str(doc), "--kind", kind])
         assert code == 0 and json.loads(out)["type"] == "model"
+
+
+def test_tom_columns_and_max_k_are_rejected_by_the_kinds_that_do_not_read_them(tmp_path, capsysbinary):
+    # factorize reads --tom-columns only for --kind quasi and --max-k only
+    # for --kind enmf; any other kind refuses the flag, whatever its value.
+    doc = tmp_path / "spekkens.json"
+    doc.write_bytes(emit_cope(spekkens()))
+    cases = [("--tom-columns", "quasi", value) for value in ("0,1,99", "x", "0,1,2")]
+    cases += [("--max-k", "enmf", value) for value in ("-5", "4")]
+    for flag, reader, value in cases:
+        for kind in ("pregpt", "gpt", "quasi", "trivial", "nmf", "enmf"):
+            if kind == reader:
+                continue
+            argv = ["factorize", str(doc), "--kind", kind, flag, value]
+            message = f"error: {flag} applies only to --kind {reader}, not --kind {kind}\n"
+            assert _run(capsysbinary, argv) == (2, b"", message.encode())
+    # The kinds that read them, and certify, still take them: columns 0, 1,
+    # 2 and 4 are the ones quasi picks by default.
+    default = _run(capsysbinary, ["factorize", str(doc), "--kind", "quasi"])
+    assert default[0] == 0
+    argv = ["factorize", str(doc), "--kind", "quasi", "--tom-columns", "0,1,2,4"]
+    assert _run(capsysbinary, argv) == default
+    for argv in (["factorize", str(doc), "--kind", "enmf", "--max-k", "4"],
+                 ["certify", str(doc), "--max-k", "4"]):
+        assert _run(capsysbinary, argv)[0] == 0

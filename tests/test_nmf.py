@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from collections import Counter
@@ -18,6 +19,7 @@ from copekit import (
     cope_matrix,
     discrete_qubit,
     emit_cope,
+    emit_model,
     enmf,
     generic_directions,
     nmf,
@@ -26,7 +28,8 @@ from copekit import (
 )
 from copekit import rational_linalg as rla
 from copekit.enmf_decision import _model_from_simplex
-from copekit.nmf import equirank_simplex_model
+from copekit.models import _verified_model
+from copekit.nmf import _nested_triangle, _simplex_pairs, equirank_simplex_model
 from copekit.polytope import _Derived
 
 from oracles import random_cope, reference_model_from_simplex, reference_mu_anls
@@ -308,3 +311,25 @@ def test_model_from_simplex_is_identical_to_the_fraction_reference(exact_pool_ma
             outcomes[rla.rank(points) < d.rank, got is None] += 1
     assert outcomes[True, True] and outcomes[False, True] and outcomes[False, False]
     assert not outcomes[True, False]
+
+
+# sha256 of emit_model(equirank_simplex_model(c)) for draw 643 of
+# random_cope(random.Random(2026)), recorded while planar.py still computed
+# on Fractions: the first draw whose only verifying simplex candidate is the
+# rank-3 nested triangle.
+NESTED_TRIANGLE_MODEL_DIGEST = "08df095997dca1785f2334d77b668dbac6dd7befc7e627f00dd1214b3f6d20a4"
+
+
+def test_nested_triangle_route_model_is_pinned():
+    rng = random.Random(2026)
+    for _ in range(644):
+        c = random_cope(rng)
+    d = _Derived(c)
+    pairs = list(_simplex_pairs(d))
+    kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+    verified = [pair is not None and _verified_model(d, *pair, kind) is not None for pair in pairs]
+    # The planar candidate comes last, and it alone verifies.
+    assert d.rank == 3 and _nested_triangle(d)[1] is not None
+    assert verified == [False] * (len(pairs) - 1) + [True]
+    model = equirank_simplex_model(c)
+    assert hashlib.sha256(emit_model(model)).hexdigest() == NESTED_TRIANGLE_MODEL_DIGEST

@@ -1,13 +1,23 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
-from copekit.planar import convex_hull, nested_triangle, point_in_hull
+from copekit.planar import _chord_range, convex_hull, nested_triangle, point_in_hull
+from copekit.polytope import _Derived, affine_chart
+
+import oracles
+from oracles import random_cope, reference_convex_hull, reference_nested_triangle
 
 
 def F(a, b=1):
     return Fraction(a, b)
+
+
+def lift(points):
+    # The hull helpers take homogeneous (x, y, W) triples; W = 1 here.
+    return [(x, y, 1) for x, y in points]
 
 
 SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
@@ -15,16 +25,19 @@ SQUARE = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
 
 def test_convex_hull_orders_ccw_and_drops_interior():
     pts = SQUARE + [(F(1, 2), F(1, 2)), (F(1, 2), F(0))]
-    hull = convex_hull(pts)
+    hull = convex_hull(lift(pts))
     assert len(hull) == 4
-    assert set(hull) == set(SQUARE)
+    assert set(hull) == set(lift(SQUARE))
 
 
 def test_point_in_hull():
-    hull = convex_hull(SQUARE)
-    assert point_in_hull((F(1, 2), F(1, 2)), hull)
-    assert point_in_hull((F(0), F(0)), hull)
-    assert not point_in_hull((F(2), F(0)), hull)
+    hull = convex_hull(lift(SQUARE))
+    assert point_in_hull((F(1, 2), F(1, 2), 1), hull)
+    assert point_in_hull((F(0), F(0), 1), hull)
+    assert not point_in_hull((F(2), F(0), 1), hull)
+    # Homogeneous points with other W's: (3/2, 1/2) and (1/3, 2/3).
+    assert not point_in_hull((3, 1, 2), hull)
+    assert point_in_hull((1, 2, 3), hull)
 
 
 def test_inner_triangle_returned_directly():
@@ -114,25 +127,24 @@ def test_degenerate_input_rejected():
 
 
 def _assert_nested(inner, outer, tri):
-    outer_hull = convex_hull(outer)
-    tri_hull = convex_hull(list(tri))
+    outer_hull = convex_hull(lift(outer))
+    tri_hull = convex_hull(lift(tri))
     assert len(tri_hull) == 3
-    for v in tri:
+    for v in lift(tri):
         assert point_in_hull(v, outer_hull)
-    for p in inner:
+    for p in lift(inner):
         assert point_in_hull(p, tri_hull)
 
 
-def test_random_returned_triangles_always_verify():
-    rng = random.Random(31)
-    found = 0
-    for _ in range(120):
+def _random_polygon_pairs(rng, attempts):
+    """(inner, outer) pairs of full-dimensional rational polygons, inner inside outer."""
+    for _ in range(attempts):
         outer_pts = [
             (Fraction(rng.randint(-8, 8), rng.randint(1, 3)),
              Fraction(rng.randint(-8, 8), rng.randint(1, 3)))
             for _ in range(rng.randint(3, 7))
         ]
-        outer = convex_hull(outer_pts)
+        outer = [(x, y) for x, y, _ in convex_hull(lift(outer_pts))]
         if len(outer) < 3:
             continue
         # Inner points: convex combinations of outer points.
@@ -143,10 +155,69 @@ def test_random_returned_triangles_always_verify():
             x = sum(w * p[0] for w, p in zip(weights, outer)) / total
             y = sum(w * p[1] for w, p in zip(weights, outer)) / total
             inner.append((x, y))
-        if len(convex_hull(inner)) < 3:
+        if len(convex_hull(lift(inner))) < 3:
             continue
+        yield inner, outer
+
+
+def test_random_returned_triangles_always_verify():
+    found = 0
+    for inner, outer in _random_polygon_pairs(random.Random(31), 120):
         tri = nested_triangle(inner, outer)
         if tri is not None:
             _assert_nested(inner, outer, tri)
             found += 1
     assert found > 10  # the generator produces plenty of nestable instances
+
+
+def _rank_3_charts(rng, draws):
+    """The (columns, Q's vertices) polygons of the rank-3 ``random_cope`` draws."""
+    for _ in range(draws):
+        d = _Derived(random_cope(rng))
+        if d.rank == 3:
+            n = d.merged.n_preparations
+            points = affine_chart(d.polytope).to_plane([*zip(*d.merged.stacked()), *d.polytope.vertices])
+            yield points[:n], points[n:]
+
+
+def test_nested_triangle_is_identical_to_the_fraction_reference():
+    # The integer geometry against the rational one it replaced: the same
+    # triangle, or None from both.  Counted: pairs whose hulls both have four
+    # or more vertices, so that the wrapping runs, and the triangles found there.
+    pairs = [*_random_polygon_pairs(random.Random(2020), 500),
+             *_rank_3_charts(random.Random(2026), 700)]
+    wrapped = found = 0
+    for inner, outer in pairs:
+        got = nested_triangle(inner, outer)
+        assert got == reference_nested_triangle(inner, outer)
+        assert got is None or all(type(v) is Fraction for p in got for v in p)
+        if len(convex_hull(lift(inner))) > 3 and len(convex_hull(lift(outer))) > 3:
+            wrapped += 1
+            found += got is not None
+    assert wrapped > 100 and 0 < found < wrapped
+
+
+def test_chord_range_is_identical_to_the_fraction_reference():
+    # Lines through points inside and outside the outer polygon, so that
+    # chords are empty, whole and cut off at either end; every integer
+    # bound n / d must be the rational one.
+    rng = random.Random(4242)
+    seen = {"empty": 0, "chord": 0}
+    for inner, outer in _random_polygon_pairs(rng, 150):
+        den = rng.randint(1, 4)
+        hull = reference_convex_hull(outer)
+        w = lcm(*(v.denominator for p in hull for v in p))
+        int_hull = [(int(x * w), int(y * w), w) for x, y in hull]
+        for _ in range(4):
+            origin = (Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den))
+            direction = (rng.randint(-3, 3), rng.randint(-3, 3))
+            expected = oracles._chord_range(origin, direction, hull)
+            got = _chord_range((int(origin[0] * den), int(origin[1] * den), den), direction, int_hull)
+            if expected is None:
+                assert got is None
+                seen["empty"] += 1
+            else:
+                assert tuple(Fraction(n, d) for n, d in got) == expected
+                assert all(d > 0 for _, d in got)
+                seen["chord"] += 1
+    assert min(seen.values()) > 50, seen

@@ -140,8 +140,7 @@ def test_affine_chart_round_trip(spekkens_matrix):
     poly = span_simplex_polytope(merged)
     chart = affine_chart(poly)
     assert chart.dim == 3
-    for v in poly.vertices:
-        coords = chart.to_plane(v)
+    for v, coords in zip(poly.vertices, chart.to_plane(poly.vertices)):
         assert chart.to_ambient(coords) == tuple(v)
 
 

@@ -155,6 +155,31 @@ def test_solve_consistent_and_nullspace():
             assert all(s == 0 for s in rla.mat_vec(a, v))
 
 
+def test_solve_columns_is_one_reference_solve_per_column():
+    # Each right-hand side against the solution read off the Fraction RREF
+    # of [a | b] alone (free variables at 0).  Half the right-hand sides are
+    # a @ x, the others random, and inconsistent when a has dependent rows.
+    rng = random.Random(1717)
+    outcomes = {True: 0, False: 0}
+    for _ in range(150):
+        m, n = rng.randint(1, 5), rng.randint(1, 5)
+        a = _random_fraction_matrix(rng, m, n)
+        rhs = [rla.mat_vec(a, [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)])
+               if rng.random() < 0.5 else [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(m)]
+               for _ in range(rng.randint(1, 4))]
+        for b, x in zip(rhs, rla.solve_columns(a, rhs)):
+            red, pivots = reference_rref([list(row) + [bv] for row, bv in zip(a, b)])
+            expected = None
+            if n not in pivots:
+                expected = [Fraction(0)] * n
+                for row, pc in zip(red, pivots):
+                    expected[pc] = row[-1]
+            assert x == expected and rla.solve_consistent(a, b) == expected
+            assert x is None or all(type(v) is Fraction for v in x)
+            outcomes[x is None] += 1
+    assert min(outcomes.values()) > 50, outcomes
+
+
 def test_rref_and_rank_are_identical_across_the_reduction_bound(kernel_branches):
     # Rows over denominators near 2**60 pass _REDUCE_BITS after a few
     # updates, so both the kept and the reduced updates are compared.
