@@ -311,17 +311,12 @@ def find_equivalences(c: CopeMatrix) -> EquivalenceClasses:
 
 
 def _is_extremal(be: Backend, vectors: list, j: int) -> bool:
-    """Is vectors[j] outside the convex hull of the vectors distinct from it?
-
-    Exact: a coordinate at which it is strictly below, or strictly above, every
-    other vector exposes it; only when none does is there an LP to solve."""
+    """Is vectors[j] outside the convex hull of the vectors distinct from it?"""
     target = vectors[j]
     others = [v for i, v in enumerate(vectors) if i != j and not _vectors_equal(be, v, target)]
     if not others:
         return True
     if be.is_exact:
-        if any(all(v[i] > x for v in others) or all(v[i] < x for v in others) for i, x in enumerate(target)):
-            return True
         cols = [[others[k][i] for k in range(len(others))] for i in range(len(target))]
         return rla.convex_combination(cols, target) is None
     import scipy.optimize

@@ -18,6 +18,7 @@ order and distance ratios along a line, so no branch can move.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 Point = tuple  # (X, Y, W), W > 0, standing for (X / W, Y / W)
@@ -76,26 +77,21 @@ def point_in_hull(p: Point, hull: Sequence[Point]) -> bool:
     return all(_orient(hull[i], hull[(i + 1) % n], p) >= 0 for i in range(n))
 
 
-def _chord_range(origin: Point, direction: tuple, hull: Sequence[Point]):
-    """Interval [lo, hi] of s with origin + s * direction in hull; a bound is (n, d) for n / d, d > 0."""
-    lo = hi = None
+def _chord_end(origin: Point, direction: tuple, hull: Sequence[Point]) -> tuple:
+    """Largest s with origin + s * direction in hull, as (n, d) for n / d, d > 0.
+
+    The origin must lie in the hull and the direction be nonzero, so the
+    chord is never empty and s = 0 is on it: only the far end can decide.
+    """
+    hi = None
     for a, b in zip(hull, [*hull[1:], hull[0]]):
-        # Inside condition: const + s * coeff >= 0, both times a_W b_W origin_W.
+        # Inside condition: orient(a, b, origin) + s * coeff >= 0, both times
+        # a_W b_W origin_W.
         coeff = _cross(_sub(b, a), direction) * origin[2]
-        const = _orient(a, b, origin)
-        if coeff == 0:
-            if const < 0:
-                return None
-            continue
-        if coeff > 0:
-            bound = (-const, coeff)
-            lo = bound if lo is None or bound[0] * lo[1] > lo[0] * bound[1] else lo
-        else:
-            bound = (const, -coeff)
+        if coeff < 0:
+            bound = (_orient(a, b, origin), -coeff)
             hi = bound if hi is None or bound[0] * hi[1] < hi[0] * bound[1] else hi
-    if lo is None or hi is None or lo[0] * hi[1] > hi[0] * lo[1]:
-        return None
-    return lo, hi
+    return hi
 
 
 def _advancing_tangent(x: Point, hull: Sequence[Point]) -> Optional[Point]:
@@ -134,9 +130,7 @@ def nested_triangle(inner: Sequence[tuple], outer: Sequence[tuple]) -> Optional[
     and the inner hull must lie inside the outer one.  Points are (x, y)
     pairs of ``Fraction`` (or ``int``), and so are the triangle's corners.
     """
-    w = 1  # a common denominator of every input coordinate
-    for den in {v.denominator for p in (*inner, *outer) for v in p}:
-        w *= den
+    w = lcm(*{v.denominator for p in (*inner, *outer) for v in p})
     p_hull, q_hull = (
         convex_hull([(x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
                      for x, y in pts])
@@ -153,19 +147,13 @@ def nested_triangle(inner: Sequence[tuple], outer: Sequence[tuple]) -> Optional[
     for i in range(n):
         pa, pb = p_hull[i], p_hull[(i + 1) % n]
         d0 = _sub(pb, pa)
-        rng = _chord_range(pa, d0, q_hull)
-        if rng is None:
-            continue
-        a = _along(pa, d0, rng[1])
+        a = _along(pa, d0, _chord_end(pa, d0, q_hull))
 
         t1 = _advancing_tangent(a, p_hull)
         if t1 is None:
             continue
         d1 = _sub(t1, a)
-        rng1 = _chord_range(a, d1, q_hull)
-        if rng1 is None:
-            continue
-        hi1 = rng1[1]
+        hi1 = _chord_end(a, d1, q_hull)
         if hi1[0] <= 0:
             continue
         b = _along(a, d1, hi1)

@@ -18,9 +18,8 @@ from copekit import (
     restrict_fragment,
     validate,
 )
-from copekit import rational_linalg as rla
 from copekit.backend import floating, rational
-from copekit.cope import _is_extremal, float_rank
+from copekit.cope import float_rank
 
 from oracles import in_convex_hull, random_cope, reference_validate
 
@@ -272,36 +271,6 @@ def test_extremality_oracle_up_to_eight_columns():
             others = [col for i, col in enumerate(cols) if i != j and col != cols[j]]
             expected = not in_convex_hull(others, cols[j]) if others else True
             assert is_extremal_column(c, j) == expected
-
-
-def test_exposure_rule_agrees_with_the_extremality_lp(monkeypatch):
-    # Entries from {0, 1/2, 1, 3/2, 2, 3} make tied coordinates common, and
-    # resampled vectors add duplicates.  The expected answer is the LP's on
-    # the distinct others.  Counted: targets the LP decides (no coordinate
-    # exposes them), extremal and not, and non-extremal targets tied with
-    # every other vector at their minimum or maximum of some coordinate.
-    lp_calls = []
-    convex_combination = rla.convex_combination
-    monkeypatch.setattr(rla, "convex_combination", lambda *a: lp_calls.append(a) or convex_combination(*a))
-    rng = random.Random(606)
-    seen = {"lp extremal": 0, "lp inside": 0, "tied inside": 0}
-    for _ in range(300):
-        dim = rng.randint(1, 4)
-        vectors = [tuple(Fraction(rng.randint(0, 3), rng.randint(1, 2)) for _ in range(dim))
-                   for _ in range(rng.randint(1, 6))]
-        vectors += rng.choices(vectors, k=rng.randint(0, 2))
-        for j, target in enumerate(vectors):
-            others = [v for v in vectors if v != target]
-            cols = [list(col) for col in zip(*others)]
-            expected = not others or convex_combination(cols, list(target)) is None
-            calls = len(lp_calls)
-            assert _is_extremal(rational(), vectors, j) == expected
-            if len(lp_calls) > calls:
-                seen["lp extremal" if expected else "lp inside"] += 1
-            tied = any(all(v[i] >= x for v in others) or all(v[i] <= x for v in others)
-                       for i, x in enumerate(target))
-            seen["tied inside"] += bool(others) and tied and not expected
-    assert all(count > 10 for count in seen.values()), seen
 
 
 # --- quotienting --------------------------------------------------------------

@@ -4,7 +4,7 @@ from math import lcm
 
 import pytest
 
-from copekit.planar import _chord_range, convex_hull, nested_triangle, point_in_hull
+from copekit.planar import _chord_end, convex_hull, nested_triangle, point_in_hull
 from copekit.polytope import _Derived, affine_chart
 
 import oracles
@@ -197,27 +197,26 @@ def test_nested_triangle_is_identical_to_the_fraction_reference():
     assert wrapped > 100 and 0 < found < wrapped
 
 
-def test_chord_range_is_identical_to_the_fraction_reference():
-    # Lines through points inside and outside the outer polygon, so that
-    # chords are empty, whole and cut off at either end; every integer
-    # bound n / d must be the rational one.
+def test_chord_end_is_the_fraction_reference_upper_bound():
+    # Lines from the hull's vertices and from points inside it, so that the
+    # far end is at the origin (0) or beyond it; every integer bound n / d
+    # must be the rational one.
     rng = random.Random(4242)
-    seen = {"empty": 0, "chord": 0}
-    for inner, outer in _random_polygon_pairs(rng, 150):
-        den = rng.randint(1, 4)
+    seen = {"at origin": 0, "beyond": 0}
+    for _, outer in _random_polygon_pairs(rng, 150):
         hull = reference_convex_hull(outer)
         w = lcm(*(v.denominator for p in hull for v in p))
         int_hull = [(int(x * w), int(y * w), w) for x, y in hull]
         for _ in range(4):
-            origin = (Fraction(rng.randint(-12, 12), den), Fraction(rng.randint(-12, 12), den))
-            direction = (rng.randint(-3, 3), rng.randint(-3, 3))
-            expected = oracles._chord_range(origin, direction, hull)
-            got = _chord_range((int(origin[0] * den), int(origin[1] * den), den), direction, int_hull)
-            if expected is None:
-                assert got is None
-                seen["empty"] += 1
-            else:
-                assert tuple(Fraction(n, d) for n, d in got) == expected
-                assert all(d > 0 for _, d in got)
-                seen["chord"] += 1
+            weights = [rng.randint(0, 3) * (rng.random() < 0.5) for _ in hull]
+            weights[rng.randrange(len(hull))] += 1
+            origin = tuple(sum(c * p[k] for c, p in zip(weights, hull)) / sum(weights) for k in (0, 1))
+            direction = (0, 0)
+            while direction == (0, 0):
+                direction = (rng.randint(-3, 3), rng.randint(-3, 3))
+            _, expected = oracles._chord_range(origin, direction, hull)
+            ow = lcm(origin[0].denominator, origin[1].denominator)
+            n, d = _chord_end((int(origin[0] * ow), int(origin[1] * ow), ow), direction, int_hull)
+            assert d > 0 and Fraction(n, d) == expected
+            seen["at origin" if n == 0 else "beyond"] += 1
     assert min(seen.values()) > 50, seen
