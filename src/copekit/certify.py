@@ -6,11 +6,11 @@ first; the first two are sound, so they never fire on a noncontextual
 matrix, and their order changes no verdict and no evidence:
 
 1. vertex forcing (exact backend): when every vertex of the span-simplex
-   polytope is a column of the merged matrix and there are more vertices
-   than the rank, every equirank left factor must contain all those
-   vertices as columns, whose unique convex representations force
-   disjointly supported state columns and hence a state rank above
-   rank(C) - contextual;
+   polytope Q is a column of the merged matrix and there are more vertices
+   than the rank, every equirank left factor must contain them all, whose
+   unique convex representations force disjointly supported state columns
+   and a state rank above rank(C) - contextual; Q is not built for it when
+   at most rank(C) distinct columns have the rank(C) - 1 zeros of a vertex;
 2. a unique-zero (Sperner) witness whose span bound exceeds the rank -
    contextual;
 3. the complete vertex-program decision (exact backend, within its
@@ -100,17 +100,19 @@ def vertex_forcing_certificate(
 
     Fires iff every vertex of the span-simplex polytope of the merged
     matrix appears among its columns and the number of distinct vertices
-    exceeds rank(C).  Exact backend only.
+    exceeds rank(C).  Exact backend only.  Q has dimension r - 1, r =
+    rank(C), so each vertex of Q is tight at r - 1 or more of the
+    constraints x_i >= 0; as forcing needs more than r vertices, all of
+    them columns, it gives None before Q is built when at most r distinct
+    merged columns have r - 1 zero entries.
     """
     d = _derived(c)
     if not d.c.backend.is_exact:
         raise PreconditionError("vertex forcing requires the exact backend")
-    merged = d.merged
+    columns = set(zip(*d.merged.stacked()))
+    if sum(col.count(0) >= d.rank - 1 for col in columns) <= d.rank:
+        return None
     poly = d.polytope
-    columns = {
-        tuple(merged.blocks[0][i][j] for i in range(merged.n_rows))
-        for j in range(merged.n_preparations)
-    }
     vertices = set(poly.vertices)
     if not vertices <= columns:
         return None

@@ -171,7 +171,7 @@ def _build_parser() -> argparse.ArgumentParser:
         required=True,
         choices=["spekkens", "boxworld", "extended-boxworld", "qubit"],
     )
-    p.add_argument("--directions", type=int, default=5, help="qubit: number of directions")
+    p.add_argument("--directions", type=int, default=None, help="qubit: number of directions (5)")
     p.add_argument("--cardinal", action="store_true", help="qubit: use the x,y,z axes")
     p.add_argument("--no-antipodes", action="store_true", help="qubit: omit -v preparations")
     p.set_defaults(seed=11)
@@ -297,6 +297,13 @@ def _cmd_certify(args) -> int:
 
 
 def _cmd_generate(args) -> int:
+    # A flag the theory would not read is refused, as factorize does for kinds.
+    for flag, given in (("--directions", args.directions is not None), ("--cardinal", args.cardinal),
+                        ("--no-antipodes", args.no_antipodes)):
+        if given and args.theory != "qubit":
+            raise _CliError(f"{flag} applies only to --theory qubit, not --theory {args.theory}")
+    if args.cardinal and args.directions is not None:
+        raise _CliError("--directions does not apply with --cardinal")
     if args.theory == "spekkens":
         c = spekkens()
     elif args.theory == "boxworld":
@@ -307,7 +314,7 @@ def _cmd_generate(args) -> int:
         if args.cardinal:
             dirs = cardinal_directions()
         else:
-            dirs = generic_directions(args.directions, seed=args.seed)
+            dirs = generic_directions(5 if args.directions is None else args.directions, seed=args.seed)
         c = discrete_qubit(
             dirs,
             include_antipodes=not args.no_antipodes,

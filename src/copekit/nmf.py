@@ -103,6 +103,13 @@ def _simplex_pairs(d: _Derived):
     simplex), the extremal columns, simplices on subsets of Q's vertices,
     and for rank 3 the exact planar decision.  Exact backend only; yields
     nothing on floats or when building Q hits a guard.
+
+    Only what could verify is built.  Columns are tested for extremality
+    while their count can still end at r.  A subset is skipped when, for
+    some column p, fewer than two of its vertices lie on the face F of Q
+    where p's zeros are, or none when F = {p}: as x >= 0, p's weight sits
+    on F, and on two vertices or more unless p is one.  A skipped subset
+    gives None, so the pairs proposed and the first that verifies stay.
     """
     if not d.c.backend.is_exact:
         return
@@ -117,14 +124,23 @@ def _simplex_pairs(d: _Derived):
         yield _model_from_simplex(d, vertices, vertices_at_rows)
 
     cols = list(dict.fromkeys(zip(*d.merged.stacked())))
-    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
+    extremal, be = [], d.c.backend
+    for j, col in enumerate(cols):
+        if len(extremal) <= r <= len(extremal) + len(cols) - j and cope_mod._is_extremal(be, cols, j):
+            extremal.append(col)
     if len(extremal) == r:
         yield _model_from_simplex(d, extremal, d.at_rows(extremal))
 
     if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
+        # Each column's face F: the bitmask of the vertices zero wherever it is.
+        zeros = [sum(1 << i for i, x in enumerate(p) if not x) for p in chain(vertices, cols)]
+        faces = {sum(1 << l for l, zv in enumerate(zeros[: len(vertices)]) if zv & z == z)
+                 for z in zeros[len(vertices) :]}
         for subset in combinations(range(len(vertices)), r):
-            points = [vertices[l] for l in subset]
-            yield _model_from_simplex(d, points, [vertices_at_rows[l] for l in subset])
+            mask = sum(1 << l for l in subset)
+            if all((mask & f).bit_count() >= min(2, f.bit_count()) for f in faces):
+                points = [vertices[l] for l in subset]
+                yield _model_from_simplex(d, points, [vertices_at_rows[l] for l in subset])
 
     if r == 3:
         chart, triangle = _nested_triangle(d)

@@ -133,6 +133,60 @@ def reference_vertex_decision(d):
     return _model_from_vertex_coefficients(d, vertices, solution), None
 
 
+def reference_simplex_pairs(d):
+    """``nmf._simplex_pairs`` as it was before it pruned, kept verbatim.
+
+    Tests every distinct column for extremality and builds every rank-sized
+    subset of Q's vertices, so the pruned generator must yield the same
+    non-None pairs in the same order.
+    """
+    import math
+
+    from copekit import cope as cope_mod
+    from copekit.enmf_decision import _model_from_simplex
+    from copekit.nmf import _SUBSET_CAP, _nested_triangle
+    from copekit.polytope import GuardExceeded
+
+    if not d.c.backend.is_exact:
+        return
+    r = d.rank
+    try:
+        vertices = list(d.polytope.vertices)
+    except GuardExceeded:
+        return
+
+    vertices_at_rows = d.at_rows(vertices)
+    if len(vertices) == r:
+        yield _model_from_simplex(d, vertices, vertices_at_rows)
+
+    cols = list(dict.fromkeys(zip(*d.merged.stacked())))
+    extremal = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
+    if len(extremal) == r:
+        yield _model_from_simplex(d, extremal, d.at_rows(extremal))
+
+    if len(vertices) > r and math.comb(len(vertices), r) <= _SUBSET_CAP:
+        for subset in combinations(range(len(vertices)), r):
+            points = [vertices[l] for l in subset]
+            yield _model_from_simplex(d, points, [vertices_at_rows[l] for l in subset])
+
+    if r == 3:
+        chart, triangle = _nested_triangle(d)
+        if triangle is not None:
+            points = [chart.to_ambient(p) for p in triangle]
+            yield _model_from_simplex(d, points, d.at_rows(points))
+
+
+def reference_vertex_forcing(d):
+    """``certify.vertex_forcing_certificate`` without its zero-count gate:
+    (Q, its vertex count) when every vertex of Q is a column and there are
+    more than rank(C) of them, else None."""
+    columns = set(zip(*d.merged.stacked()))
+    vertices = set(d.polytope.vertices)
+    if vertices <= columns and len(vertices) > d.rank:
+        return d.polytope, len(vertices)
+    return None
+
+
 def max_antichain_size(k: int) -> int:
     """Maximum antichain in the subset lattice of a k-set, via Dilworth.
 

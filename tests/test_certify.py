@@ -459,6 +459,37 @@ def test_exhaustive_decision_builds_q_once(monkeypatch):
     assert len(rays) == 1
 
 
+def _exact_corpus(corpus, name):
+    return next(inst.matrix for inst in corpus.build("exact-corpus") if inst.name == name)
+
+
+@pytest.mark.parametrize("name, subsets, extremal_lps", [
+    # Rank 4, 8 vertices of Q, 6 distinct columns: 8 of the 70 four-vertex
+    # subsets can hold every column, and the extremal count stops at 5 > 4.
+    ("rational_qubit_3", 8, 5),
+    # Rank 3, 4 vertices of Q: no three of them can hold every column.
+    ("rational_qubit_2", 0, 4),
+])
+def test_rank_r_search_builds_only_what_could_verify(name, subsets, extremal_lps, monkeypatch,
+                                                      perfbench_corpus):
+    c = _exact_corpus(perfbench_corpus, name)
+    inverses = _count_calls(monkeypatch, "copekit.nmf", "_model_from_simplex")
+    lps = _count_calls(monkeypatch, "copekit.cope", "_is_extremal")
+    assert certify(c).verdict == NONCONTEXTUAL
+    assert (len(inverses), len(lps)) == (subsets, extremal_lps)
+
+
+def test_forcing_gate_leaves_q_unbuilt_when_sperner_decides(monkeypatch, perfbench_corpus):
+    # rational_qubit_5 is rank 4 and each merged column has one zero, so no
+    # column can be a vertex of Q (each has 3 zeros or more) and forcing
+    # cannot fire: Q is never built.
+    c = _exact_corpus(perfbench_corpus, "rational_qubit_5")
+    builds = _count_calls(monkeypatch, "copekit.polytope", "span_simplex_polytope")
+    cert = certify(c)
+    assert isinstance(cert.evidence, SpernerSeparation)
+    assert builds == []
+
+
 # --- certificate bytes -----------------------------------------------------------
 
 # sha256 of emit_certificate(certify(c), c) (no wall time), recorded before the
@@ -471,8 +502,8 @@ CERTIFICATE_DIGESTS = {
     "cardinal_qubit": "b4f7a3680945060e865d5f9d57cf90f573d4289000cd2d44c68fbccd631fff63",
     # The rational qubits of the exact-corpus benchmark pool.  The model of
     # 3 pairs is the vertex program's primal point (inner dimension 7); the
-    # absence logs of 4 and 5 pairs carry Bland's Farkas vector of 120 x 96
-    # and 206 x 160 programs.
+    # absence log of 4 pairs carries Bland's Farkas vector of a 120 x 96
+    # program, and 5 pairs are decided by a Sperner witness.
     "rational_qubit_2": "51fdeabd58003f407761da5efafeb3770d36977ddf6eb4fafc7fae2e851b5559",
     "rational_qubit_3": "c64d5a25717158028b554a436b229e24db708b2fbd66ad7557c5031b074c5e0b",
     "rational_qubit_4": "fc05e4045ebfe98511b72e3fa2a5fc7c3812447b0b445044c58abb08857995f9",

@@ -312,3 +312,22 @@ def test_tom_columns_and_max_k_are_rejected_by_the_kinds_that_do_not_read_them(t
     for argv in (["factorize", str(doc), "--kind", "enmf", "--max-k", "4"],
                  ["certify", str(doc), "--max-k", "4"]):
         assert _run(capsysbinary, argv)[0] == 0
+
+
+def test_generate_refuses_the_qubit_flags_on_other_theories(capsysbinary):
+    # --directions, --cardinal and --no-antipodes are read only by --theory
+    # qubit, and --directions not with --cardinal; a flag no branch reads is
+    # refused, whatever its value.
+    for theory in ("spekkens", "boxworld", "extended-boxworld"):
+        for flag in (["--directions", "7"], ["--directions", "5"], ["--cardinal"], ["--no-antipodes"]):
+            message = f"error: {flag[0]} applies only to --theory qubit, not --theory {theory}\n"
+            assert _run(capsysbinary, ["generate", "--theory", theory, *flag]) == (2, b"", message.encode())
+    for directions in ("9", "5"):
+        argv = ["generate", "--theory", "qubit", "--cardinal", "--directions", directions]
+        assert _run(capsysbinary, argv) == (2, b"", b"error: --directions does not apply with --cardinal\n")
+    # The qubit still reads each of them, and --directions still defaults to 5.
+    default = _run(capsysbinary, ["generate", "--theory", "qubit"])
+    assert default[0] == 0
+    assert _run(capsysbinary, ["generate", "--theory", "qubit", "--directions", "5"]) == default
+    for flags in (["--cardinal"], ["--cardinal", "--no-antipodes"], ["--directions", "3", "--no-antipodes"]):
+        assert _run(capsysbinary, ["generate", "--theory", "qubit", *flags])[0] == 0

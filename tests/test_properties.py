@@ -9,10 +9,12 @@ the complete one gives the vertex program's bytes without solving it when
 Q is a simplex.
 """
 
+import importlib
 import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from copekit import (
@@ -36,14 +38,21 @@ from copekit import (
 )
 from copekit import rational_linalg as rla
 from copekit.backend import floating, rational
-from copekit.certify import Exists, NotExists
+from copekit.certify import Exists, NotExists, vertex_forcing_certificate
 from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
+from copekit.nmf import _simplex_pairs, equirank_simplex_model
 from copekit.polytope import _Derived
 
-from oracles import random_cope, reference_vertex_decision
+from oracles import (
+    random_cope,
+    reference_simplex_pairs,
+    reference_vertex_decision,
+    reference_vertex_forcing,
+)
 
 CASES = 1000
+FACE_DRAWS = 200
 
 
 def _invertible_choices(model, cap=6):
@@ -194,6 +203,68 @@ def test_simplex_q_decision_is_identical_to_the_vertex_program():
         compared += 1
     assert set(simplex_ranks) == {1, 2, 3}
     assert compared > len(simplex_ranks)
+
+
+# --- pruning that changes no answer -------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def face_draws(exact_pool_matrices):
+    # The exact matrices of the benchmark pools and seeded draws, each with
+    # one derived view, so each Q is enumerated once for the tests below.
+    rng = random.Random(2026)
+    draws = exact_pool_matrices + [random_cope(rng) for _ in range(FACE_DRAWS)]
+    return [_Derived(c) for c in draws]
+
+
+def test_every_vertex_of_q_has_at_least_rank_minus_one_zeros(face_draws):
+    # Q has dimension r - 1, so a vertex is tight at r - 1 or more of the
+    # constraints x_i >= 0: the fact behind the forcing gate.
+    tight = 0
+    for case, d in enumerate(face_draws):
+        zeros = [v.count(0) for v in d.polytope.vertices]
+        assert min(zeros) >= d.rank - 1, case
+        tight += min(zeros) == d.rank - 1
+    assert tight > len(face_draws) // 2
+
+
+def test_forcing_gate_rejects_no_matrix_that_forcing_decides(face_draws):
+    # The gate answers None before Q is built; the ungated test must agree
+    # on every draw, the ones where forcing fires among them.
+    fired = 0
+    for case, d in enumerate(face_draws):
+        expected = reference_vertex_forcing(d)
+        assert vertex_forcing_certificate(d) == expected, case
+        fired += expected is not None
+    assert fired >= 4
+
+
+def test_pruned_rank_r_search_is_the_reference_search(face_draws, monkeypatch):
+    # The face filter and the extremal count that stops once decided skip
+    # only candidates that give None: the same pairs come out in the same
+    # order, so the models and decisions keep their bytes.
+    def outputs(c):
+        r = rank(c)
+        model = equirank_simplex_model(c)
+        try:
+            decision = exhaustive_enmf_decision(c, r)
+        except GuardExceeded as exc:
+            decision = str(exc)
+        if isinstance(decision, Exists):
+            decision = emit_model(decision.model)
+        return None if model is None else emit_model(model), repr(decision)
+
+    pruned = []
+    verified = 0
+    for case, d in enumerate(face_draws):
+        pairs = [pair for pair in _simplex_pairs(d) if pair]
+        assert pairs == [pair for pair in reference_simplex_pairs(d) if pair], case
+        verified += bool(pairs)
+        pruned.append(outputs(d.c))
+    assert verified >= 20
+    for module in ("copekit.nmf", "copekit.certify"):
+        monkeypatch.setattr(importlib.import_module(module), "_simplex_pairs", reference_simplex_pairs)
+    assert pruned == [outputs(d.c) for d in face_draws]
 
 
 # --- hypothesis strategies ----------------------------------------------------
