@@ -113,12 +113,15 @@ def _nmf_options(args) -> NmfOptions:
     )
 
 
-def _add_common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
-    if needs_input:
-        parser.add_argument("input", nargs="?", default=None, help="input document (default: stdin)")
+def _add_common(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("input", nargs="?", default=None, help="input document (default: stdin)")
     parser.add_argument("--output", default=None, help="output path (default: stdout)")
     parser.add_argument("--backend", choices=["rational", "float"], default=None)
     parser.add_argument("--eps", type=float, default=None, help="float comparison tolerance")
+
+
+def _add_search(parser: argparse.ArgumentParser) -> None:
+    # Only the commands that run the factorization search read these.
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--restarts", type=int, default=8)
     parser.add_argument("--iterations", type=int, default=400)
@@ -149,6 +152,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("factorize", help="produce a model document")
     _add_common(p)
+    _add_search(p)
     p.add_argument(
         "--kind",
         required=True,
@@ -163,18 +167,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="decide contextuality")
     _add_common(p)
+    _add_search(p)
 
     p = sub.add_parser("generate", help="emit a built-in theory")
-    _add_common(p, needs_input=False)
+    p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.add_argument(
         "--theory",
         required=True,
         choices=["spekkens", "boxworld", "extended-boxworld", "qubit"],
     )
     p.add_argument("--directions", type=int, default=None, help="qubit: number of directions (5)")
+    p.add_argument("--seed", type=int, default=None, help="qubit: direction seed (11)")
     p.add_argument("--cardinal", action="store_true", help="qubit: use the x,y,z axes")
     p.add_argument("--no-antipodes", action="store_true", help="qubit: omit -v preparations")
-    p.set_defaults(seed=11)
+    p.add_argument("--eps", type=float, default=None, help="qubit: float comparison tolerance (1e-9)")
 
     return parser
 
@@ -298,12 +304,14 @@ def _cmd_certify(args) -> int:
 
 def _cmd_generate(args) -> int:
     # A flag the theory would not read is refused, as factorize does for kinds.
-    for flag, given in (("--directions", args.directions is not None), ("--cardinal", args.cardinal),
-                        ("--no-antipodes", args.no_antipodes)):
+    for flag, given in (("--directions", args.directions is not None), ("--seed", args.seed is not None),
+                        ("--cardinal", args.cardinal), ("--no-antipodes", args.no_antipodes),
+                        ("--eps", args.eps is not None)):
         if given and args.theory != "qubit":
             raise _CliError(f"{flag} applies only to --theory qubit, not --theory {args.theory}")
-    if args.cardinal and args.directions is not None:
-        raise _CliError("--directions does not apply with --cardinal")
+    for flag, value in (("--directions", args.directions), ("--seed", args.seed)):
+        if args.cardinal and value is not None:
+            raise _CliError(f"{flag} does not apply with --cardinal")
     if args.theory == "spekkens":
         c = spekkens()
     elif args.theory == "boxworld":
@@ -314,7 +322,8 @@ def _cmd_generate(args) -> int:
         if args.cardinal:
             dirs = cardinal_directions()
         else:
-            dirs = generic_directions(5 if args.directions is None else args.directions, seed=args.seed)
+            n = 5 if args.directions is None else args.directions
+            dirs = generic_directions(n, seed=11 if args.seed is None else args.seed)
         c = discrete_qubit(
             dirs,
             include_antipodes=not args.no_antipodes,

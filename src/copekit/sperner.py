@@ -7,18 +7,23 @@ the minimum dimension spanned by one of its factors.  The first bound is
 the smallest k with m <= binom(k, floor(k/2)); the second is the largest l
 with binom(l, floor(l/2)) <= m.  When the span bound exceeds rank(C), no
 equirank nonnegative factorization can exist.
+
+Finding the largest such submatrix is NP-hard (an induced matching of the
+bipartite zero graph), so one exact depth-first search runs under a node
+budget.  A branch is cut when its free rows or columns cannot beat the best
+set found; on a budget hit the best set so far is returned, a smaller but
+still valid witness.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from math import comb
 from typing import Optional
 
 from .cope import CopeMatrix
 
-_EXACT_TOTAL_DIM = 12
+_NODE_BUDGET = 20_000
 
 
 def central_binomial(k: int) -> int:
@@ -65,60 +70,34 @@ def _zero_pattern(c: CopeMatrix):
     return [[be.is_zero(x) for x in row] for row in c.stacked()]
 
 
-def _conflicts(zero, r: int, col: int, chosen) -> bool:
-    """Would pairing (r, col) break the unique-zero condition of ``chosen``?"""
-    for rr, cc in chosen:
-        if zero[r][cc] or zero[rr][col]:
-            return True
-    return False
+def _max_unique_zero(zero, edges) -> list:
+    """First largest unique-zero pair set in depth-first order over ``edges``.
 
-
-def _exact_max_matching(zero, edges) -> list:
+    A node's candidates are the later edges that fit every chosen pair: a
+    new row and column, and no zero where they cross the pair just added.
+    A branch ends when its candidates' distinct rows or columns cannot beat
+    the best set; after ``_NODE_BUDGET`` nodes the best set so far is
+    returned.
+    """
     best: list = []
-    n_edges = len(edges)
+    nodes = 0
 
-    def extend(start: int, chosen: list) -> None:
-        nonlocal best
+    def extend(chosen: list, candidates: list) -> None:
+        nonlocal best, nodes
+        nodes += 1
         if len(chosen) > len(best):
             best = list(chosen)
-        if len(chosen) + (n_edges - start) <= len(best):
-            return
-        for idx in range(start, n_edges):
-            r, col = edges[idx]
-            if any(r == rr or col == cc for rr, cc in chosen):
-                continue
-            if _conflicts(zero, r, col, chosen):
-                continue
+        for idx, (r, col) in enumerate(candidates):
+            rest = candidates[idx:]
+            free = min(len({a for a, _ in rest}), len({b for _, b in rest}))
+            if nodes >= _NODE_BUDGET or len(chosen) + free <= len(best):
+                return
             chosen.append((r, col))
-            extend(idx + 1, chosen)
+            extend(chosen, [(a, b) for a, b in candidates[idx + 1:]
+                            if a != r and b != col and not zero[a][col] and not zero[r][b]])
             chosen.pop()
 
-    extend(0, [])
-    return best
-
-
-def _greedy_max_matching(zero, edges, seeds: int = 8) -> list:
-    row_zero_count = [sum(row) for row in zero]
-    col_zero_count = [sum(zero[i][j] for i in range(len(zero))) for j in range(len(zero[0]))]
-
-    def run(order) -> list:
-        chosen: list = []
-        for r, col in order:
-            if any(r == rr or col == cc for rr, cc in chosen):
-                continue
-            if not _conflicts(zero, r, col, chosen):
-                chosen.append((r, col))
-        return chosen
-
-    base = sorted(edges, key=lambda e: (row_zero_count[e[0]] + col_zero_count[e[1]], e))
-    best = run(base)
-    for s in range(seeds):
-        rng = random.Random(s)
-        shuffled = list(edges)
-        rng.shuffle(shuffled)
-        candidate = run(shuffled)
-        if len(candidate) > len(best):
-            best = candidate
+    extend([], edges)
     return best
 
 
@@ -127,26 +106,19 @@ def sperner_submatrix(c: CopeMatrix) -> Optional[SpernerWitness]:
 
     The unique-zero condition on an m x m selection forces the zero pattern
     to be a permutation: each selected row and column carries exactly one
-    zero inside the selection.  Search is exact up to total dimension
-    (rows + columns) 12 and greedy with randomized restarts above.  Returns
-    None when no witness with m >= 2 exists.  Zero entries are decided by
-    the matrix backend (floats: magnitude at most eps).
+    zero inside the selection.  The search over the zeros, row-major, is
+    exact: it returns the first largest selection in depth-first order,
+    unless it exceeds ``_NODE_BUDGET`` nodes, when it returns the largest
+    found so far.  Returns None when no witness with m >= 2 exists.  Zero
+    entries are decided by the matrix backend (floats: magnitude at most
+    eps).
     """
     zero = _zero_pattern(c)
-    n_rows = len(zero)
-    n_cols = len(zero[0])
-    edges = [(i, j) for i in range(n_rows) for j in range(n_cols) if zero[i][j]]
-    if not edges:
-        return None
-    if n_rows + n_cols <= _EXACT_TOTAL_DIM:
-        chosen = _exact_max_matching(zero, edges)
-    else:
-        chosen = _greedy_max_matching(zero, edges)
+    edges = [(i, j) for i, row in enumerate(zero) for j, z in enumerate(row) if z]
+    chosen = _max_unique_zero(zero, edges)
     if len(chosen) < 2:
         return None
-    chosen.sort()
-    rows = tuple(r for r, _ in chosen)
-    cols = tuple(col for _, col in chosen)
+    rows, cols = zip(*chosen)
     m = len(chosen)
     return SpernerWitness(
         row_indices=rows,

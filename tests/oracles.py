@@ -187,6 +187,43 @@ def reference_vertex_forcing(d):
     return None
 
 
+def _conflicts(zero, r: int, col: int, chosen) -> bool:
+    """Would pairing (r, col) break the unique-zero condition of ``chosen``?"""
+    for rr, cc in chosen:
+        if zero[r][cc] or zero[rr][col]:
+            return True
+    return False
+
+
+def reference_max_matching(zero, edges) -> list:
+    """Largest unique-zero pair set, by depth-first search over ``edges``.
+
+    Cut only by the number of edges left; the first largest set found in
+    depth-first order is returned.  Exponential, fine for totals up to ~20.
+    """
+    best: list = []
+    n_edges = len(edges)
+
+    def extend(start: int, chosen: list) -> None:
+        nonlocal best
+        if len(chosen) > len(best):
+            best = list(chosen)
+        if len(chosen) + (n_edges - start) <= len(best):
+            return
+        for idx in range(start, n_edges):
+            r, col = edges[idx]
+            if any(r == rr or col == cc for rr, cc in chosen):
+                continue
+            if _conflicts(zero, r, col, chosen):
+                continue
+            chosen.append((r, col))
+            extend(idx + 1, chosen)
+            chosen.pop()
+
+    extend(0, [])
+    return best
+
+
 def max_antichain_size(k: int) -> int:
     """Maximum antichain in the subset lattice of a k-set, via Dilworth.
 

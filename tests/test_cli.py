@@ -331,3 +331,39 @@ def test_generate_refuses_the_qubit_flags_on_other_theories(capsysbinary):
     assert _run(capsysbinary, ["generate", "--theory", "qubit", "--directions", "5"]) == default
     for flags in (["--cardinal"], ["--cardinal", "--no-antipodes"], ["--directions", "3", "--no-antipodes"]):
         assert _run(capsysbinary, ["generate", "--theory", "qubit", *flags])[0] == 0
+
+
+def test_commands_refuse_the_flags_they_never_read(tmp_path, capsysbinary):
+    # Only factorize and certify run the factorization search, so only they
+    # take its flags; generate reads no document, so it takes no --backend.
+    # argparse refuses the rest: exit 2, no traceback, nothing on stdout.
+    doc = tmp_path / "doc.json"
+    doc.write_bytes(emit_cope(spekkens()))
+    model = tmp_path / "model.json"
+    assert _run(capsysbinary, ["factorize", str(doc), "--kind", "gpt", "--output", str(model)])[0] == 0
+    commands = {
+        "info": [], "validate": [], "quotient": [], "merge": [], "verify": ["--model", str(model)],
+        "restrict": ["--keep-preps", "0,1", "--keep-measurements", "0"],
+    }
+    search = (["--seed", "3"], ["--restarts", "0"], ["--iterations", "0"], ["--snap-tol", "0"], ["--max-k", "0"])
+    for command, required in commands.items():
+        assert _run(capsysbinary, [command, str(doc), *required])[0] == 0
+        for flag in search:
+            code, out, err = _run(capsysbinary, [command, str(doc), *required, *flag])
+            assert (code, out) == (2, b"") and b"unrecognized arguments: " + flag[0].encode() in err
+            assert b"Traceback" not in err
+    for argv in (["info", str(doc), "--restarts", "0", "--max-k", "1", "--iterations", "0"],
+                 ["merge", str(doc), "--seed", "3", "--max-k", "0"],
+                 ["generate", "--theory", "spekkens", "--backend", "float"]):
+        code, out, err = _run(capsysbinary, argv)
+        assert (code, out) == (2, b"") and b"unrecognized arguments" in err
+    # generate reads --seed and --eps only for the qubit, and --seed not
+    # with --cardinal.
+    for theory in ("spekkens", "boxworld", "extended-boxworld"):
+        for flag in (["--seed", "3"], ["--eps", "0.5"]):
+            message = f"error: {flag[0]} applies only to --theory qubit, not --theory {theory}\n"
+            assert _run(capsysbinary, ["generate", "--theory", theory, *flag]) == (2, b"", message.encode())
+    argv = ["generate", "--theory", "qubit", "--cardinal", "--seed", "3"]
+    assert _run(capsysbinary, argv) == (2, b"", b"error: --seed does not apply with --cardinal\n")
+    for flags in (["--seed", "3"], ["--eps", "1e-6"], ["--cardinal", "--eps", "1e-6"]):
+        assert _run(capsysbinary, ["generate", "--theory", "qubit", *flags])[0] == 0

@@ -10,7 +10,8 @@ Q is a simplex.  One more, over the exact benchmark pools and seeded
 draws, checks that the exact work certify skips could not have changed an
 answer: every vertex of Q has rank - 1 zeros or more, the forcing gate
 agrees with ungated forcing, and the pruned rank-r search proposes the
-reference search's pairs.
+reference search's pairs.  The pruned Sperner search returns the witness of
+the unpruned one on the pools' zero patterns and on seeded ones.
 """
 
 import importlib
@@ -47,9 +48,11 @@ from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from copekit.nmf import _simplex_pairs, equirank_simplex_model
 from copekit.polytope import _Derived
+from copekit.sperner import _max_unique_zero, _zero_pattern
 
 from oracles import (
     random_cope,
+    reference_max_matching,
     reference_simplex_pairs,
     reference_vertex_decision,
     reference_vertex_forcing,
@@ -57,6 +60,7 @@ from oracles import (
 
 CASES = 1000
 FACE_DRAWS = 200
+ZERO_PATTERNS = 400
 
 
 def _invertible_choices(model, cap=6):
@@ -268,6 +272,26 @@ def test_pruned_rank_r_search_is_the_reference_search(face_draws, monkeypatch):
     for module in ("copekit.nmf", "copekit.certify"):
         monkeypatch.setattr(importlib.import_module(module), "_simplex_pairs", reference_simplex_pairs)
     assert pruned == [outputs(d.c) for d in face_draws]
+
+
+def test_sperner_search_is_the_reference_search(exact_pool_matrices):
+    # The candidate filter and the free row and column bound cut only
+    # branches that cannot beat the best set, so the first largest set in
+    # depth-first order, the reference's witness, comes out.  Up to 9 x 9:
+    # totals above 12, where a greedy used to answer instead.
+    rng = random.Random(2026)
+    patterns = [_zero_pattern(c) for c in exact_pool_matrices]
+    for _ in range(ZERO_PATTERNS):
+        n_rows, n_cols, p = rng.randint(2, 9), rng.randint(2, 9), rng.choice((0.2, 0.35, 0.5))
+        patterns.append([[rng.random() < p for _ in range(n_cols)] for _ in range(n_rows)])
+    above_12 = large = 0
+    for case, zero in enumerate(patterns):
+        edges = [(i, j) for i, row in enumerate(zero) for j, z in enumerate(row) if z]
+        expected = reference_max_matching(zero, edges)
+        assert _max_unique_zero(zero, edges) == expected, case
+        above_12 += len(zero) + len(zero[0]) > 12
+        large += len(expected) >= 4
+    assert above_12 >= 100 and large >= 50
 
 
 # --- hypothesis strategies ----------------------------------------------------

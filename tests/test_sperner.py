@@ -4,17 +4,27 @@ from math import comb
 
 import pytest
 
+import copekit.sperner as sperner_mod
 from copekit import (
+    Certificate,
+    SpernerSeparation,
+    certify,
     cope_matrix,
     discrete_qubit,
+    emit_certificate,
     generic_directions,
+    parse_certificate,
+    rank,
     sperner_ontic_bound,
     sperner_span_bound,
     sperner_submatrix,
 )
 from copekit.backend import floating
+from copekit.certify import CONTEXTUAL, _check
+from copekit.polytope import _Derived
+from copekit.sperner import _zero_pattern
 
-from oracles import max_antichain_size
+from oracles import max_antichain_size, reference_max_matching
 
 # Central binomial coefficients binom(k, floor(k/2)) for k = 0..8.
 CENTRAL = [1, 1, 2, 3, 6, 10, 20, 35, 70]
@@ -124,21 +134,58 @@ def test_float_zeros_use_eps():
     assert w is not None and w.m == 2
 
 
-def test_exact_search_beats_greedy_never():
-    # On small instances the exact search is optimal; the greedy run on the
-    # same pattern must not exceed it.
-    from copekit.sperner import _exact_max_matching, _greedy_max_matching
+def _sparse_blocks(rng, n_cols, n_blocks=4, n_outcomes=3):
+    # Each column of each block has one or two equal nonzeros.
+    blocks = []
+    for _ in range(n_blocks):
+        cols = []
+        for _ in range(n_cols):
+            k = rng.randint(1, 2)
+            hit = rng.sample(range(n_outcomes), k)
+            cols.append([Fraction(1, k) if i in hit else Fraction(0) for i in range(n_outcomes)])
+        blocks.append([[col[i] for col in cols] for i in range(n_outcomes)])
+    return cope_matrix(blocks)
 
-    rng = random.Random(6)
-    for _ in range(40):
-        n = rng.randint(2, 5)
-        zero = [[rng.random() < 0.4 for _ in range(n)] for _ in range(n)]
-        edges = [(i, j) for i in range(n) for j in range(n) if zero[i][j]]
-        if not edges:
-            continue
-        exact = _exact_max_matching(zero, edges)
-        greedy = _greedy_max_matching(zero, edges)
-        assert len(greedy) <= len(exact)
+
+def _search_input(c):
+    zero = _zero_pattern(c)
+    return zero, [(i, j) for i, row in enumerate(zero) for j, z in enumerate(row) if z]
+
+
+def test_search_finds_the_largest_witness_above_total_12():
+    # 12 rows and 14 columns: the old size switch sent this pattern to a
+    # greedy that found m = 3.  The one search finds the reference's m = 5.
+    rng = random.Random(2026)
+    for _ in range(15):
+        _sparse_blocks(rng, 8)
+    c = _sparse_blocks(rng, 14)
+    reference = reference_max_matching(*_search_input(c))
+    w = sperner_submatrix(c)
+    assert w.m == len(reference) == 5
+    assert list(zip(w.row_indices, w.col_indices)) == reference
+
+
+def test_node_budget_returns_the_best_witness_so_far(monkeypatch):
+    # The first n nodes dive to n - 1 pairs, each the first that fits; the
+    # full search needs more nodes and finds m = 4.  The smaller witness is
+    # still a valid unique-zero submatrix, so certify stays sound.
+    c = _sparse_blocks(random.Random(2026), 8)
+    zero, edges = _search_input(c)
+    assert len(reference_max_matching(zero, edges)) == 4
+    dive = []
+    for r, col in edges:
+        if all(r != a and col != b and not zero[a][col] and not zero[r][b] for a, b in dive):
+            dive.append((r, col))
+    for budget in (3, 4):
+        monkeypatch.setattr(sperner_mod, "_NODE_BUDGET", budget)
+        w = sperner_submatrix(c)
+        assert list(zip(w.row_indices, w.col_indices)) == dive[:budget - 1]
+    r = rank(c)
+    cert = Certificate(CONTEXTUAL, SpernerSeparation(w, r), r, (r, r + 3), ())
+    # Every claim but the span bound re-verifies, the zero pattern among them.
+    assert _check(_Derived(c), cert) == ("evidence", "span bound does not exceed the rank")
+    cert = certify(c)
+    assert parse_certificate(emit_certificate(cert, c)) == (cert, c)
 
 
 def test_bound_input_validation():
