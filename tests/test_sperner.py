@@ -153,8 +153,8 @@ def _search_input(c):
 
 
 def test_search_finds_the_largest_witness_above_total_12():
-    # 12 rows and 14 columns: the old size switch sent this pattern to a
-    # greedy that found m = 3.  The one search finds the reference's m = 5.
+    # 12 rows and 14 columns, a sparse pattern on which a greedy first-fit
+    # with shuffles finds only m = 3; the exact search finds the reference's 5.
     rng = random.Random(2026)
     for _ in range(15):
         _sparse_blocks(rng, 8)
