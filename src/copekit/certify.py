@@ -14,21 +14,23 @@ matrix, and their order changes no verdict and no evidence:
 2. a unique-zero (Sperner) witness whose span bound exceeds the rank -
    contextual;
 3. the complete vertex-program decision (exact backend, within its
-   guards), solved once, or not at all when Q is a simplex, whose vertices
-   give the program's one solution: an infeasible program comes with a
-   Farkas vector excluding every inner dimension - contextual;
-4. a verified equirank model (noncontextual, constructive).  After the
-   decision this is its model, or a smaller one from the deterministic
-   routes at inner dimension rank(C) when the model sits above rank; no
-   heuristic restart runs.  Only float matrices, and exact ones whose
-   decision hit a guard, search inner dimensions with the seeded restarts,
-   run at rank(C) alone and then at every larger inner dimension as one
-   zero-padded batch; when that finds nothing the verdict is an honest
-   Undetermined carrying the searched inner-dimension range.
+   guards), the call's ``_Derived.decision``: solved once, or not at all
+   when Q is a simplex, whose vertices give the program's one solution; an
+   infeasible program comes with a Farkas vector excluding every inner
+   dimension - contextual;
+4. a verified equirank model (noncontextual, constructive): ``enmf``'s
+   model, else the decided one with a note that it lies above the searched
+   range.  After a decision ``enmf`` runs no heuristic restart.  Only float
+   matrices, and exact ones whose decision hit a guard, search inner
+   dimensions with the seeded restarts, run at rank(C) alone and then at
+   every larger inner dimension as one zero-padded batch; when that finds
+   nothing the verdict is an honest Undetermined carrying the searched
+   inner-dimension range.
 
-Q, the merged matrix and the rank are derived once per call and shared by
-every tier and by ``_check``, the one evidence checker, which re-derives a
-certificate from its matrix on the way out of ``certify`` and on load.
+Q, the merged matrix, the rank and the decision are derived once per call
+and shared by every tier and by ``_check``, the one evidence checker, which
+re-derives a certificate from its matrix on the way out of ``certify`` and
+on load.
 """
 
 from __future__ import annotations
@@ -56,6 +58,10 @@ UNDETERMINED = "Undetermined"
 _SIDEDNESS_NOTE = (
     "sperner witness uses the simultaneous row-and-column unique-zero condition; "
     "a column-only witness would still bound the span of the epistemic states"
+)
+_ABOVE_RANGE_NOTE = (
+    "model found by the complete vertex program; its inner dimension "
+    "may exceed the searched range"
 )
 
 
@@ -308,25 +314,15 @@ def certify(
     if witness is not None and witness.factor_span_lower_bound > r:
         return issue(CONTEXTUAL, SpernerSeparation(witness, r), _SIDEDNESS_NOTE)
 
-    decision = None
-    if c.backend.is_exact:
-        try:
-            decision = decide_enmf_existence(d)
-        except GuardExceeded:
-            pass
-        if isinstance(decision, AbsenceResult):
-            return issue(CONTEXTUAL, ExhaustiveAbsence(_absence_log(decision)))
+    if isinstance(d.decision, AbsenceResult):
+        return issue(CONTEXTUAL, ExhaustiveAbsence(_absence_log(d.decision)))
 
-    model = enmf(d, opts, max_k=bound, decision=decision)
+    model = enmf(d, opts, max_k=bound)
+    if model is None and isinstance(d.decision, ExistenceResult):
+        model = d.decision.model
     if model is not None:
-        return issue(NONCONTEXTUAL, EnmfModel(model))
-    if isinstance(decision, ExistenceResult):
-        return issue(
-            NONCONTEXTUAL,
-            EnmfModel(decision.model),
-            "model found by the complete vertex program; its inner dimension "
-            "may exceed the searched range",
-        )
+        notes = (_ABOVE_RANGE_NOTE,) if model.inner_dim > bound else ()
+        return issue(NONCONTEXTUAL, EnmfModel(model), *notes)
     return issue(
         UNDETERMINED,
         None,

@@ -82,9 +82,10 @@ def _write_output(data: bytes, path: Optional[str]) -> None:
 
 def _load_matrix(args) -> CopeMatrix:
     c = jsonio.parse_cope(_read_input(getattr(args, "input", None)))
-    backend = getattr(args, "backend", None)
+    backend, eps = getattr(args, "backend", None), getattr(args, "eps", None)
+    if eps is not None and not (backend == "float" and c.backend.is_exact):
+        raise _CliError("--eps applies only with --backend float on a rational document")
     if backend == "float" and c.backend.is_exact:
-        eps = getattr(args, "eps", None)
         c = cope_matrix(
             blocks=[[[float(x) for x in row] for row in block] for block in c.blocks],
             backend=floating(1e-9 if eps is None else eps),

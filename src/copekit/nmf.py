@@ -37,7 +37,7 @@ from . import cope as cope_mod
 from . import planar
 from . import rational_linalg as rla
 from .cope import CopeMatrix
-from .enmf_decision import AbsenceResult, ExistenceResult, _model_from_simplex, decide_enmf_existence
+from .enmf_decision import AbsenceResult, ExistenceResult, _model_from_simplex
 from .models import ModelFactorization, ModelKind, _verified_model
 from .polytope import GuardExceeded, _Derived, _derived, affine_chart
 
@@ -369,22 +369,14 @@ def nmf(c: CopeMatrix, opts: NmfOptions) -> Optional[ModelFactorization]:
     return search_candidates(c, [opts.inner_dim], opts)
 
 
-_DECIDE = object()
-
-
-def enmf(
-    c: CopeMatrix,
-    opts: NmfOptions,
-    max_k: Optional[int] = None,
-    *,
-    decision=_DECIDE,
-) -> Optional[ModelFactorization]:
+def enmf(c: CopeMatrix, opts: NmfOptions, max_k: Optional[int] = None) -> Optional[ModelFactorization]:
     """Equirank nonnegative factorization search, up to inner dim ``max_k``.
 
     A returned model always classifies as noncontextual ontological: every
     candidate is verified once at that kind.  On the exact backend the
-    vertex-program decision ends the search: an absence gives None, a
-    model at rank(c) is returned as it is, and a model above rank gives
+    vertex-program decision (``_Derived.decision``, shared by a caller that
+    passes its call's derived view) ends the search: an absence gives None,
+    a model at rank(c) is returned as it is, and a model above rank gives
     way to the first deterministic candidate at rank(c) that verifies
     (trivial padding, then ``equirank_simplex_model``), else is returned
     if its inner dimension is at most ``max_k`` (default rank + 3).  Only
@@ -393,28 +385,21 @@ def enmf(
     ``max_k`` as one search, so the restarts above rank share one
     zero-padded batch (see the module docstring) and the first verified
     model at the smallest k wins, as if each k ran on its own.
-    ``decision`` is a precomputed ``decide_enmf_existence`` result (None
-    after a guard), else computed here.
     """
     d = _derived(c)
     r = d.rank
     bound = max(max_k if max_k is not None else r + 3, r)
-    if d.c.backend.is_exact:
-        if decision is _DECIDE:
-            try:
-                decision = decide_enmf_existence(d)
-            except GuardExceeded:
-                decision = None
-        if isinstance(decision, AbsenceResult):
-            return None
-        if isinstance(decision, ExistenceResult):
-            if decision.model.inner_dim == r:
-                return decision.model
-            kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL
-            model = _first_verified(d, [_trivial_padded(d, r)], kind) or equirank_simplex_model(d)
-            if model is None and decision.model.inner_dim <= bound:
-                model = decision.model
-            return model
+    decision = d.decision
+    if isinstance(decision, AbsenceResult):
+        return None
+    if isinstance(decision, ExistenceResult):
+        if decision.model.inner_dim == r:
+            return decision.model
+        kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL
+        model = _first_verified(d, [_trivial_padded(d, r)], kind) or equirank_simplex_model(d)
+        if model is None and decision.model.inner_dim <= bound:
+            model = decision.model
+        return model
 
     # Most restart-decided matrices decide at k = rank, so the restarts
     # there run alone and the inner dimensions above share one batch.

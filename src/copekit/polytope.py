@@ -153,8 +153,8 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
 
 
 class _Derived:
-    """rank(c), the merged matrix C', its echelon form and Q of one matrix,
-    each built on first use.
+    """rank(c), the merged matrix C', its echelon form, Q and the
+    vertex-program decision of one matrix, each built on first use.
 
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
@@ -165,10 +165,11 @@ class _Derived:
     verifies shares one conversion of C.  ``reports`` maps the ``id`` of
     each model ``models._verified_model`` accepted to (model, report); the
     model is kept so its id is not reused, and rejected candidates are not
-    kept.  A guard hit while building Q is raised again on every ask.  For
-    the simplex routes of ``nmf`` and the decision on a simplex Q it also
-    holds the first rank-many independent rows I of C' (one elimination
-    of its pivot columns) and the merged columns restricted to I.
+    kept.  A guard hit while building Q is raised again on every ask; one
+    hit by the decision leaves ``decision`` None.  For the simplex routes
+    of ``nmf`` and the decision on a simplex Q it also holds the first
+    rank-many independent rows I of C' (one elimination of its pivot
+    columns) and the merged columns restricted to I.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -223,6 +224,17 @@ class _Derived:
         if isinstance(self._polytope, GuardExceeded):
             raise self._polytope
         return self._polytope
+
+    @cached_property
+    def decision(self):
+        """``decide_enmf_existence(self)``; None on the float backend, where it
+        is not called, and when a guard stopped it."""
+        from .enmf_decision import decide_enmf_existence
+
+        try:
+            return decide_enmf_existence(self) if self.c.backend.is_exact else None
+        except GuardExceeded:
+            return None
 
 
 def _derived(c) -> _Derived:

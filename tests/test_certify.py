@@ -40,6 +40,7 @@ from copekit import (
 from copekit.certify import Exists, NotExists
 from copekit.cope import PreconditionError
 from copekit.enmf_decision import decide_enmf_existence
+from copekit.polytope import _Derived
 
 from oracles import random_cope
 
@@ -287,9 +288,10 @@ def test_forcing_decides_boxworld_without_a_vertex_program(monkeypatch, boxworld
 
 
 def test_enmf_accepts_a_precomputed_decision(monkeypatch, spekkens_matrix):
-    decision = decide_enmf_existence(spekkens_matrix)
+    d = _Derived(spekkens_matrix)
+    d.decision = decide_enmf_existence(spekkens_matrix)
     calls = _count_lp_solves(monkeypatch)
-    model = enmf(spekkens_matrix, NmfOptions(), decision=decision)
+    model = enmf(d, NmfOptions())
     assert calls == []
     report = classify_model(spekkens_matrix, model)
     assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds
@@ -333,7 +335,8 @@ def test_simplex_model_at_rank_is_verified_once(monkeypatch):
         [[half, 1, half, half], [half, 0, half, half]],
     ]
     c = cope_matrix(blocks, backend=rational())
-    decision = decide_enmf_existence(c)
+    d = _Derived(c)
+    d.decision = decision = decide_enmf_existence(c)
     assert rank(c) == 3 and decision.model.inner_dim == 4
     models_mod = importlib.import_module("copekit.models")
     classify, checked = models_mod.classify_model, []
@@ -343,7 +346,7 @@ def test_simplex_model_at_rank_is_verified_once(monkeypatch):
         return classify(matrix, model)
 
     monkeypatch.setattr(models_mod, "classify_model", spy_classify)
-    model = enmf(c, NmfOptions(), decision=decision)
+    model = enmf(d, NmfOptions())
     assert model.inner_dim == 3 and model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
     assert [(m.effects, m.states) for m in checked] == [(model.effects, model.states)]
 
@@ -372,6 +375,31 @@ def test_certify_builds_q_and_rank_once_per_call(monkeypatch):
     assert (len(rays), len(ranks)) == (1, 1)
     certify(c)  # a second call of the same object redoes the work
     assert (len(rays), len(ranks)) == (2, 2)
+
+
+def test_the_decision_is_one_slot_of_the_call(monkeypatch, perfbench_corpus, rational_qubit_2):
+    # certify decides each exact instance that reaches the decision once,
+    # through _Derived.decision, which asks decide_enmf_existence itself.
+    decisions = _count_calls(monkeypatch, "copekit.enmf_decision", "decide_enmf_existence")
+    reached = 0
+    for inst in perfbench_corpus.build("exact-corpus"):
+        before = len(decisions)
+        decided = not isinstance(certify(inst.matrix).evidence, (VertexForcing, SpernerSeparation))
+        assert len(decisions) - before == decided
+        reached += decided
+    assert reached >= 3
+
+    # Float: None, and the decision is not asked.
+    before = len(decisions)
+    assert _Derived(discrete_qubit(cardinal_directions())).decision is None
+    assert len(decisions) == before
+
+    # A guard stops the decision: None here, while the exhaustive decision,
+    # which asks it directly, still raises.
+    monkeypatch.setattr(importlib.import_module("copekit.enmf_decision"), "_LP_VARIABLE_CAP", 0)
+    assert _Derived(rational_qubit_2).decision is None
+    with pytest.raises(GuardExceeded):
+        exhaustive_enmf_decision(rational_qubit_2, rank(rational_qubit_2))
 
 
 def test_certify_converts_the_rows_of_c_once(monkeypatch):

@@ -235,6 +235,21 @@ def test_eps_zero_is_rejected_not_replaced(tmp_path, capsysbinary):
     assert (code, err) == (2, message)
 
 
+def test_eps_applies_only_to_a_float_conversion(tmp_path, capsysbinary):
+    # --eps is read only when --backend float converts a rational document.
+    from copekit import discrete_qubit, generic_directions
+
+    spek, q3 = tmp_path / "s.json", tmp_path / "q3.json"
+    spek.write_bytes(emit_cope(spekkens()))
+    q3.write_bytes(emit_cope(discrete_qubit(generic_directions(3, seed=11))))
+    message = b"error: --eps applies only with --backend float on a rational document\n"
+    for argv in (["certify", str(spek)], ["certify", str(q3)], ["certify", str(q3), "--backend", "float"],
+                 ["info", str(spek)], ["validate", str(q3)], ["merge", str(spek), "--backend", "rational"]):
+        assert _run(capsysbinary, [*argv, "--eps", "0.4"]) == (2, b"", message)
+    code, out, _ = _run(capsysbinary, ["certify", str(spek), "--backend", "float", "--eps", "0.4"])
+    assert code == 10 and json.loads(out)["cope"]["eps"] == 0.4
+
+
 def test_snap_tol_zero_exits_2_without_traceback(tmp_path, capsysbinary):
     doc = tmp_path / "doc.json"
     doc.write_text(
