@@ -328,7 +328,11 @@ def _is_extremal(be: Backend, vectors: list, j: int) -> bool:
         bounds=(0, None),
         method="highs",
     )
-    return not res.success
+    if res.status not in (0, 2):  # 0: a convex combination exists; 2: none does
+        from .polytope import GuardExceeded
+
+        raise GuardExceeded(f"extremality LP stopped with HiGHS status {res.status}: {res.message}")
+    return res.status == 2
 
 
 def is_extremal_column(c: CopeMatrix, j: int) -> bool:

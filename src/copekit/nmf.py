@@ -8,8 +8,9 @@ followed by rational snapping and exact re-verification - plus a family
 of deterministic geometric routes for the equirank case: when the
 span-simplex polytope is itself a simplex, when the extremal columns
 already form one, when some subset of polytope vertices encloses every
-column, and (rank 3) the exact planar nested-triangle construction.  The
-routes only propose ``(effects, states)`` factor pairs.
+column, and (rank 3) the exact planar nested-triangle construction, whose
+plane (``_Derived.plane``, one per call) also gives the extremal columns
+with no LP.  The routes only propose ``(effects, states)`` factor pairs.
 ``search_candidates``, the one entry point of the search, verifies each
 pair once, at the model kind its caller needs (ontological for ``nmf``,
 noncontextual ontological for ``enmf``), and stops at the first that
@@ -39,7 +40,7 @@ from . import rational_linalg as rla
 from .cope import CopeMatrix
 from .enmf_decision import AbsenceResult, ExistenceResult, _model_from_simplex
 from .models import ModelFactorization, ModelKind, _verified_model
-from .polytope import GuardExceeded, _Derived, _derived, affine_chart
+from .polytope import GuardExceeded, _Derived, _derived
 
 if TYPE_CHECKING:
     import numpy as np
@@ -104,8 +105,9 @@ def _simplex_pairs(d: _Derived):
     and for rank 3 the exact planar decision.  Exact backend only; yields
     nothing on floats or when building Q hits a guard.
 
-    Only what could verify is built.  Columns are tested for extremality
-    while their count can still end at r.  A subset is skipped when, for
+    Only what could verify is built.  Rank 3 reads the extremal columns off
+    ``d.plane`` (``_plane_extremal``); other ranks test each by LP while
+    their count can still end at r.  A subset is skipped when, for
     some column p, fewer than two of its vertices lie on the face F of Q
     where p's zeros are, or none when F = {p}: as x >= 0, p's weight sits
     on F, and on two vertices or more unless p is one.  A skipped subset
@@ -124,10 +126,13 @@ def _simplex_pairs(d: _Derived):
         yield _model_from_simplex(d, vertices, vertices_at_rows)
 
     cols = list(dict.fromkeys(zip(*d.merged.stacked())))
-    extremal, be = [], d.c.backend
-    for j, col in enumerate(cols):
-        if len(extremal) <= r <= len(extremal) + len(cols) - j and cope_mod._is_extremal(be, cols, j):
-            extremal.append(col)
+    if r == 3:
+        extremal = _plane_extremal(d)
+    else:
+        extremal, be = [], d.c.backend
+        for j, col in enumerate(cols):
+            if len(extremal) <= r <= len(extremal) + len(cols) - j and cope_mod._is_extremal(be, cols, j):
+                extremal.append(col)
     if len(extremal) == r:
         yield _model_from_simplex(d, extremal, d.at_rows(extremal))
 
@@ -149,6 +154,16 @@ def _simplex_pairs(d: _Derived):
             yield _model_from_simplex(d, points, d.at_rows(points))
 
 
+def _plane_extremal(d: _Derived) -> list:
+    """Rank 3: the distinct merged columns, in column order, at a strict hull
+    vertex in ``d.plane``.  The chart is an affine bijection, so these are the
+    columns that are no convex combination of the other distinct ones."""
+    columns = list(zip(*d.merged.stacked()))
+    points = planar.triples(d.plane[1][: len(columns)])
+    hull = set(planar.convex_hull(points))
+    return list(dict.fromkeys(col for col, p in zip(columns, points) if p in hull))
+
+
 def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
     """Deterministic search for an equirank nonnegative factorization.
 
@@ -163,9 +178,8 @@ def equirank_simplex_model(c: CopeMatrix) -> Optional[ModelFactorization]:
 
 def _nested_triangle(d: _Derived):
     """Rank 3: ``(chart, triangle)``; the triangle nests between the column
-    polygon and Q's polygon, in plane coordinates, and is None if none does."""
-    chart = affine_chart(d.polytope)
-    points = chart.to_plane([*zip(*d.merged.stacked()), *d.polytope.vertices])
+    polygon and Q's polygon, in ``d.plane``'s coordinates, or is None."""
+    chart, points = d.plane
     n = d.merged.n_preparations
     return chart, planar.nested_triangle(points[:n], points[n:])
 

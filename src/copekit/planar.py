@@ -53,6 +53,12 @@ def _rational(points) -> tuple:
     return tuple((Fraction(x, w), Fraction(y, w)) for x, y, w in points)
 
 
+def triples(points: Sequence[tuple]) -> list[Point]:
+    """(x, y) pairs of ``Fraction`` (or ``int``) as triples over one W, their denominators' lcm."""
+    w = lcm(*{v.denominator for p in points for v in p})
+    return [(x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w) for x, y in points]
+
+
 def convex_hull(points: Sequence[Point]) -> list[Point]:
     """Strict convex hull of points sharing one W, counterclockwise, no collinear interior vertices."""
     pts = sorted(set(points))
@@ -130,12 +136,8 @@ def nested_triangle(inner: Sequence[tuple], outer: Sequence[tuple]) -> Optional[
     and the inner hull must lie inside the outer one.  Points are (x, y)
     pairs of ``Fraction`` (or ``int``), and so are the triangle's corners.
     """
-    w = lcm(*{v.denominator for p in (*inner, *outer) for v in p})
-    p_hull, q_hull = (
-        convex_hull([(x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w)
-                     for x, y in pts])
-        for pts in (inner, outer)
-    )
+    points = triples([*inner, *outer])
+    p_hull, q_hull = convex_hull(points[: len(inner)]), convex_hull(points[len(inner) :])
     if len(p_hull) < 3 or len(q_hull) < 3:
         raise ValueError("nested_triangle expects full-dimensional polygons")
     if len(p_hull) == 3:

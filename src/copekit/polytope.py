@@ -169,7 +169,7 @@ class _Derived:
     hit by the decision leaves ``decision`` None.  For the simplex routes
     of ``nmf`` and the decision on a simplex Q it also holds the first
     rank-many independent rows I of C' (one elimination of its pivot
-    columns) and the merged columns restricted to I.
+    columns) and the merged columns restricted to I; at rank 3, ``plane``.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -226,6 +226,12 @@ class _Derived:
         return self._polytope
 
     @cached_property
+    def plane(self) -> tuple:
+        """Rank 3: Q's affine chart and the plane points of the merged columns, then of Q's vertices."""
+        chart = affine_chart(self.polytope)
+        return chart, chart.to_plane([*zip(*self.merged.stacked()), *self.polytope.vertices])
+
+    @cached_property
     def decision(self):
         """``decide_enmf_existence(self)``; None on the float backend, where it
         is not called, and when a guard stopped it."""
@@ -261,10 +267,7 @@ class AffineChart:
         return len(self.dirs)
 
     def to_ambient(self, coords) -> tuple:
-        t = list(self.t0)
-        for alpha, d in zip(coords, self.dirs):
-            for i in range(len(t)):
-                t[i] += alpha * d[i]
+        t = [t0i + sum(alpha * d[i] for alpha, d in zip(coords, self.dirs)) for i, t0i in enumerate(self.t0)]
         return tuple(rla.mat_vec([list(row) for row in self.basis], t))
 
     def to_plane(self, points) -> list[tuple]:
@@ -281,14 +284,8 @@ class AffineChart:
 
 def affine_chart(poly: SpanSimplexPolytope) -> AffineChart:
     """Build rational affine coordinates on the span of the polytope."""
-    basis = [list(row) for row in poly.basis]
-    sigma = [sum(basis[i][j] for i in range(len(basis))) for j in range(len(basis[0]))]
+    sigma = [sum(col) for col in zip(*poly.basis)]
     t0 = rla.solve_consistent([sigma], [Fraction(1)])
     if t0 is None:
         raise ValueError("degenerate span: no unit-sum parameter vector")
-    dirs = rla.nullspace([sigma])
-    return AffineChart(
-        basis=tuple(tuple(row) for row in basis),
-        t0=tuple(t0),
-        dirs=tuple(tuple(d) for d in dirs),
-    )
+    return AffineChart(tuple(map(tuple, poly.basis)), tuple(t0), tuple(map(tuple, rla.nullspace([sigma]))))

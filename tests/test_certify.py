@@ -495,8 +495,9 @@ def _exact_corpus(corpus, name):
     # Rank 4, 8 vertices of Q, 6 distinct columns: 8 of the 70 four-vertex
     # subsets can hold every column, and the extremal count stops at 5 > 4.
     ("rational_qubit_3", 8, 5),
-    # Rank 3, 4 vertices of Q: no three of them can hold every column.
-    ("rational_qubit_2", 0, 4),
+    # Rank 3, 4 vertices of Q: no three of them can hold every column, and
+    # the extremal columns are read off the plane's hull, with no LP.
+    ("rational_qubit_2", 0, 0),
 ])
 def test_rank_r_search_builds_only_what_could_verify(name, subsets, extremal_lps, monkeypatch,
                                                       perfbench_corpus):
@@ -505,6 +506,22 @@ def test_rank_r_search_builds_only_what_could_verify(name, subsets, extremal_lps
     lps = _count_calls(monkeypatch, "copekit.cope", "_is_extremal")
     assert certify(c).verdict == NONCONTEXTUAL
     assert (len(inverses), len(lps)) == (subsets, extremal_lps)
+
+
+def test_rank_3_builds_one_plane_per_call(monkeypatch, perfbench_corpus):
+    # The extremal columns and the nested triangle (in certify's search and
+    # in the exhaustive decision's rank-3 window) read one chart of Q.
+    c = _exact_corpus(perfbench_corpus, "rational_qubit_2")
+    charts = _count_calls(monkeypatch, "copekit.polytope", "affine_chart")
+    assert certify(c).verdict == NONCONTEXTUAL
+    assert len(charts) == 1
+    decision = exhaustive_enmf_decision(c, 3)
+    assert isinstance(decision, NotExists) and not decision.all_k
+    assert len(charts) == 2
+    # A simplex Q yields its model before the extremal step: no chart.
+    simplex_q = cope_matrix([[[1, 0, 0, H], [0, 1, 0, H], [0, 0, 1, 0]]], backend=rational())
+    assert isinstance(exhaustive_enmf_decision(simplex_q, 3), Exists)
+    assert len(charts) == 2
 
 
 def test_forcing_gate_leaves_q_unbuilt_when_sperner_decides(monkeypatch, perfbench_corpus):

@@ -379,3 +379,21 @@ def test_commands_refuse_the_flags_they_never_read(tmp_path, capsysbinary):
     assert _run(capsysbinary, argv) == (2, b"", b"error: --seed does not apply with --cardinal\n")
     for flags in (["--seed", "3"], ["--eps", "1e-6"], ["--cardinal", "--eps", "1e-6"]):
         assert _run(capsysbinary, ["generate", "--theory", "qubit", *flags])[0] == 0
+
+
+def test_quotient_exits_3_when_the_extremality_lp_stalls(tmp_path, capsysbinary, monkeypatch):
+    # HiGHS status 4 (numerical difficulties) decides no column: the float
+    # quotient stops at the guard, with no traceback, and keeps no column
+    # it could not decide.
+    import types
+
+    import scipy.optimize
+
+    spek = tmp_path / "s.json"
+    _run(capsysbinary, ["generate", "--theory", "spekkens", "--output", str(spek)])
+    stalled = types.SimpleNamespace(status=4, success=False, message="numerical difficulties")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: stalled)
+    code, out, err = _run(capsysbinary, ["quotient", str(spek), "--backend", "float"])
+    assert (code, out) == (3, b"")
+    assert err.startswith(b"guard exceeded: extremality LP stopped with HiGHS status 4")
+    assert b"Traceback" not in err

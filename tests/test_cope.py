@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 from copekit import (
     FragmentRestriction,
+    GuardExceeded,
     PreconditionError,
     cope_matrix,
     distinct_columns,
@@ -238,6 +240,23 @@ def test_single_column_is_extremal():
 def test_duplicate_columns_stay_extremal():
     c = cope_matrix([[[1, 1, 0], [0, 0, 1]]])
     assert is_extremal_column(c, 0) and is_extremal_column(c, 1)
+
+
+@pytest.mark.parametrize("status, extremal", [(0, False), (2, True), (1, None), (4, None)])
+def test_float_extremality_reads_the_lp_status(status, extremal, monkeypatch):
+    # HiGHS: 0 solved (a convex combination exists), 2 infeasible (none
+    # does); an iteration limit (1) or numerical difficulties (4) decide
+    # nothing, so they raise instead of reading as extremal.
+    import scipy.optimize
+
+    result = SimpleNamespace(status=status, success=status == 0, message=f"status {status}")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: result)
+    c = cope_matrix([[[1, 0, H], [0, 1, H]]], backend=floating())
+    if extremal is None:
+        with pytest.raises(GuardExceeded, match=f"status {status}"):
+            is_extremal_column(c, 2)
+    else:
+        assert is_extremal_column(c, 2) is extremal
 
 
 def test_extremal_rows(boxworld_matrix):

@@ -5,7 +5,7 @@ from math import lcm
 import pytest
 
 from copekit.planar import _chord_end, convex_hull, nested_triangle, point_in_hull
-from copekit.polytope import _Derived, affine_chart
+from copekit.polytope import _Derived
 
 import oracles
 from oracles import random_cope, reference_convex_hull, reference_nested_triangle
@@ -176,7 +176,7 @@ def _rank_3_charts(rng, draws):
         d = _Derived(random_cope(rng))
         if d.rank == 3:
             n = d.merged.n_preparations
-            points = affine_chart(d.polytope).to_plane([*zip(*d.merged.stacked()), *d.polytope.vertices])
+            points = d.plane[1]
             yield points[:n], points[n:]
 
 

@@ -41,12 +41,13 @@ from copekit import (
     rank,
     validate,
 )
+from copekit import cope as cope_mod
 from copekit import rational_linalg as rla
 from copekit.backend import floating, rational
 from copekit.certify import Exists, NotExists, vertex_forcing_certificate
 from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from copekit.nmf import _simplex_pairs, equirank_simplex_model
+from copekit.nmf import _plane_extremal, _simplex_pairs, equirank_simplex_model
 from copekit.polytope import _Derived
 from copekit.sperner import _max_unique_zero, _zero_pattern
 
@@ -61,6 +62,7 @@ from oracles import (
 CASES = 1000
 FACE_DRAWS = 200
 ZERO_PATTERNS = 400
+PLANE_DRAWS = 200
 
 
 def _invertible_choices(model, cap=6):
@@ -272,6 +274,45 @@ def test_pruned_rank_r_search_is_the_reference_search(face_draws, monkeypatch):
     for module in ("copekit.nmf", "copekit.certify"):
         monkeypatch.setattr(importlib.import_module(module), "_simplex_pairs", reference_simplex_pairs)
     assert pruned == [outputs(d.c) for d in face_draws]
+
+
+def _from_columns(columns, block_sizes):
+    rows = list(zip(*columns))
+    starts = [sum(block_sizes[:b]) for b in range(len(block_sizes))]
+    return cope_matrix([rows[s : s + size] for s, size in zip(starts, block_sizes)], backend=rational())
+
+
+def test_plane_hull_reads_the_extremal_columns():
+    # At rank 3 the extremal columns are read off the strict hull of their
+    # points in Q's chart, an affine bijection of Q's plane: they must be the
+    # columns for which the LP finds no convex combination of the others.
+    half, third = Fraction(1, 2), Fraction(1, 3)
+    e1, e2, e3 = (1, 0, 0), (0, 1, 0), (0, 0, 1)
+    a, b = Fraction(37, 42), Fraction(5, 42)
+    qubit = [(1, 0, a, b), (0, 1, b, a), (a, b, 1, 0), (b, a, 0, 1)]
+    mid = [tuple((x + y) / 2 for x, y in zip(qubit[0], q)) for q in qubit[1:3]]
+    # A column on an edge, an interior one and a duplicate, on a simplex Q
+    # and on the 2-pair qubit's square, whose 0-2 side is an edge and 0-1
+    # side a diagonal.
+    crafted = [
+        (_Derived(_from_columns([e1, e2, e3, (half, half, 0), (third, third, third), e1], [3])), 3),
+        (_Derived(_from_columns([*qubit, mid[1], mid[0], qubit[3]], [2, 2])), 4),
+    ]
+    rng = random.Random(2026)
+    draws = []
+    while len(draws) < PLANE_DRAWS:
+        d = _Derived(random_cope(rng))
+        if d.rank == 3:
+            draws.append((d, None))
+    dropped = 0
+    for case, (d, n_extremal) in enumerate(crafted + draws):
+        assert d.rank == 3, case
+        cols = list(dict.fromkeys(zip(*d.merged.stacked())))
+        expected = [col for j, col in enumerate(cols) if cope_mod._is_extremal(d.c.backend, cols, j)]
+        assert _plane_extremal(d) == expected, case
+        assert n_extremal in (None, len(expected)), case
+        dropped += len(expected) < len(cols)
+    assert dropped >= 50
 
 
 def test_sperner_search_is_the_reference_search(exact_pool_matrices):
