@@ -2,7 +2,7 @@
 
 Documents go to stdout (or ``--output``); diagnostics go to stderr.  When
 no input path is given, commands read stdin, so generation and analysis
-compose: ``copekit generate --theory boxworld | copekit certify``.
+compose: ``copekit generate --theory boxworld | copekit certify | copekit check``.
 
 Exit codes: 0 success / noncontextual, 10 contextual, 20 undetermined,
 2 usage or document errors, 3 computation guard exceeded, 1 internal
@@ -170,6 +170,9 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     _add_search(p)
 
+    p = sub.add_parser("check", help="re-derive a certificate; exit with its verdict's code")
+    p.add_argument("input", nargs="?", default=None, help="certificate document (default: stdin)")
+
     p = sub.add_parser("generate", help="emit a built-in theory")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
     p.add_argument(
@@ -303,6 +306,11 @@ def _cmd_certify(args) -> int:
     return _VERDICT_EXIT[cert.verdict]
 
 
+def _cmd_check(args) -> int:
+    cert, _ = jsonio.parse_certificate(_read_input(args.input))
+    return _VERDICT_EXIT[cert.verdict]
+
+
 def _cmd_generate(args) -> int:
     # A flag the theory would not read is refused, as factorize does for kinds.
     for flag, given in (("--directions", args.directions is not None), ("--seed", args.seed is not None),
@@ -343,6 +351,7 @@ _COMMANDS = {
     "factorize": _cmd_factorize,
     "verify": _cmd_verify,
     "certify": _cmd_certify,
+    "check": _cmd_check,
     "generate": _cmd_generate,
 }
 

@@ -76,18 +76,16 @@ class CopeMatrix:
 
     def row(self, i: int) -> list:
         """Row by global (stacked) index."""
-        for block in self.blocks:
-            if i < len(block):
-                return list(block[i])
-            i -= len(block)
-        raise IndexError("row index out of range")
+        b, i = self.block_of_row(i)
+        return list(self.blocks[b][i])
 
     def block_of_row(self, i: int) -> tuple:
-        """(block index, row-within-block) for a global row index."""
-        for b, block in enumerate(self.blocks):
-            if i < len(block):
-                return b, i
-            i -= len(block)
+        """(block index, row-within-block) for a global row index, 0 <= i < n_rows."""
+        if i >= 0:
+            for b, block in enumerate(self.blocks):
+                if i < len(block):
+                    return b, i
+                i -= len(block)
         raise IndexError("row index out of range")
 
     def as_array(self) -> np.ndarray:

@@ -23,9 +23,11 @@ factor a row carries stays below 2**_REDUCE_BITS.  A positive scaling keeps
 the sign of every entry and every ratio of two, so whichever updates are
 reduced, each routine makes the pivots, and returns the Fractions, of
 elimination on Fraction entries.
-The simplex checks both of its answers exactly, on the caller's rows,
-before returning them.  Rows reach these routines as lists, and only their
-nonzeros are converted; an all-``int`` row is taken as it is.  ``_integer_inverse`` gives the kernel's inverse as
+Rows reach these routines as lists, and only their nonzeros are converted;
+an all-``int`` row is taken as it is.  The simplex converts each given row
+once and checks both answers exactly: a Farkas vector on those rows, a
+primal point on the caller's rows, read apart from the conversion so that a
+fault there is caught.  ``_integer_inverse`` gives the kernel's inverse as
 ``int`` numerators over one denominator, for the double description's start
 and the candidate simplices of ``nmf``; ``invert`` turns it into Fractions.
 """
@@ -283,19 +285,30 @@ def invert(a: Matrix) -> Optional[Matrix]:
     return [[Fraction(v, d) for v in row] for row in nums]
 
 
-def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
+def _integer_rows(a_eq: Matrix, b_eq: Sequence) -> list:
+    """Each row of [a_eq | b_eq] as (support, numerators, denominator): the
+    columns of its nonzeros, and ``_integer_row`` of those entries followed
+    by the right-hand side, even when zero."""
+    supports = [[j for j, v in enumerate(values) if v] for values in a_eq]
+    return [(s, *_integer_row([values[j] for j in s] + [bv])) for s, values, bv in zip(supports, a_eq, b_eq)]
+
+
+def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row, rows: Optional[list] = None) -> None:
     """Exactly verify y^T a_eq <= 0 and y^T b_eq > 0; raise AssertionError otherwise.
 
-    Works on integer rows scaled by positive factors, which keeps every
-    sign, and touches only the nonzeros of the rows with a nonzero weight.
+    Reads [a_eq | b_eq] as ``_integer_rows`` converts it: ``lp_feasibility``
+    passes the ``rows`` it converted for its tableau.  y may hold ``int`` or
+    ``Fraction``.  The weighted rows are scaled by positive factors to one
+    denominator, which keeps every sign, and only their nonzeros are read.
     """
-    weighted = [(_sparse_row(list(a_eq[i]) + [b_eq[i]]), yv) for i, yv in enumerate(y) if yv]
-    scale = lcm(*(den * yv.denominator for (_, den), yv in weighted))
+    weighted = [(row, yv) for row, yv in zip(rows or _integer_rows(a_eq, b_eq), y) if yv]
+    scale = lcm(*(den * yv.denominator for (_, _, den), yv in weighted))
     sums = [0] * (len(a_eq[0]) + 1)
-    for (row, den), yv in weighted:
+    for (support, values, den), yv in weighted:
         w = yv.numerator * (scale // (den * yv.denominator))
-        for j, v in row.items():
+        for j, v in zip(support, values):
             sums[j] += w * v
+        sums[-1] += w * values[-1]
     if any(s > 0 for s in sums[:-1]):
         raise AssertionError("invalid Farkas certificate (column test)")
     if sums[-1] <= 0:
@@ -305,10 +318,11 @@ def _check_farkas(a_eq: Matrix, b_eq: Sequence, y: Row) -> None:
 def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
     """Exactly verify x >= 0 and a_eq x = b_eq; raise AssertionError otherwise.
 
-    Works in integers over the support of x, with x over one denominator;
-    it converts the rows itself, independently of the kernel's ``_integer_row``.
-    ``int`` and ``Fraction`` entries are read through their numerator and
-    denominator; any other entry (a float, say) is first made a Fraction.
+    Works in integers over the support of x, with x over one denominator and
+    a running denominator per row.  It reads the rows itself, not through the
+    kernel's ``_integer_row``, so a fault there cannot pass.  ``int`` and
+    ``Fraction`` entries are read through their numerator and denominator;
+    any other entry (a float, say) is first made a Fraction.
     """
     def exact(v):
         return v if type(v) in (int, Fraction) else Fraction(v)
@@ -319,9 +333,14 @@ def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
     x_den = lcm(*(v.denominator for _, v in support))
     x_num = [(j, v.numerator * (x_den // v.denominator)) for j, v in support]
     for row, bv in zip(a_eq, b_eq):
-        terms = [(exact(row[j]), xv) for j, xv in x_num if row[j]]
-        den = lcm(*(a.denominator for a, _ in terms))
-        total = sum(a.numerator * (den // a.denominator) * xv for a, xv in terms)
+        total, den = 0, 1
+        for j, xv in x_num:
+            if a := row[j]:
+                a = a if type(a) in (int, Fraction) else Fraction(a)
+                if den % a.denominator:
+                    grow = a.denominator // gcd(den, a.denominator)
+                    total, den = total * grow, den * grow
+                total += a.numerator * (den // a.denominator) * xv
         bv = exact(bv)
         # a_eq x = total / (den x_den) must equal bv.
         if total * bv.denominator != bv.numerator * den * x_den:
@@ -331,45 +350,38 @@ def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
 def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optional[Row]]:
     """Exact feasibility of {x >= 0 : a_eq x = b_eq} with dual certificate.
 
-    Phase-1 simplex with Bland's rule (guaranteed termination).  Each
-    tableau row is a kernel row: its nonzero ``int`` numerators over its
-    own positive denominator, and only the rows with a nonzero in the
-    entering column are updated.  The pivot row is divided by its pivot
-    entry and reduced by the gcd; any other row only once its denominator
-    outgrows ``_REDUCE_BITS`` bits (see ``_eliminate``).  Scaling a row by a
-    positive factor changes neither the sign of an entry nor a ratio of two
-    entries of it, and the ratio test compares ratios within rows and the
-    entering column reads signs, so Bland's choices, the pivot sequence and
-    the answer are exactly those of the textbook all-``Fraction`` tableau.
-    Returns (x, None) on feasibility and (None, y) on infeasibility, where y
-    is a Farkas vector: y^T a_eq <= 0 componentwise and y^T b_eq > 0.  Both
-    answers are verified exactly before they are returned.
+    Phase-1 simplex with Bland's rule (guaranteed termination).  The given
+    rows are converted once (``_integer_rows``) and kept.  Each tableau row
+    is a kernel row, and each pivot makes one pass over the rows: it runs
+    the ratio test and collects the rows with a nonzero in the entering
+    column, the only ones updated.  The pivot row is divided by its pivot
+    entry and reduced; any other row only past ``_REDUCE_BITS`` (see
+    ``_eliminate``).  Positive scaling keeps each sign and each ratio within
+    a row, which are all the ratio test and the entering column read, so
+    Bland's choices, the pivots and the answer are exactly those of the
+    textbook all-``Fraction`` tableau.  Returns (x, None) on feasibility and
+    (None, y) on infeasibility, where y is a Farkas vector: y^T a_eq <= 0
+    componentwise and y^T b_eq > 0.  Both are verified exactly before they
+    are returned: y, as integers over the cost row's denominator, on the
+    kept rows, and x by ``_check_primal`` on the caller's.
     """
     m = len(a_eq)
     if m == 0:
         return [], None
     n = len(a_eq[0])
     total = n + m
+    kept = _integer_rows(a_eq, b_eq)
     # Tableau columns: n structural + m artificial + the rhs at ``total``.
-    # Rows are normalized so the right-hand side is nonnegative.
+    # Rows are normalized so the right-hand side is nonnegative; each is in
+    # lowest terms, as reduced Fractions over the lcm of their denominators.
+    signs = [-1 if values[-1] < 0 else 1 for _, values, _ in kept]
+    dens = [den for _, _, den in kept]
     rows: list[dict] = []
-    dens: list[int] = []
-    flipped = []
-    for i, (row_values, bv) in enumerate(zip(a_eq, b_eq)):
-        # As ``_sparse_row``, but the right-hand side is converted even when zero.
-        support = [j for j, v in enumerate(row_values) if v]
-        values, den = _integer_row([row_values[j] for j in support] + [bv])
-        rhs = values.pop()
-        flip = rhs < 0
-        sign = -1 if flip else 1
-        flipped.append(flip)
-        row = {j: sign * v for j, v in zip(support, values)}
+    for i, ((support, values, den), sign) in enumerate(zip(kept, signs)):
+        rows.append(row := {j: sign * v for j, v in zip(support, values)})
         row[n + i] = den
-        if rhs:
-            row[total] = sign * rhs
-        row, den = _reduced(row, den)
-        rows.append(row)
-        dens.append(den)
+        if values[-1]:
+            row[total] = sign * values[-1]
     basis = [n + i for i in range(m)]
     # Phase-1 objective: minimize the sum of artificials.  Reduced-cost row
     # over one denominator: minus the column sums, plus one per artificial.
@@ -387,36 +399,34 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
         enter = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
         if enter is None:
             break
-        # Ratio test rhs_i / a_i,enter; the row denominator cancels, and
-        # ratios are compared by cross-multiplication.
-        leave = None
+        # One pass: the rows to update, and the ratio test rhs_i / a_i,enter by
+        # cross-multiplication (the row denominator cancels), ties by Bland.
+        hits, leave = [], None
         for i, row in enumerate(rows):
-            a = row.get(enter, 0)
-            if a > 0:
-                if leave is None:
-                    leave = i
-                    continue
-                lhs = row.get(total, 0) * rows[leave][enter]
-                rhs = rows[leave].get(total, 0) * a
-                if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
-                    leave = i
+            if a := row.get(enter):
+                hits.append(i)
+                if a > 0:
+                    b = row.get(total, 0)
+                    if leave is None or b * leave_a < leave_b * a or (
+                            b * leave_a == leave_b * a and basis[i] < basis[leave]):
+                        leave, leave_a, leave_b = i, a, b
         if leave is None:
             raise AssertionError("phase-1 objective is bounded below; no unbounded pivot")
         pivot_row = rows[leave]
-        for i, row in enumerate(rows):
-            if i != leave and enter in row:
-                rows[i], dens[i] = _eliminate(row, dens[i], pivot_row, enter)
+        for i in hits:
+            if i != leave:
+                rows[i], dens[i] = _eliminate(rows[i], dens[i], pivot_row, enter)
         cost, cost_den = _eliminate(cost, cost_den, pivot_row, enter)
         # The pivot row divided by its (positive) pivot entry.
-        rows[leave], dens[leave] = _reduced(pivot_row, pivot_row[enter])
+        rows[leave], dens[leave] = _reduced(pivot_row, leave_a)
         basis[leave] = enter
 
     if cost.get(total):
-        # Duals from the artificial reduced costs: cost[n+i] = 1 - y_i.
-        y = [(-1 if flip else 1) * (1 - Fraction(cost.get(n + i, 0), cost_den))
-             for i, flip in enumerate(flipped)]
-        _check_farkas(a_eq, b_eq, y)
-        return None, y
+        # Duals from the artificial reduced costs, cost[n+i] = D (1 - s_i y_i)
+        # over D = cost_den: y_i = s_i (D - cost[n+i]) / D, checked times D.
+        y = [sign * (cost_den - cost.get(n + i, 0)) for i, sign in enumerate(signs)]
+        _check_farkas(a_eq, b_eq, y, kept)
+        return None, [Fraction(v, cost_den) for v in y]
     x = [F0] * n
     for i, var in enumerate(basis):
         if var < n:

@@ -348,6 +348,36 @@ def test_generate_refuses_the_qubit_flags_on_other_theories(capsysbinary):
         assert _run(capsysbinary, ["generate", "--theory", "qubit", *flags])[0] == 0
 
 
+def test_check_exits_with_the_verdict_of_the_certificate(tmp_path, capsysbinary, monkeypatch):
+    # check re-derives a certificate through parse_certificate and exits
+    # with its verdict's code, silently, from a path or from stdin.
+    doc, cert = tmp_path / "doc.json", tmp_path / "cert.json"
+    cases = {"spekkens": 0, "boxworld": 10, "extended-boxworld": 10, "qubit --cardinal": 20}
+    for theory, expected in cases.items():
+        assert _run(capsysbinary, ["generate", "--theory", *theory.split(), "--output", str(doc)])[0] == 0
+        assert _run(capsysbinary, ["certify", str(doc), "--output", str(cert)])[0] == expected
+        assert _run(capsysbinary, ["check", str(cert)]) == (expected, b"", b""), theory
+    assert _run(capsysbinary, ["check"], stdin_bytes=cert.read_bytes(), monkeypatch=monkeypatch) == (20, b"", b"")
+
+
+def test_check_exits_2_on_a_document_that_does_not_load(tmp_path, capsysbinary):
+    # A malformed document, a matrix document and a certificate whose
+    # verdict its evidence does not give: exit 2, no traceback.
+    doc, cert = tmp_path / "doc.json", tmp_path / "cert.json"
+    assert _run(capsysbinary, ["generate", "--theory", "boxworld", "--output", str(doc)])[0] == 0
+    assert _run(capsysbinary, ["certify", str(doc), "--output", str(cert)])[0] == 10
+    forged = json.loads(cert.read_bytes())
+    forged["verdict"] = "Noncontextual"
+    malformed = tmp_path / "malformed.json"
+    malformed.write_bytes(b'{"type": "certificate", ')
+    forged_path = tmp_path / "forged.json"
+    forged_path.write_text(json.dumps(forged))
+    for path, field in ((malformed, None), (doc, "cope"), (forged_path, "verdict")):
+        code, out, err = _run(capsysbinary, ["check", str(path)])
+        assert (code, out) == (2, b"") and err.startswith(b"error: ") and b"Traceback" not in err, path
+        assert field is None or f"(field: {field})".encode() in err, err
+
+
 def test_commands_refuse_the_flags_they_never_read(tmp_path, capsysbinary):
     # Only factorize and certify run the factorization search, so only they
     # take its flags; generate reads no document, so it takes no --backend.
@@ -356,19 +386,26 @@ def test_commands_refuse_the_flags_they_never_read(tmp_path, capsysbinary):
     doc.write_bytes(emit_cope(spekkens()))
     model = tmp_path / "model.json"
     assert _run(capsysbinary, ["factorize", str(doc), "--kind", "gpt", "--output", str(model)])[0] == 0
+    cert = tmp_path / "cert.json"
+    assert _run(capsysbinary, ["certify", str(doc), "--output", str(cert)])[0] == 0
     commands = {
         "info": [], "validate": [], "quotient": [], "merge": [], "verify": ["--model", str(model)],
-        "restrict": ["--keep-preps", "0,1", "--keep-measurements", "0"],
+        "restrict": ["--keep-preps", "0,1", "--keep-measurements", "0"], "check": [],
     }
     search = (["--seed", "3"], ["--restarts", "0"], ["--iterations", "0"], ["--snap-tol", "0"], ["--max-k", "0"])
     for command, required in commands.items():
-        assert _run(capsysbinary, [command, str(doc), *required])[0] == 0
+        source = str(cert if command == "check" else doc)
+        assert _run(capsysbinary, [command, source, *required])[0] == 0
         for flag in search:
-            code, out, err = _run(capsysbinary, [command, str(doc), *required, *flag])
+            code, out, err = _run(capsysbinary, [command, source, *required, *flag])
             assert (code, out) == (2, b"") and b"unrecognized arguments: " + flag[0].encode() in err
             assert b"Traceback" not in err
     code, out, err = _run(capsysbinary, ["generate", "--theory", "spekkens", "--backend", "float"])
     assert (code, out) == (2, b"") and b"unrecognized arguments: --backend float" in err
+    # check reads no matrix and writes no document.
+    for flag in (["--backend", "float"], ["--eps", "0.5"], ["--output", str(tmp_path / "out.json")]):
+        code, out, err = _run(capsysbinary, ["check", str(cert), *flag])
+        assert (code, out) == (2, b"") and b"unrecognized arguments: " + " ".join(flag).encode() in err
     # generate reads --seed and --eps only for the qubit, and --seed not
     # with --cardinal.
     for theory in ("spekkens", "boxworld", "extended-boxworld"):

@@ -89,6 +89,19 @@ def test_constructor_rejects_ragged_shapes():
 # --- rank -------------------------------------------------------------------
 
 
+def test_row_and_block_of_row_read_global_indices_across_blocks():
+    c = cope_matrix([[[1, 0, H], [0, 1, H]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]], backend=rational())
+    expected = [(0, 0, [1, 0, H]), (0, 1, [0, 1, H]), (1, 0, [1, 0, 0]), (1, 1, [0, 1, 0]), (1, 2, [0, 0, 1])]
+    for i, (block, within, row) in enumerate(expected):
+        assert c.block_of_row(i) == (block, within)
+        assert c.row(i) == row == c.stacked()[i]
+    # Past the end, and any negative index, which names no stacked row.
+    for method in (c.row, c.block_of_row):
+        for i in (c.n_rows, -1):
+            with pytest.raises(IndexError, match="row index out of range"):
+                method(i)
+
+
 def test_rank_examples(spekkens_matrix, boxworld_matrix):
     assert rank(spekkens_matrix) == 4
     assert rank(boxworld_matrix) == 3

@@ -11,7 +11,9 @@ draws, checks that the exact work certify skips could not have changed an
 answer: every vertex of Q has rank - 1 zeros or more, the forcing gate
 agrees with ungated forcing, and the pruned rank-r search proposes the
 reference search's pairs.  The pruned Sperner search returns the witness of
-the unpruned one on the pools' zero patterns and on seeded ones.
+the unpruned one on the pools' zero patterns and on seeded ones.  On the
+same pools and draws, the contextual tiers fire only where the decision
+finds no model, and certify's verdict is the decision's.
 """
 
 import importlib
@@ -49,7 +51,7 @@ from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from copekit.nmf import _plane_extremal, _simplex_pairs, equirank_simplex_model
 from copekit.polytope import _Derived
-from copekit.sperner import _max_unique_zero, _zero_pattern
+from copekit.sperner import _max_unique_zero, _zero_pattern, sperner_submatrix
 
 from oracles import (
     random_cope,
@@ -333,6 +335,34 @@ def test_sperner_search_is_the_reference_search(exact_pool_matrices):
         above_12 += len(zero) + len(zero[0]) > 12
         large += len(expected) >= 4
     assert above_12 >= 100 and large >= 50
+
+
+# --- verdicts that agree across tiers -----------------------------------------
+
+
+def test_contextual_tiers_imply_an_absence_and_certify_gives_the_decision(face_draws):
+    # Forcing and a Sperner span bound above the rank are sound, so wherever
+    # either fires the complete decision finds no model.  Every decided model
+    # re-verifies as equirank noncontextual, and certify's verdict is the
+    # decision's wherever no guard stopped the decision.
+    fired = models = absences = 0
+    for case, d in enumerate(face_draws):
+        decision = d.decision
+        if decision is None:
+            continue
+        witness = sperner_submatrix(d.c)
+        if vertex_forcing_certificate(d) is not None or (witness and witness.factor_span_lower_bound > d.rank):
+            assert isinstance(decision, AbsenceResult), case
+            fired += 1
+        if isinstance(decision, ExistenceResult):
+            report = classify_model(d.c, decision.model)
+            assert ModelKind.NONCONTEXTUAL_ONTOLOGICAL in report.inferred_kinds, case
+            models += 1
+        else:
+            absences += 1
+        expected = "Noncontextual" if isinstance(decision, ExistenceResult) else "Contextual"
+        assert certify(d.c).verdict == expected, case
+    assert fired >= 5 and models >= 300 and absences >= 20
 
 
 # --- hypothesis strategies ----------------------------------------------------

@@ -364,6 +364,35 @@ def test_lp_feasibility_is_identical_on_vertex_programs(theory):
     assert rla.lp_feasibility(a, b) == reference_lp_feasibility(a, b)
 
 
+@pytest.mark.parametrize("theory, feasible", [(boxworld, False), (spekkens, True)])
+def test_lp_feasibility_converts_each_row_once(theory, feasible, monkeypatch):
+    # The kernel and the Farkas check share one conversion per row; the
+    # primal check reads the rows on its own and converts none.
+    merged = merge_measurements(theory())
+    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    calls = {"all": 0, "primal": 0}
+    in_primal = []
+    integer_row, check_primal = rla._integer_row, rla._check_primal
+
+    def counting_integer_row(values):
+        calls["all"] += 1
+        calls["primal"] += bool(in_primal)
+        return integer_row(values)
+
+    def flagged_check_primal(*args):
+        in_primal.append(True)
+        try:
+            return check_primal(*args)
+        finally:
+            in_primal.pop()
+
+    monkeypatch.setattr(rla, "_integer_row", counting_integer_row)
+    monkeypatch.setattr(rla, "_check_primal", flagged_check_primal)
+    x, y = rla.lp_feasibility(a, b)
+    assert (x is not None, y is None) == (feasible, feasible)
+    assert calls == {"all": len(a), "primal": 0}
+
+
 def test_primal_check_rejects_a_corrupted_solution(monkeypatch):
     a = [[Fraction(1), Fraction(1)], [Fraction(1), Fraction(-1)]]
     b = [Fraction(1), Fraction(0)]
