@@ -19,7 +19,8 @@ matrix, and their order changes no verdict and no evidence:
    infeasible program comes with a Farkas vector excluding every inner
    dimension - contextual;
 4. a verified equirank model (noncontextual, constructive): ``enmf``'s
-   model, else the decided one with a note that it lies above the searched
+   model (``equirank_simplex_model``'s, if the decided one lies above
+   rank), else the decided one with a note that it lies above the searched
    range.  After a decision ``enmf`` runs no heuristic restart.  Only float
    matrices, and exact ones whose decision hit a guard, search inner
    dimensions with the seeded restarts, run at rank(C) alone and then at
@@ -40,8 +41,8 @@ from typing import Optional, Union
 
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
-from .models import ModelFactorization, ModelKind, _report
-from .nmf import NmfOptions, _first_verified, _nested_triangle, _simplex_pairs, enmf
+from .models import ModelFactorization, ModelKind, _report, _verified_model
+from .nmf import NmfOptions, enmf, equirank_simplex_model
 from .polytope import GuardExceeded, SpanSimplexPolytope, _Derived, _derived
 from .sperner import (
     SpernerWitness,
@@ -208,12 +209,13 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
     """Exact yes/no for an equirank nonnegative factorization at inner dim <= k.
 
     Guarded: rows + columns <= 10 and k <= 5, exact backend.  Positive
-    answers carry a fully verified model of inner dimension at most k.
-    Negative answers carry a proof log; ``all_k`` marks proofs (an
-    infeasible vertex program) that exclude every inner dimension, not
-    just those up to k.  The residual window where a model exists at some
-    larger dimension but dimension k itself cannot be settled raises
-    GuardExceeded rather than guessing.
+    answers carry a verified model: ``equirank_simplex_model``'s, padded
+    to k, else the vertex program's if at most k.  Negative answers carry
+    a proof log; ``all_k`` marks proofs (an infeasible vertex program)
+    that exclude every inner dimension, not just those up to k.  The
+    residual window where a model exists at some larger dimension but
+    dimension k itself cannot be settled raises GuardExceeded rather than
+    guessing.
     """
     if not c.backend.is_exact:
         raise PreconditionError("exhaustive decision requires the exact backend")
@@ -230,8 +232,10 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
             all_k=False,
         )
 
-    padded = (_pad_model(d, *pair, k) for pair in filter(None, _simplex_pairs(d)))
-    model = _first_verified(d, padded, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+    model = equirank_simplex_model(d)
+    if model is not None and k > r:
+        padded = _pad_model(d, model.effects, model.states, k)
+        model = _verified_model(d, *padded, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
     if model is not None:
         return Exists(model)
 
@@ -242,7 +246,8 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
         return Exists(decision.model)
 
     # A model exists at a larger inner dimension; settle the asked window.
-    if k == r == 3 and _nested_triangle(d)[1] is None:
+    # At rank 3 the search above tried the nested triangle, whose pair verifies.
+    if k == r == 3:
         return NotExists(
             log=(
                 "rank 3: no triangle nests between the column polygon and the span polygon",
@@ -284,8 +289,8 @@ def certify(
     (noncontextual), otherwise Undetermined with the searched range.  The
     two contextual tiers are sound, so they never fire on a noncontextual
     matrix and running them first changes no verdict.  A proven absence is
-    returned at once; a decided model is returned as it is, unless a
-    deterministic route at inner dimension rank(C) gives a smaller one.
+    returned at once; a decided model is returned as it is, unless
+    ``equirank_simplex_model`` gives one at inner dimension rank(C).
     It carries a note when its inner dimension exceeds ``max_k``.  Only
     float matrices and guard-hit exact ones run the heuristic restarts:
     at rank(C) alone, then at rank(C) + 1 .. ``max_k`` as one batch.

@@ -23,7 +23,7 @@ from . import jsonio
 from . import rational_linalg as rla
 from .backend import floating
 from .certify import CONTEXTUAL, NONCONTEXTUAL, UNDETERMINED, certify
-from .cope import CopeMatrix, FragmentRestriction, PreconditionError, cope_matrix
+from .cope import CopeMatrix, FragmentRestriction, cope_matrix
 from .models import (
     classify_model,
     fiducial_tomography_test,
@@ -370,9 +370,6 @@ def run_cli(argv=None) -> int:
     except jsonio.ParseError as exc:
         field = f" (field: {exc.field})" if exc.field else ""
         print(f"error: {exc}{field}", file=sys.stderr)
-        return EXIT_USAGE
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except GuardExceeded as exc:
         print(f"guard exceeded: {exc}", file=sys.stderr)

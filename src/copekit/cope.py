@@ -257,6 +257,14 @@ def _partition(items: list, eq) -> tuple:
     return tuple(tuple(cls) for cls in classes)
 
 
+def _block_slices(block_sizes):
+    """(start, stop) of each block's rows in the stacked matrix."""
+    offset = 0
+    for size in block_sizes:
+        yield offset, offset + size
+        offset += size
+
+
 def _vectors_equal(be: Backend, u, v) -> bool:
     return len(u) == len(v) and all(be.eq(x, y) for x, y in zip(u, v))
 
@@ -391,12 +399,8 @@ def quotient_extremal(c: CopeMatrix) -> QuotientReport:
     )
     kept_blocks = [cls[0] for cls in block_classes]
 
-    dropped_rows = []
-    offset = 0
-    for b, block in enumerate(c.blocks):
-        if b not in kept_blocks:
-            dropped_rows.extend(range(offset, offset + len(block)))
-        offset += len(block)
+    slices = enumerate(_block_slices(c.block_sizes))
+    dropped_rows = [i for b, (lo, hi) in slices if b not in kept_blocks for i in range(lo, hi)]
 
     quotiented = CopeMatrix(
         blocks=tuple(reduced_blocks[b] for b in kept_blocks),
@@ -463,12 +467,7 @@ def merge_measurements(c: CopeMatrix) -> CopeMatrix:
     j_count = c.n_measurements
     if j_count == 1:
         return c
-    be = c.backend
-    if be.is_exact:
-        factor = Fraction(1, j_count)
-        rows = tuple(tuple(x * factor for x in row) for block in c.blocks for row in block)
-    else:
-        rows = tuple(tuple(x / j_count for x in row) for block in c.blocks for row in block)
+    rows = tuple(tuple(x / j_count for x in row) for block in c.blocks for row in block)
     labels = tuple(
         f"{c.measurement_labels[b]}:{lbl}"
         for b, block_labels in enumerate(c.outcome_labels)
@@ -476,7 +475,7 @@ def merge_measurements(c: CopeMatrix) -> CopeMatrix:
     )
     return CopeMatrix(
         blocks=(rows,),
-        backend=be,
+        backend=c.backend,
         prep_labels=c.prep_labels,
         measurement_labels=("merged",),
         outcome_labels=(labels,),

@@ -23,8 +23,9 @@ from typing import TYPE_CHECKING, Optional, Sequence
 from . import cope as cope_mod
 from . import rational_linalg as rla
 from .backend import Backend, floating
-from .cope import CopeMatrix, PreconditionError
+from .cope import CopeMatrix, PreconditionError, _block_slices
 from .polytope import _Derived, _derived
+from .rational_linalg import _integer_matrix
 
 if TYPE_CHECKING:
     import numpy as np
@@ -178,13 +179,6 @@ def _matrix_rank(rows, backend: Backend) -> int:
     return cope_mod.float_rank(rows, backend.eps)
 
 
-def _integer_matrix(rows) -> tuple[list[list[int]], int]:
-    """Integer rows of a rational matrix over one positive common denominator."""
-    width = len(rows[0]) if rows else 0
-    flat, den = rla._integer_row([x for row in rows for x in row])
-    return [flat[i * width:(i + 1) * width] for i in range(len(rows))], den
-
-
 def _exact_flags(d: _Derived, m: ModelFactorization) -> tuple:
     """The entrywise tests of ``classify_model`` on integer rows, and the
     ranks of the effects and the states.
@@ -307,13 +301,6 @@ def classify_model(c: CopeMatrix, m: ModelFactorization) -> VerificationReport:
         equirank_ok=equirank_ok,
         inferred_kinds=frozenset(kinds),
     )
-
-
-def _block_slices(block_sizes):
-    offset = 0
-    for size in block_sizes:
-        yield offset, offset + size
-        offset += size
 
 
 def pregpt_from_svd(c: CopeMatrix) -> ModelFactorization:

@@ -10,12 +10,12 @@ span-simplex polytope is itself a simplex, when the extremal columns
 already form one, when some subset of polytope vertices encloses every
 column, and (rank 3) the exact planar nested-triangle construction, whose
 plane (``_Derived.plane``, one per call) also gives the extremal columns
-with no LP.  The routes only propose ``(effects, states)`` factor pairs.
-``search_candidates``, the one entry point of the search, verifies each
-pair once, at the model kind its caller needs (ontological for ``nmf``,
-noncontextual ontological for ``enmf``), and stops at the first that
-passes: a noncontextuality verdict needs one equirank model, not all of
-them.  Absence of a model is reported as ``None`` and proves nothing.
+with no LP.  The routes only propose ``(effects, states)`` factor pairs,
+and only this module walks them (``search_candidates`` at k = rank, and
+``equirank_simplex_model``), verifying each pair once, at the model kind
+its caller needs, up to the first that passes: a noncontextuality verdict
+needs one equirank model, not all of them.  Absence of a model is
+reported as ``None`` and proves nothing.
 
 One batch runs the restarts of several seeds and inner dimensions as one
 stack of multiplicative updates: each (k, seed) slice is zero-padded to
@@ -391,9 +391,9 @@ def enmf(c: CopeMatrix, opts: NmfOptions, max_k: Optional[int] = None) -> Option
     vertex-program decision (``_Derived.decision``, shared by a caller that
     passes its call's derived view) ends the search: an absence gives None,
     a model at rank(c) is returned as it is, and a model above rank gives
-    way to the first deterministic candidate at rank(c) that verifies
-    (trivial padding, then ``equirank_simplex_model``), else is returned
-    if its inner dimension is at most ``max_k`` (default rank + 3).  Only
+    way to ``equirank_simplex_model``'s (whose extremal route gives the
+    trivial pair when that fits at rank(c)), else is returned if its inner
+    dimension is at most ``max_k`` (default rank + 3).  Only
     float matrices, and exact ones whose decision hit a guard, run
     ``search_candidates``: at k = rank alone, then over rank + 1 ..
     ``max_k`` as one search, so the restarts above rank share one
@@ -409,8 +409,7 @@ def enmf(c: CopeMatrix, opts: NmfOptions, max_k: Optional[int] = None) -> Option
     if isinstance(decision, ExistenceResult):
         if decision.model.inner_dim == r:
             return decision.model
-        kind = ModelKind.NONCONTEXTUAL_ONTOLOGICAL
-        model = _first_verified(d, [_trivial_padded(d, r)], kind) or equirank_simplex_model(d)
+        model = equirank_simplex_model(d)
         if model is None and decision.model.inner_dim <= bound:
             model = decision.model
         return model

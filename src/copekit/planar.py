@@ -18,8 +18,9 @@ order and distance ratios along a line, so no branch can move.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Optional, Sequence
+
+from .rational_linalg import _integer_matrix
 
 Point = tuple  # (X, Y, W), W > 0, standing for (X / W, Y / W)
 
@@ -55,8 +56,8 @@ def _rational(points) -> tuple:
 
 def triples(points: Sequence[tuple]) -> list[Point]:
     """(x, y) pairs of ``Fraction`` (or ``int``) as triples over one W, their denominators' lcm."""
-    w = lcm(*{v.denominator for p in points for v in p})
-    return [(x.numerator * (w // x.denominator), y.numerator * (w // y.denominator), w) for x, y in points]
+    rows, w = _integer_matrix(points)
+    return [(x, y, w) for x, y in rows]
 
 
 def convex_hull(points: Sequence[Point]) -> list[Point]:

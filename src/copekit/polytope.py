@@ -133,9 +133,7 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
     basis = [[stacked[i][j] for j in pivots] for i in range(ambient)]
     # B = B_int / den with one positive den, so the vertex B t / sum(B t) of
     # a ray t is (B_int t) / sum(B_int t): integers until the last division.
-    flat, _ = rla._integer_row([v for row in basis for v in row])
-    r = len(pivots)
-    b_int = [flat[i * r:(i + 1) * r] for i in range(ambient)]
+    b_int, _ = rla._integer_matrix(basis)
     rays = extreme_rays(b_int)
     vertices = set()
     for ray in rays:

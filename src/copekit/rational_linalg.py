@@ -85,6 +85,13 @@ def _integer_row(values: Sequence) -> tuple[list[int], int]:
     return [p * (den // d) if p else 0 for p, d in pairs], den
 
 
+def _integer_matrix(rows: Sequence) -> tuple[list[list[int]], int]:
+    """Integer rows of a rational matrix over one positive common denominator."""
+    width = len(rows[0]) if rows else 0
+    flat, den = _integer_row([x for row in rows for x in row])
+    return [flat[i * width:(i + 1) * width] for i in range(len(rows))], den
+
+
 def _sparse_row(values: Sequence) -> tuple[dict, int]:
     """``values`` as a kernel row: a dict of its nonzero numerators, and their denominator."""
     support = [j for j, v in enumerate(values) if v]

@@ -77,6 +77,14 @@ def test_parse_scalar_agrees_with_fraction(text):
     assert (value.numerator, value.denominator) == (expected.numerator, expected.denominator)
 
 
+def test_non_canonical_literals_of_one_half():
+    # The literals of CI's non-canonical document: "0.5" and " 1/2" go
+    # through Fraction's parser, and "2/4" is reduced.
+    for text in ("0.5", "2/4", " 1/2"):
+        value = parse_scalar(text, rational())
+        assert type(value) is Fraction and (value.numerator, value.denominator) == (1, 2)
+
+
 def test_format_scalar_agrees_with_str_of_fraction():
     be = rational()
     values = [Fraction(0), Fraction(-3, 7), Fraction(4, 2), Fraction(10**30, 3), 0, 5, -12,

@@ -509,8 +509,9 @@ def test_rank_r_search_builds_only_what_could_verify(name, subsets, extremal_lps
 
 
 def test_rank_3_builds_one_plane_per_call(monkeypatch, perfbench_corpus):
-    # The extremal columns and the nested triangle (in certify's search and
-    # in the exhaustive decision's rank-3 window) read one chart of Q.
+    # The extremal columns and the nested triangle read one chart of Q per
+    # call, in certify's search and in the exhaustive decision's, which asks
+    # the same search and then settles its rank-3 window without a chart.
     c = _exact_corpus(perfbench_corpus, "rational_qubit_2")
     charts = _count_calls(monkeypatch, "copekit.polytope", "affine_chart")
     assert certify(c).verdict == NONCONTEXTUAL
@@ -522,6 +523,53 @@ def test_rank_3_builds_one_plane_per_call(monkeypatch, perfbench_corpus):
     simplex_q = cope_matrix([[[1, 0, 0, H], [0, 1, 0, H], [0, 0, 1, 0]]], backend=rational())
     assert isinstance(exhaustive_enmf_decision(simplex_q, 3), Exists)
     assert len(charts) == 2
+
+
+def test_the_exhaustive_window_asks_the_nested_triangle_once(monkeypatch, rational_qubit_2):
+    # The simplex search tries the triangle, whose pair verifies whenever it
+    # exists; the rank-3 window reads its absence from that search.
+    triangles = _count_calls(monkeypatch, "copekit.planar", "nested_triangle")
+    decision = exhaustive_enmf_decision(rational_qubit_2, 3)
+    assert isinstance(decision, NotExists) and not decision.all_k
+    assert len(triangles) == 1
+
+
+def test_a_square_matrix_decided_above_rank_gets_its_extremal_simplex(monkeypatch):
+    # The first random_cope(random.Random(7)) draw with n = rank(C) whose
+    # decided model lies above rank (draw 74: 5 x 4, rank 4, decided at 5).
+    # Its n merged columns are independent points on the plane sum = 1, so
+    # all are extremal, and the extremal route gives the model with effects
+    # C and identity states: no trivial pair is padded for it.
+    from copekit.enmf_decision import ExistenceResult
+
+    rng = random.Random(7)
+    for _ in range(100):
+        c = random_cope(rng)
+        d = _Derived(c)
+        decided = d.decision.model.inner_dim if isinstance(d.decision, ExistenceResult) else 0
+        if c.n_preparations == d.rank < decided:
+            break
+    else:
+        pytest.fail("no square draw decided above its rank")
+    trivial = _count_calls(monkeypatch, "copekit.nmf", "_trivial_padded")
+    cert = certify(c)
+    assert trivial == []
+    model = cert.evidence.model
+    assert model.inner_dim == c.n_preparations
+    assert [list(row) for row in model.effects] == c.stacked()
+    digest = hashlib.sha256(emit_certificate(cert, c)).hexdigest()
+    assert digest == "cf0826d665181fd4b3d87eb1661732fb182964ff95970e8c87367d7585b82033"
+
+
+def test_the_exhaustive_window_beyond_the_routes_raises():
+    # Draw 185 is 5 x 5 of rank 4, decided at inner dimension 5: no route
+    # settles k = 4, so the decision refuses to guess.
+    rng = random.Random(1)
+    for _ in range(186):
+        c = random_cope(rng, max_blocks=2, max_outcomes=3, max_cols=6, max_den=3)
+    assert (c.n_rows, c.n_preparations, rank(c)) == (5, 5, 4)
+    with pytest.raises(GuardExceeded, match="window below it is not decidable"):
+        exhaustive_enmf_decision(c, 4)
 
 
 def test_forcing_gate_leaves_q_unbuilt_when_sperner_decides(monkeypatch, perfbench_corpus):

@@ -434,3 +434,37 @@ def test_quotient_exits_3_when_the_extremality_lp_stalls(tmp_path, capsysbinary,
     assert (code, out) == (3, b"")
     assert err.startswith(b"guard exceeded: extremality LP stopped with HiGHS status 4")
     assert b"Traceback" not in err
+
+
+def _float_qubit_3(tmp_path, capsysbinary):
+    doc = tmp_path / "q3.json"
+    code, _, _ = _run(capsysbinary, ["generate", "--theory", "qubit", "--directions", "3", "--output", str(doc)])
+    assert code == 0 and not parse_cope(doc.read_bytes()).backend.is_exact
+    return doc
+
+
+def test_float_quasi_model_verifies_as_quasiprobabilistic(tmp_path, capsysbinary):
+    doc = _float_qubit_3(tmp_path, capsysbinary)
+    model = tmp_path / "m.json"
+    code, _, err = _run(capsysbinary, ["factorize", str(doc), "--kind", "quasi", "--output", str(model)])
+    assert code == 0, err
+    code, out, _ = _run(capsysbinary, ["verify", str(doc), "--model", str(model)])
+    assert code == 0 and "quasiprobabilistic" in json.loads(out)["inferred_kinds"]
+
+
+def test_float_quasi_with_singular_tom_columns_exits_2(tmp_path, capsysbinary):
+    # Columns 0-3 are two antipodal pairs: both pairs sum to twice the
+    # maximally mixed state, so the four states are linearly dependent.
+    doc = _float_qubit_3(tmp_path, capsysbinary)
+    argv = ["factorize", str(doc), "--kind", "quasi", "--tom-columns", "0,1,2,3"]
+    assert _run(capsysbinary, argv) == (2, b"", b"error: selected state columns are singular, not tomographic\n")
+
+
+def test_float_merge_divides_each_entry_by_the_measurement_count(tmp_path, capsysbinary):
+    doc = _float_qubit_3(tmp_path, capsysbinary)
+    c = parse_cope(doc.read_bytes())
+    code, out, _ = _run(capsysbinary, ["merge", str(doc)])
+    assert code == 0
+    merged = parse_cope(out)
+    j = c.n_measurements
+    assert merged.blocks == (tuple(tuple(x / j for x in row) for row in c.stacked()),)

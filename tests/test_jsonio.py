@@ -306,6 +306,20 @@ _CERTIFIED = {
         ("spekkens", ("evidence", "model", "inner_dim"), 99, "inner_dim"),
         ("spekkens", ("evidence", "model", "inner_dim"), "x", "inner_dim"),
         ("spekkens", ("evidence", "model", "inner_dim"), None, "inner_dim"),
+        # The loader rejections of the embedded matrix, model and evidence.
+        ("sperner_qubit", ("cope", "eps"), 0, "eps"),
+        ("spekkens", ("cope", "backend"), "complex", "backend"),
+        ("spekkens", ("cope", "blocks", 0, 0), "1", "blocks[0]"),
+        ("spekkens", ("cope",), [], ""),
+        ("spekkens", ("cope", "blocks"), [], "blocks"),
+        ("spekkens", ("cope", "measurements", 0), "M1", "measurements"),
+        ("spekkens", ("cope", "measurements", 0, "outcomes"), ["1"], "blocks[0]"),
+        ("spekkens", ("evidence", "model"), [], ""),
+        ("spekkens", ("evidence", "model", "kind"), "classical", "kind"),
+        ("spekkens", ("evidence", "model", "unit", 0), "one", "unit"),
+        ("spekkens", ("evidence",), [], "evidence"),
+        ("spekkens", ("evidence_kind",), "Oracle", "evidence_kind"),
+        ("spekkens", ("notes",), [5], "notes"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):
@@ -318,6 +332,34 @@ def test_malformed_certificate_field_raises_parse_error(theory, path, value, fie
     with pytest.raises(ParseError) as err:
         parse_certificate(json.dumps(doc).encode())
     assert err.value.field == field
+
+
+@pytest.mark.parametrize("parse", [parse_cope, parse_model, parse_certificate])
+def test_a_document_that_is_no_utf8_json_object_raises_parse_error(parse):
+    for data, message in ((b"\xff{}", "not UTF-8"), (b"[]", "root must be an object")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse(data)
+        assert err.value.field == ""
+
+
+def test_evidence_that_does_not_re_derive_names_its_claim(monkeypatch):
+    import importlib
+
+    # The witness's bounds are not those of its m.
+    q = _CERTIFIED["sperner_qubit"]()
+    doc = json.loads(emit_certificate(certify(q), q))
+    doc["evidence"]["ontic_dim_lower_bound"] += 1
+    with pytest.raises(ParseError, match="witness bounds do not re-verify") as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+
+    # A genuine forcing certificate whose polytope the loader cannot rebuild.
+    c = boxworld()
+    data = emit_certificate(certify(c), c)
+    monkeypatch.setattr(importlib.import_module("copekit.polytope"), "AMBIENT_LIMIT", 1)
+    with pytest.raises(ParseError, match="span-simplex polytope not rebuilt") as err:
+        parse_certificate(data)
+    assert err.value.field == "evidence"
 
 
 @pytest.mark.parametrize("field", ["type", "format_version"])
