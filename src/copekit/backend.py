@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 Entry = Union[Fraction, float]
@@ -95,34 +96,43 @@ def floating(eps: float = DEFAULT_EPS) -> Backend:
 
 # The canonical rational literal, in ASCII digits only: what format_scalar emits.
 _CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+_LITERAL_CACHE_SIZE = 4096  # distinct rational literals kept parsed
+
+
+@lru_cache(maxsize=_LITERAL_CACHE_SIZE)
+def _rational_literal(text: str) -> Fraction:
+    """A rational string's value, parsed once per process per literal.
+
+    A canonical literal (``-?digits`` or ``-?digits/digits``) is read as
+    ``Fraction(int(p), int(q))``, skipping ``Fraction``'s general parser;
+    any other goes through ``Fraction(text)``, to the same value.  Memory:
+    at most ``_LITERAL_CACHE_SIZE`` literals and their values.  One that
+    fails is not kept, so it raises ``BackendError`` each time.
+    """
+    try:
+        canonical = _CANONICAL_RATIONAL.fullmatch(text)
+        if canonical is None:
+            return Fraction(text)
+        p, q = canonical.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    except (ValueError, ZeroDivisionError) as exc:
+        raise BackendError(f"bad rational literal {text!r}") from exc
 
 
 def parse_scalar(text, backend: Backend) -> Entry:
     """Parse a JSON-level scalar (``"p/q"`` string or number) for ``backend``.
 
-    A rational string of the canonical shape ``-?digits`` or
-    ``-?digits/digits`` (ASCII digits, no sign on the denominator, no
-    spaces) is read as ``Fraction(int(p), int(q))``, which skips
-    ``Fraction``'s general parser; every other string goes through
-    ``Fraction(text)``.  Both give the same value for the strings they share,
-    and an unreadable literal or a zero denominator raises the same
-    ``BackendError`` either way.
+    Only strings reach ``_rational_literal``'s cache, so JSON ``1.0`` stays
+    refused on the rational backend.  JSON booleans are refused on both.
     """
+    if isinstance(text, bool):
+        raise BackendError(f"a JSON boolean is not a matrix entry, got {str(text).lower()}")
     if backend.is_exact:
         if isinstance(text, str):
-            try:
-                canonical = _CANONICAL_RATIONAL.fullmatch(text)
-                if canonical is None:
-                    return Fraction(text)
-                p, q = canonical.groups()
-                return Fraction(int(p), int(q)) if q else Fraction(int(p))
-            except (ValueError, ZeroDivisionError) as exc:
-                raise BackendError(f"bad rational literal {text!r}") from exc
+            return _rational_literal(text)
         if isinstance(text, int):
             return Fraction(text)
-        raise BackendError(
-            f"rational documents encode entries as strings, got {text!r}"
-        )
+        raise BackendError(f"rational documents encode entries as strings, got {text!r}")
     if isinstance(text, (int, float)):
         return float(text)
     raise BackendError(f"float documents encode entries as numbers, got {text!r}")

@@ -111,17 +111,18 @@ def vertex_forcing_certificate(
     rank(C), so each vertex of Q is tight at r - 1 or more of the
     constraints x_i >= 0; as forcing needs more than r vertices, all of
     them columns, it gives None before Q is built when at most r distinct
-    merged columns have r - 1 zero entries.
+    merged columns have r - 1 zero entries.  It counts them on ``integer_rows``,
+    whose positive row scales map columns one-to-one and keep each zero.
     """
     d = _derived(c)
     if not d.c.backend.is_exact:
         raise PreconditionError("vertex forcing requires the exact backend")
-    columns = set(zip(*d.merged.stacked()))
+    columns = set(zip(*(row for row, _ in d.integer_rows)))
     if sum(col.count(0) >= d.rank - 1 for col in columns) <= d.rank:
         return None
     poly = d.polytope
     vertices = set(poly.vertices)
-    if not vertices <= columns:
+    if not vertices <= set(zip(*d.merged.stacked())):
         return None
     forced = len(vertices)
     if forced <= d.rank:

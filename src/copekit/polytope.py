@@ -157,17 +157,19 @@ class _Derived:
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
-    its own.  One Gauss-Jordan of C' (``echelon``) gives both Q's basis
-    and the vertex program's kernel.  ``classify_model`` on the exact
-    backend reads C's rows from ``integer_rows``, so every model one call
-    verifies shares one conversion of C.  ``reports`` maps the ``id`` of
+    its own.  An exact C is converted to integers once (``integer_rows``),
+    and its rank, ``echelon``, independent rows, forcing gate and model
+    checks read that: each integer row is a positive multiple of a row of
+    C' (C's rows over J, in order), so both share rank, reduced row echelon
+    form and independent rows.  One Gauss-Jordan (``echelon``) gives Q's
+    basis and the vertex program's kernel.  ``reports`` maps the ``id`` of
     each model ``models._verified_model`` accepted to (model, report); the
     model is kept so its id is not reused, and rejected candidates are not
     kept.  A guard hit while building Q is raised again on every ask; one
     hit by the decision leaves ``decision`` None.  For the simplex routes
     of ``nmf`` and the decision on a simplex Q it also holds the first
-    rank-many independent rows I of C' (one elimination of its pivot
-    columns) and the merged columns restricted to I; at rank 3, ``plane``.
+    rank-many independent rows I of C' and the merged columns restricted
+    to I; at rank 3, ``plane``.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -176,11 +178,13 @@ class _Derived:
 
     @cached_property
     def rank(self) -> int:
-        return cope_mod.rank(self.c)
+        """rank(C): one elimination of ``integer_rows``, or ``cope.rank`` on floats."""
+        exact = self.c.backend.is_exact
+        return rla.rank([row for row, _ in self.integer_rows]) if exact else cope_mod.rank(self.c)
 
     @cached_property
     def integer_rows(self) -> list[tuple[list[int], int]]:
-        """Each stacked row of C as integer numerators over a positive denominator."""
+        """Each stacked row of an exact C: integer numerators over a positive denominator."""
         return [rla._integer_row(row) for row in self.c.stacked()]
 
     @cached_property
@@ -189,16 +193,16 @@ class _Derived:
 
     @cached_property
     def echelon(self) -> tuple[list, list[int]]:
-        """The reduced row echelon form of C' and its pivot columns."""
-        return rla.rref(self.merged.stacked())
+        """The reduced row echelon form of C' and its pivot columns, from ``integer_rows``."""
+        return rla.rref([row for row, _ in self.integer_rows])
 
     @cached_property
     def independent_rows(self) -> list[int]:
-        """The first rank-many linearly independent rows I of the merged matrix,
-        from its r pivot columns: C' is those columns times the independent
+        """The first rank-many linearly independent rows I of C', from the
+        integer rows at its r pivot columns: C' is those columns times the
         rows of ``echelon``, so its rows obey the same linear relations."""
         _, pivots = self.echelon
-        return rla.independent_rows([[row[j] for j in pivots] for row in self.merged.stacked()])
+        return rla.independent_rows([[row[j] for j in pivots] for row, _ in self.integer_rows])
 
     def at_rows(self, points) -> list[tuple[list[int], int]]:
         """Each point at the rows I: integer numerators over a positive denominator."""

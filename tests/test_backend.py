@@ -85,6 +85,32 @@ def test_non_canonical_literals_of_one_half():
         assert type(value) is Fraction and (value.numerator, value.denominator) == (1, 2)
 
 
+def test_cached_literals_parse_as_the_uncached_parse():
+    # Each distinct literal is parsed once per process; the value shared from
+    # the cache is the one a fresh parse gives, canonical literal or not.
+    from copekit.backend import _LITERAL_CACHE_SIZE, _rational_literal
+
+    assert _rational_literal.cache_info().maxsize == _LITERAL_CACHE_SIZE
+    for text in ("0", "1", "1/2", "-3/7", "0.5", " 1/2", "2/4", "1e-3"):
+        fresh = _rational_literal.__wrapped__(text)
+        for _ in range(2):
+            value = parse_scalar(text, rational())
+            assert type(value) is Fraction and value == fresh
+            assert (value.numerator, value.denominator) == (fresh.numerator, fresh.denominator)
+    # The numbers 1.0 and 1 are no cache keys: "1" is cached, 1.0 still refused.
+    assert parse_scalar(1, rational()) == parse_scalar("1", rational())
+    with pytest.raises(BackendError):
+        parse_scalar(1.0, rational())
+
+
+@pytest.mark.parametrize("backend", [rational(), floating()])
+def test_booleans_are_not_entries(backend):
+    # bool is an int, so true and false would read as 1 and 0.
+    for value in (True, False):
+        with pytest.raises(BackendError, match="boolean"):
+            parse_scalar(value, backend)
+
+
 def test_format_scalar_agrees_with_str_of_fraction():
     be = rational()
     values = [Fraction(0), Fraction(-3, 7), Fraction(4, 2), Fraction(10**30, 3), 0, 5, -12,

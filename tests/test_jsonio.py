@@ -65,6 +65,62 @@ def test_non_canonical_literals_parse_to_the_canonical_matrix():
         parse_cope(json.dumps(doc))
 
 
+def test_a_repeated_bad_literal_raises_each_time_it_is_loaded():
+    # A failing literal is not cached: every load raises the same error.
+    doc = {
+        "backend": "rational",
+        "blocks": [[["1/0", "1/0"], ["1/0", "1/0"]]],
+        "format_version": "1",
+        "measurements": [{"name": "M1", "outcomes": ["1", "2"]}],
+        "preparations": ["P1", "P2"],
+        "type": "cope",
+    }
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ParseError, match="bad rational literal '1/0'") as err:
+            parse_cope(json.dumps(doc))
+        errors.append((str(err.value), err.value.field))
+    assert errors == [("blocks[0][0]: bad rational literal '1/0'", "blocks[0]")] * 3
+
+
+def _bool_entry_cope_doc(backend):
+    # A first column [true, false] would load as the identity column.
+    one, zero, half = ("1", "0", "1/2") if backend == "rational" else (1, 0, 0.5)
+    return {
+        "backend": backend,
+        "blocks": [[[True, zero, half], [False, one, half]]],
+        "format_version": "1",
+        "measurements": [{"name": "M1", "outcomes": ["1", "2"]}],
+        "preparations": ["P1", "P2", "P3"],
+        "type": "cope",
+    }
+
+
+@pytest.mark.parametrize("backend", ["rational", "float"])
+def test_boolean_matrix_entry_rejected(backend):
+    with pytest.raises(ParseError, match="boolean") as err:
+        parse_cope(json.dumps(_bool_entry_cope_doc(backend)))
+    assert err.value.field == "blocks[0]"
+
+
+@pytest.mark.parametrize("field, path", [("effects", (0, 0)), ("states", (1, 0)), ("unit", (0,))])
+def test_boolean_model_entry_rejected(spekkens_matrix, boxworld_matrix, field, path):
+    from copekit.backend import floating
+    from copekit.cope import cope_matrix
+
+    float_blocks = [[[float(x) for x in row] for row in block] for block in boxworld_matrix.blocks]
+    models = [certify(spekkens_matrix).evidence.model, gpt(cope_matrix(float_blocks, backend=floating()))]
+    for model in models:
+        doc = json.loads(emit_model(model))
+        parent = doc[field]
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = True
+        with pytest.raises(ParseError, match="boolean") as err:
+            parse_model(json.dumps(doc))
+        assert err.value.field == field
+
+
 def test_deterministic_bytes(spekkens_matrix):
     assert emit_cope(spekkens_matrix) == emit_cope(spekkens_matrix)
 
@@ -214,6 +270,16 @@ def test_verdict_contradicting_evidence_rejected(spekkens_matrix, verdict, kind)
     assert err.value.field == "verdict"
 
 
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: absence evidence is an unchecked log")
+def test_forged_exhaustive_absence_rejected(spekkens_matrix):
+    # Spekkens is noncontextual, so no absence of an equirank model is true
+    # of it; a loader that re-derives absence evidence must refuse this log.
+    doc = _spekkens_certificate_doc(spekkens_matrix)
+    doc.update(verdict="Contextual", evidence_kind="ExhaustiveAbsence", evidence={"log": ["trust me"]})
+    with pytest.raises(ParseError):
+        parse_certificate(json.dumps(doc).encode())
+
+
 def test_forged_vertex_forcing_rejected(spekkens_matrix):
     # Five of Spekkens' own merged columns, more than its rank 4, but not the
     # vertices of its span-simplex polytope.
@@ -320,6 +386,9 @@ _CERTIFIED = {
         ("spekkens", ("evidence",), [], "evidence"),
         ("spekkens", ("evidence_kind",), "Oracle", "evidence_kind"),
         ("spekkens", ("notes",), [5], "notes"),
+        # JSON booleans are no entries: false is not read as 0.
+        ("boxworld", ("evidence", "basis", 0, 0), False, "basis"),
+        ("boxworld", ("evidence", "vertices", 0, 0), False, "vertices"),
     ],
 )
 def test_malformed_certificate_field_raises_parse_error(theory, path, value, field):

@@ -13,7 +13,8 @@ agrees with ungated forcing, and the pruned rank-r search proposes the
 reference search's pairs.  The pruned Sperner search returns the witness of
 the unpruned one on the pools' zero patterns and on seeded ones.  On the
 same pools and draws, the contextual tiers fire only where the decision
-finds no model, and certify's verdict is the decision's.
+finds no model, and certify's verdict is the decision's; and the rank,
+echelon form and independent rows read off C's integer rows are those of C'.
 """
 
 import importlib
@@ -55,6 +56,7 @@ from copekit.sperner import _max_unique_zero, _zero_pattern, sperner_submatrix
 
 from oracles import (
     random_cope,
+    reference_independent_rows,
     reference_max_matching,
     reference_simplex_pairs,
     reference_vertex_decision,
@@ -238,6 +240,26 @@ def test_every_vertex_of_q_has_at_least_rank_minus_one_zeros(face_draws):
         assert min(zeros) >= d.rank - 1, case
         tight += min(zeros) == d.rank - 1
     assert tight > len(face_draws) // 2
+
+
+def test_integer_rows_read_as_the_merged_matrix(face_draws):
+    # Each integer row of C is a positive multiple of the same row of C', so
+    # the rank, the echelon form and the independent rows read off them are
+    # those of C', and the forcing gate's integer columns keep the merged
+    # columns' distinct count and zeros.
+    multi_block = 0
+    for case, d in enumerate(face_draws):
+        merged = d.merged.stacked()
+        assert d.rank == rank(d.c), case
+        assert d.echelon == rla.rref(merged), case
+        assert d.independent_rows == reference_independent_rows(merged), case
+        columns = set(zip(*merged))
+        integer_columns = set(zip(*(row for row, _ in d.integer_rows)))
+        assert len(integer_columns) == len(columns), case
+        zeros = sorted(col.count(0) for col in columns)
+        assert sorted(col.count(0) for col in integer_columns) == zeros, case
+        multi_block += d.c.n_measurements > 1
+    assert len(face_draws) >= FACE_DRAWS and multi_block >= FACE_DRAWS // 4
 
 
 def test_forcing_gate_rejects_no_matrix_that_forcing_decides(face_draws):
