@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Union
+from typing import Optional, Union
 
 Entry = Union[Fraction, float]
 
@@ -56,9 +56,7 @@ class Backend:
         if self.is_exact:
             if isinstance(value, Fraction):
                 return value
-            if isinstance(value, (int, str)):
-                return Fraction(value)
-            if isinstance(value, float):
+            if isinstance(value, (int, str, float)):
                 return Fraction(value)
             raise BackendError(f"cannot coerce {value!r} to a rational entry")
         return float(value)
@@ -96,43 +94,50 @@ def floating(eps: float = DEFAULT_EPS) -> Backend:
 
 # The canonical rational literal, in ASCII digits only: what format_scalar emits.
 _CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-_LITERAL_CACHE_SIZE = 4096  # distinct rational literals kept parsed
+_LITERAL_CACHE_SIZE = 4096  # distinct short literals kept parsed
+_CACHED_LITERAL_CHARS = 32  # a longer literal is parsed on every occurrence
 
 
 @lru_cache(maxsize=_LITERAL_CACHE_SIZE)
-def _rational_literal(text: str) -> Fraction:
-    """A rational string's value, parsed once per process per literal.
+def _canonical_literal(text: str) -> Optional[Fraction]:
+    """``Fraction(int(p), int(q))`` for a canonical literal, None for any other string.
 
-    A canonical literal (``-?digits`` or ``-?digits/digits``) is read as
-    ``Fraction(int(p), int(q))``, skipping ``Fraction``'s general parser;
-    any other goes through ``Fraction(text)``, to the same value.  Memory:
-    at most ``_LITERAL_CACHE_SIZE`` literals and their values.  One that
-    fails is not kept, so it raises ``BackendError`` each time.
+    A kept entry is a string of at most ``_CACHED_LITERAL_CHARS`` characters
+    and None or a Fraction of two ints below 10**32, about 300 bytes, so the
+    cache holds at most about 1.3 MB.  A zero denominator raises every time.
     """
-    try:
-        canonical = _CANONICAL_RATIONAL.fullmatch(text)
-        if canonical is None:
-            return Fraction(text)
-        p, q = canonical.groups()
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise BackendError(f"bad rational literal {text!r}") from exc
+    canonical = _CANONICAL_RATIONAL.fullmatch(text)
+    if canonical is None:
+        return None
+    p, q = canonical.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def parse_scalar(text, backend: Backend) -> Entry:
     """Parse a JSON-level scalar (``"p/q"`` string or number) for ``backend``.
 
-    Only strings reach ``_rational_literal``'s cache, so JSON ``1.0`` stays
-    refused on the rational backend.  JSON booleans are refused on both.
+    A string of the canonical shape ``-?digits`` or ``-?digits/digits`` (ASCII
+    digits, no sign on the denominator, no spaces) skips ``Fraction``'s general
+    parser, and is parsed once per process if at most ``_CACHED_LITERAL_CHARS``
+    long; any other string goes through ``Fraction(text)``.  Both give the same
+    value and raise the same ``BackendError``.  JSON booleans are refused, and
+    so is the number ``1.0`` on the rational backend.
     """
     if isinstance(text, bool):
         raise BackendError(f"a JSON boolean is not a matrix entry, got {str(text).lower()}")
     if backend.is_exact:
         if isinstance(text, str):
-            return _rational_literal(text)
+            short = len(text) <= _CACHED_LITERAL_CHARS
+            try:
+                value = (_canonical_literal if short else _canonical_literal.__wrapped__)(text)
+                return Fraction(text) if value is None else value
+            except (ValueError, ZeroDivisionError) as exc:
+                raise BackendError(f"bad rational literal {text!r}") from exc
         if isinstance(text, int):
             return Fraction(text)
-        raise BackendError(f"rational documents encode entries as strings, got {text!r}")
+        raise BackendError(
+            f"rational documents encode entries as strings, got {text!r}"
+        )
     if isinstance(text, (int, float)):
         return float(text)
     raise BackendError(f"float documents encode entries as numbers, got {text!r}")

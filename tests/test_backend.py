@@ -86,21 +86,63 @@ def test_non_canonical_literals_of_one_half():
 
 
 def test_cached_literals_parse_as_the_uncached_parse():
-    # Each distinct literal is parsed once per process; the value shared from
-    # the cache is the one a fresh parse gives, canonical literal or not.
-    from copekit.backend import _LITERAL_CACHE_SIZE, _rational_literal
+    # Each distinct short literal is parsed once per process; the value shared
+    # from the cache is the one Fraction's own parser gives.  A non-canonical
+    # literal is kept as None and read by Fraction(text) every time.
+    from copekit.backend import _LITERAL_CACHE_SIZE, _canonical_literal
 
-    assert _rational_literal.cache_info().maxsize == _LITERAL_CACHE_SIZE
+    assert _canonical_literal.cache_info().maxsize == _LITERAL_CACHE_SIZE
     for text in ("0", "1", "1/2", "-3/7", "0.5", " 1/2", "2/4", "1e-3"):
-        fresh = _rational_literal.__wrapped__(text)
+        fresh = Fraction(text)
         for _ in range(2):
             value = parse_scalar(text, rational())
             assert type(value) is Fraction and value == fresh
             assert (value.numerator, value.denominator) == (fresh.numerator, fresh.denominator)
+        assert (_canonical_literal(text) is None) == (text in ("0.5", " 1/2", "1e-3"))
     # The numbers 1.0 and 1 are no cache keys: "1" is cached, 1.0 still refused.
     assert parse_scalar(1, rational()) == parse_scalar("1", rational())
     with pytest.raises(BackendError):
         parse_scalar(1.0, rational())
+
+
+def test_long_literals_bypass_the_cache():
+    # Past _CACHED_LITERAL_CHARS characters a literal is parsed on every
+    # occurrence and never kept, canonical or not.
+    from copekit.backend import _CACHED_LITERAL_CHARS, _canonical_literal
+
+    n = _CACHED_LITERAL_CHARS
+    for text in ("1" * (n + 1), "-" + "7" * n + "/9", "1" * n + "e-9", "9" * 4000 + "/1"):
+        before = _canonical_literal.cache_info()
+        for _ in range(2):
+            value = parse_scalar(text, rational())
+            assert value == Fraction(text)
+        after = _canonical_literal.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+
+def test_literal_cache_memory_is_bounded():
+    # A full cache of the largest literals it keeps, 32-character canonical
+    # ones, holds about 1.1 MB, within the docstring's bound of about 1.3 MB.
+    import gc
+    import tracemalloc
+
+    from copekit.backend import _CACHED_LITERAL_CHARS, _LITERAL_CACHE_SIZE, _canonical_literal
+
+    width = (_CACHED_LITERAL_CHARS - 2) // 2
+    _canonical_literal.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for i in range(_LITERAL_CACHE_SIZE):
+            parse_scalar(f"-{10 ** (width - 1) + i}/{10 ** width - i}", rational())
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+        _canonical_literal.cache_clear()
+    assert _canonical_literal.cache_info().maxsize == _LITERAL_CACHE_SIZE
+    assert kept < 1.4e6
 
 
 @pytest.mark.parametrize("backend", [rational(), floating()])
