@@ -94,6 +94,9 @@ def floating(eps: float = DEFAULT_EPS) -> Backend:
 
 # The canonical rational literal, in ASCII digits only: what format_scalar emits.
 _CANONICAL_RATIONAL = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# A decimal exponent as Fraction's format reads it.
+_EXPONENT = re.compile(r"e([-+]?\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+_MAX_EXPONENT = 4300  # int's default digit limit, which bounds every other literal
 _LITERAL_CACHE_SIZE = 4096  # distinct short literals kept parsed
 _CACHED_LITERAL_CHARS = 32  # a longer literal is parsed on every occurrence
 
@@ -119,9 +122,10 @@ def parse_scalar(text, backend: Backend) -> Entry:
     A string of the canonical shape ``-?digits`` or ``-?digits/digits`` (ASCII
     digits, no sign on the denominator, no spaces) skips ``Fraction``'s general
     parser, and is parsed once per process if at most ``_CACHED_LITERAL_CHARS``
-    long; any other string goes through ``Fraction(text)``.  Both give the same
-    value and raise the same ``BackendError``.  JSON booleans are refused, and
-    so is the number ``1.0`` on the rational backend.
+    long; any other string goes through ``Fraction(text)``, once its decimal
+    exponent, if any, is found at most ``_MAX_EXPONENT`` in magnitude.  Both
+    give the same value and raise the same ``BackendError``.  JSON booleans
+    are refused, and so is the number ``1.0`` on the rational backend.
     """
     if isinstance(text, bool):
         raise BackendError(f"a JSON boolean is not a matrix entry, got {str(text).lower()}")
@@ -130,6 +134,9 @@ def parse_scalar(text, backend: Backend) -> Entry:
             short = len(text) <= _CACHED_LITERAL_CHARS
             try:
                 value = (_canonical_literal if short else _canonical_literal.__wrapped__)(text)
+                if value is None and (exponent := _EXPONENT.search(text)):
+                    if abs(int(exponent[1])) > _MAX_EXPONENT:
+                        raise ValueError("exponent out of range")
                 return Fraction(text) if value is None else value
             except (ValueError, ZeroDivisionError) as exc:
                 raise BackendError(f"bad rational literal {text!r}") from exc

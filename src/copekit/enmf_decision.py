@@ -66,7 +66,7 @@ def _vertex_lp(c: CopeMatrix, vertices) -> tuple:
     """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }.
 
     ``c`` is the merged matrix C' or a call's derived view, whose echelon
-    form of C' (shared with Q's basis) gives the kernel K.  Variable P[l][j]
+    of C' (shared with the rank and Q's basis) gives the kernel K.  Variable P[l][j]
     is column l n + j of k n.  Row i n + j is (V P)[i][j] = C'[i][j]; the n
     stochastic rows follow, then P K = 0 kernel-vector-major: row t k + l
     of that block is (P K)[l][t] = 0.  Rows are dense, with the ``int`` 0

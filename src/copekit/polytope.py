@@ -151,25 +151,25 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
 
 
 class _Derived:
-    """rank(c), the merged matrix C', its echelon form, Q and the
+    """rank(c), the merged matrix C', its echelon, Q and the
     vertex-program decision of one matrix, each built on first use.
 
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
     its own.  An exact C is converted to integers once (``integer_rows``),
-    and its rank, ``echelon``, independent rows, forcing gate and model
-    checks read that: each integer row is a positive multiple of a row of
-    C' (C's rows over J, in order), so both share rank, reduced row echelon
-    form and independent rows.  One Gauss-Jordan (``echelon``) gives Q's
-    basis and the vertex program's kernel.  ``reports`` maps the ``id`` of
-    each model ``models._verified_model`` accepted to (model, report); the
-    model is kept so its id is not reused, and rejected candidates are not
-    kept.  A guard hit while building Q is raised again on every ask; one
-    hit by the decision leaves ``decision`` None.  For the simplex routes
-    of ``nmf`` and the decision on a simplex Q it also holds the first
-    rank-many independent rows I of C' and the merged columns restricted
-    to I; at rank 3, ``plane``.
+    and its ``echelon``, independent rows, forcing gate and model checks
+    read that: each integer row is a positive multiple of a row of C' (C's
+    rows over J, in order), so both share rank, reduced row echelon form and
+    independent rows.  One Gauss-Jordan in integers (``echelon``) gives the
+    exact rank, Q's basis and the vertex program's kernel.  ``reports`` maps
+    the ``id`` of each model ``models._verified_model`` accepted to (model,
+    report); the model is kept so its id is not reused, and rejected
+    candidates are not kept.  Q's guard raises again on every ask, as no
+    exception is cached; a guard hit by the decision leaves ``decision``
+    None.  For the simplex routes of ``nmf`` and the decision on a simplex
+    Q it also holds the first rank-many independent rows I of C' and the
+    merged columns restricted to I; at rank 3, ``plane``.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -178,9 +178,8 @@ class _Derived:
 
     @cached_property
     def rank(self) -> int:
-        """rank(C): one elimination of ``integer_rows``, or ``cope.rank`` on floats."""
-        exact = self.c.backend.is_exact
-        return rla.rank([row for row, _ in self.integer_rows]) if exact else cope_mod.rank(self.c)
+        """rank(C): the pivot count of ``echelon``, or ``cope.rank`` on floats."""
+        return len(self.echelon[1]) if self.c.backend.is_exact else cope_mod.rank(self.c)
 
     @cached_property
     def integer_rows(self) -> list[tuple[list[int], int]]:
@@ -193,8 +192,9 @@ class _Derived:
 
     @cached_property
     def echelon(self) -> tuple[list, list[int]]:
-        """The reduced row echelon form of C' and its pivot columns, from ``integer_rows``."""
-        return rla.rref([row for row, _ in self.integer_rows])
+        """``rla._echelon`` of ``integer_rows``: the kernel rows of the reduced row
+        echelon form of C' (each row times its pivot entry) and its pivot columns."""
+        return rla._echelon([row for row, _ in self.integer_rows])
 
     @cached_property
     def independent_rows(self) -> list[int]:
@@ -214,18 +214,11 @@ class _Derived:
         return self.at_rows(zip(*self.merged.stacked()))
 
     @cached_property
-    def _polytope(self):
-        try:
-            return span_simplex_polytope(self)
-        except GuardExceeded as exc:
-            return exc
-
-    @property
     def polytope(self) -> SpanSimplexPolytope:
-        """Q of the merged matrix; raises the GuardExceeded its build raised."""
-        if isinstance(self._polytope, GuardExceeded):
-            raise self._polytope
-        return self._polytope
+        """Q of the merged matrix.  Its one guard (the ambient dimension) is
+        checked before any elimination, and an exception is not cached, so a
+        hit raises again, at no cost, on every ask."""
+        return span_simplex_polytope(self)
 
     @cached_property
     def plane(self) -> tuple:

@@ -5,10 +5,11 @@ are accepted too) and is deliberately dependency-free: certificates
 produced elsewhere in the package are re-checked with these routines, so
 they must be exact.
 
-One elimination kernel serves every routine that eliminates: ``rank``,
-Gauss-Jordan (``rref``, through it ``nullspace`` and ``rank_factorization``,
-``solve_columns``, ``independent_rows`` and ``invert``) and the simplex of
-``lp_feasibility``.  A kernel row is sparse and fraction-free: a dict from
+One elimination kernel serves every routine that eliminates: one
+Gauss-Jordan (``_gauss_jordan``) gives the rank (its pivot count), ``rref``,
+kernels, solves, inverses and ``independent_rows``, and the simplex of
+``lp_feasibility`` pivots on its own.
+A kernel row is sparse and fraction-free: a dict from
 column index to its nonzero ``int`` numerator, over one positive ``int``
 denominator.  The matrices met here stay mostly zero while they are
 eliminated (the vertex program of the existence decision reaches a few
@@ -134,20 +135,6 @@ def _eliminate(row: dict, den: int, pivot_row: dict, col: int) -> tuple[dict, in
     return _reduced(row, den) if den.bit_length() > _REDUCE_BITS else (row, den)
 
 
-def rank(a: Matrix) -> int:
-    """Rank: the pivot count of forward elimination on the kernel rows."""
-    rows = [row for row in map(_sparse_row, a) if row[0]]
-    r = 0
-    while rows:
-        pivot_row, _ = rows.pop()
-        col = next(iter(pivot_row))
-        r += 1
-        rows = [_eliminate(row, den, pivot_row, col) if col in row else (row, den)
-                for row, den in rows]
-        rows = [(row, den) for row, den in rows if row]
-    return r
-
-
 def _gauss_jordan(rows: list, n_cols: int) -> tuple[list, list[int]]:
     """Gauss-Jordan on kernel rows, in place; returns (rows, pivot columns).
 
@@ -182,6 +169,18 @@ def independent_rows(a: Matrix) -> list[int]:
     return _gauss_jordan([_sparse_row(column) for column in zip(*a)], len(a))[1]
 
 
+def _echelon(a: Matrix) -> tuple[list, list[int]]:
+    """One Gauss-Jordan of the kernel rows of ``a``: (rows, pivots), or ([], []) when empty."""
+    if not a or not a[0]:
+        return [], []
+    return _gauss_jordan([_sparse_row(values) for values in a], len(a[0]))
+
+
+def rank(a: Matrix) -> int:
+    """Rank: the pivot count of one Gauss-Jordan (``_echelon``)."""
+    return len(_echelon(a)[1])
+
+
 def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """Reduced row echelon form; returns (R, pivot column indices).
 
@@ -190,9 +189,8 @@ def rref(a: Matrix) -> tuple[Matrix, list[int]]:
     """
     if not a or not a[0]:
         return [list(row) for row in a], []
-    n_cols = len(a[0])
-    rows, pivots = _gauss_jordan([_sparse_row(values) for values in a], n_cols)
-    red = [[F0] * n_cols for _ in rows]
+    rows, pivots = _echelon(a)
+    red = [[F0] * len(a[0]) for _ in rows]
     for out, (row, _), pc in zip(red, rows, pivots):
         p = row[pc]
         for j, v in row.items():
@@ -219,19 +217,19 @@ def rank_factorization(a: Matrix) -> tuple[Matrix, Matrix]:
 
 def nullspace(a: Matrix) -> list[Row]:
     """Basis of the right kernel of ``a``."""
-    return _kernel(*rref(a), len(a[0]) if a else 0)
+    return _kernel(*_echelon(a), len(a[0]) if a else 0)
 
 
-def _kernel(red: Matrix, pivots: list[int], n_cols: int) -> list[Row]:
+def _kernel(rows: list, pivots: list[int], n_cols: int) -> list[Row]:
     """Basis of the right kernel of a matrix with ``n_cols`` columns, read off
-    its reduced row echelon form ``red`` and pivot columns."""
+    its ``_echelon`` (rows, pivots): its RREF's R[i][j] is row[j] / row[pc]."""
     free = [j for j in range(n_cols) if j not in pivots]
     basis = []
     for j in free:
         v = [F0] * n_cols
         v[j] = F1
-        for i, pc in enumerate(pivots):
-            v[pc] = -red[i][j]
+        for (row, _), pc in zip(rows, pivots):
+            v[pc] = Fraction(-row.get(j, 0), row[pc])
         basis.append(v)
     return basis
 

@@ -56,22 +56,11 @@ def extended_boxworld() -> CopeMatrix:
     )
 
 
-def _model(effects, states, unit, kind, block_sizes, exact: bool) -> ModelFactorization:
-    return make_model(
-        effects=effects,
-        states=states,
-        unit=unit,
-        kind=kind,
-        block_sizes=block_sizes,
-        backend=rational() if exact else floating(),
-    )
-
-
 def _spekkens_models() -> tuple:
     s6 = 1 / math.sqrt(6)
     s2 = 1 / math.sqrt(2)
     s32 = math.sqrt(1.5)
-    gpt = _model(
+    gpt = make_model(
         effects=[
             [s6, 0, 0, -s2],
             [s6, 0, 0, s2],
@@ -89,9 +78,9 @@ def _spekkens_models() -> tuple:
         unit=[math.sqrt(2.0 / 3.0), 0, 0, 0],
         kind=ModelKind.GPT,
         block_sizes=(2, 2, 2),
-        exact=False,
+        backend=floating(),
     )
-    quasi = _model(
+    quasi = make_model(
         effects=[
             [1, H, H, H],
             [0, H, H, H],
@@ -109,9 +98,9 @@ def _spekkens_models() -> tuple:
         unit=[1, 1, 1, 1],
         kind=ModelKind.QUASIPROBABILISTIC,
         block_sizes=(2, 2, 2),
-        exact=True,
+        backend=rational(),
     )
-    noncontextual = _model(
+    noncontextual = make_model(
         effects=[
             [1, 0, 0, 1],
             [0, 1, 1, 0],
@@ -129,14 +118,14 @@ def _spekkens_models() -> tuple:
         unit=[1, 1, 1, 1],
         kind=ModelKind.NONCONTEXTUAL_ONTOLOGICAL,
         block_sizes=(2, 2, 2),
-        exact=True,
+        backend=rational(),
     )
     trivial = trivial_ontological(spekkens())
     return (gpt, quasi, noncontextual, trivial)
 
 
 def _boxworld_models() -> tuple:
-    gpt = _model(
+    gpt = make_model(
         effects=[
             [H, H, -H],
             [H, -H, H],
@@ -151,9 +140,9 @@ def _boxworld_models() -> tuple:
         unit=[1, 0, 0],
         kind=ModelKind.GPT,
         block_sizes=(2, 2),
-        exact=True,
+        backend=rational(),
     )
-    quasi = _model(
+    quasi = make_model(
         effects=[
             [H, 1, 0],
             [H, 0, 1],
@@ -168,7 +157,7 @@ def _boxworld_models() -> tuple:
         unit=[1, 1, 1],
         kind=ModelKind.QUASIPROBABILISTIC,
         block_sizes=(2, 2),
-        exact=True,
+        backend=rational(),
     )
     trivial = trivial_ontological(boxworld())
     return (gpt, quasi, trivial)
@@ -177,7 +166,7 @@ def _boxworld_models() -> tuple:
 def _extended_boxworld_models() -> tuple:
     s2 = 1 / math.sqrt(2)
     r2 = math.sqrt(2)
-    gpt = _model(
+    gpt = make_model(
         effects=[
             [s2, 0, 0, 0],
             [0, 0.5, 0.5, -0.5],
@@ -195,9 +184,9 @@ def _extended_boxworld_models() -> tuple:
         unit=[s2, 1, 0, 0],
         kind=ModelKind.GPT,
         block_sizes=(3, 3),
-        exact=False,
+        backend=floating(),
     )
-    quasi = _model(
+    quasi = make_model(
         effects=[
             [0, 0, 0, 1],
             [1, 0, 0, 0],
@@ -215,9 +204,9 @@ def _extended_boxworld_models() -> tuple:
         unit=[1, 1, 1, 1],
         kind=ModelKind.QUASIPROBABILISTIC,
         block_sizes=(3, 3),
-        exact=True,
+        backend=rational(),
     )
-    contextual_ontological = _model(
+    contextual_ontological = make_model(
         effects=[
             [0, 0, 0, 0, 1],
             [1, 0, 0, 1, 0],
@@ -236,7 +225,7 @@ def _extended_boxworld_models() -> tuple:
         unit=[1, 1, 1, 1, 1],
         kind=ModelKind.ONTOLOGICAL,
         block_sizes=(3, 3),
-        exact=True,
+        backend=rational(),
     )
     trivial = trivial_ontological(extended_boxworld())
     return (gpt, quasi, contextual_ontological, trivial)

@@ -85,6 +85,17 @@ def test_non_canonical_literals_of_one_half():
         assert type(value) is Fraction and (value.numerator, value.denominator) == (1, 2)
 
 
+def test_decimal_exponents_are_bounded():
+    # An exponent is read as Fraction's format reads it (any case, a sign,
+    # underscores, Unicode digits) and refused past 4300, int's digit limit,
+    # before any power of ten is computed.
+    for text in ("1e-3", "1.5e-4300", "1e4300", " 1e-9 ", "2E+1_0", "1e٣"):
+        assert parse_scalar(text, rational()) == Fraction(text)
+    for text in ("1e-1000000", "1E+4301", "1e-1_000_000", "1e-٤٣٠١", "1e" + "9" * 5000):
+        with pytest.raises(BackendError, match="bad rational literal"):
+            parse_scalar(text, rational())
+
+
 def test_cached_literals_parse_as_the_uncached_parse():
     # Each distinct short literal is parsed once per process; the value shared
     # from the cache is the one Fraction's own parser gives.  A non-canonical

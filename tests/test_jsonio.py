@@ -83,6 +83,20 @@ def test_a_repeated_bad_literal_raises_each_time_it_is_loaded():
     assert errors == [("blocks[0][0]: bad rational literal '1/0'", "blocks[0]")] * 3
 
 
+def test_a_literal_with_a_huge_exponent_is_a_parse_error():
+    doc = {
+        "backend": "rational",
+        "blocks": [[["1e-1000000", "0"], ["1", "1"]]],
+        "format_version": "1",
+        "measurements": [{"name": "M1", "outcomes": ["1", "2"]}],
+        "preparations": ["P1", "P2"],
+        "type": "cope",
+    }
+    with pytest.raises(ParseError, match="bad rational literal '1e-1000000'") as err:
+        parse_cope(json.dumps(doc))
+    assert err.value.field == "blocks[0]"
+
+
 def _bool_entry_cope_doc(backend):
     # A first column [true, false] would load as the identity column.
     one, zero, half = ("1", "0", "1/2") if backend == "rational" else (1, 0, 0.5)

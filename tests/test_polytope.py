@@ -5,6 +5,7 @@ import pytest
 
 from copekit import (
     GuardExceeded,
+    boxworld,
     cope_matrix,
     merge_measurements,
     span_simplex_polytope,
@@ -133,6 +134,22 @@ def test_ambient_guard():
     c = cope_matrix([rows])
     with pytest.raises(GuardExceeded):
         span_simplex_polytope(c)
+
+
+def test_derived_polytope_raises_the_ambient_guard_on_every_ask(monkeypatch):
+    # The guard is checked before any elimination or double description, and
+    # no exception is cached: the second ask raises again.
+    import copekit.polytope as polytope
+
+    calls = []
+    monkeypatch.setattr(polytope, "AMBIENT_LIMIT", 3)
+    monkeypatch.setattr(polytope, "extreme_rays", lambda a: calls.append(a))
+    monkeypatch.setattr(rla, "_echelon", lambda a: calls.append(a))
+    d = _Derived(boxworld())
+    for _ in range(2):
+        with pytest.raises(GuardExceeded):
+            d.polytope
+    assert calls == []
 
 
 def test_affine_chart_round_trip(spekkens_matrix):

@@ -58,6 +58,7 @@ from oracles import (
     random_cope,
     reference_independent_rows,
     reference_max_matching,
+    reference_rref,
     reference_simplex_pairs,
     reference_vertex_decision,
     reference_vertex_forcing,
@@ -250,8 +251,17 @@ def test_integer_rows_read_as_the_merged_matrix(face_draws):
     multi_block = 0
     for case, d in enumerate(face_draws):
         merged = d.merged.stacked()
-        assert d.rank == rank(d.c), case
-        assert d.echelon == rla.rref(merged), case
+        red, pivots = reference_rref(merged)
+        assert d.echelon[1] == pivots and d.rank == len(pivots), case
+        n = len(merged[0])
+        kernel = []
+        for j in (j for j in range(n) if j not in pivots):
+            v = [Fraction(0)] * n
+            v[j] = Fraction(1)
+            for i, pc in enumerate(pivots):
+                v[pc] = -red[i][j]
+            kernel.append(v)
+        assert rla._kernel(*d.echelon, n) == kernel, case
         assert d.independent_rows == reference_independent_rows(merged), case
         columns = set(zip(*merged))
         integer_columns = set(zip(*(row for row, _ in d.integer_rows)))

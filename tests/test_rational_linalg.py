@@ -103,6 +103,30 @@ def test_rref_and_rank_are_identical_to_the_fraction_reference():
     assert rla.rank([]) == 0
 
 
+def test_rank_is_the_pivot_count_of_the_fraction_reference():
+    # Seeded matrices with zero rows, zero columns and duplicate rows, tall
+    # and wide; rank is the pivot count of one Gauss-Jordan, no other pass.
+    rng = random.Random(30)
+    shapes, kinds = set(), set()
+    for _ in range(300):
+        m, n = rng.randint(1, 7), rng.randint(1, 7)
+        a = _random_fraction_matrix(rng, m, n)
+        kind = rng.randrange(3)
+        if kind == 0:
+            a[rng.randrange(m)] = [Fraction(0)] * n
+        elif kind == 1:
+            j = rng.randrange(n)
+            for row in a:
+                row[j] = Fraction(0)
+        else:
+            a.append(list(a[rng.randrange(m)]))
+        kinds.add(kind)
+        shapes.add((len(a) > n) - (len(a) < n))
+        assert rla.rank(a) == len(reference_rref(a)[1])
+    assert kinds == {0, 1, 2} and shapes == {-1, 0, 1}
+    assert rla.rank([]) == rla.rank([[]]) == 0
+
+
 def test_independent_rows_are_identical_to_the_prefix_rank_reference():
     # Rows are combinations of fewer random rows than fit, with zero rows
     # and duplicates mixed in, so most matrices are rank-deficient.
