@@ -426,6 +426,17 @@ def test_certify_converts_the_rows_of_c_once(monkeypatch):
     assert (len(classifications), len(conversions)) == (1, 1)
 
 
+def test_certify_eliminates_the_merged_matrix_once(monkeypatch):
+    # Q's basis and the vertex program's kernel read one echelon form of C',
+    # taken from the call's integer rows of C; no rref or rank eliminates again.
+    c = spekkens()
+    eliminations = _count_calls(monkeypatch, "copekit.rational_linalg", "_echelon")
+    rrefs = _count_calls(monkeypatch, "copekit.rational_linalg", "rref")
+    ranks = _count_calls(monkeypatch, "copekit.rational_linalg", "rank")
+    assert certify(c).verdict == NONCONTEXTUAL
+    assert (len(eliminations), len(rrefs), len(ranks)) == (1, 0, 0)
+
+
 def test_a_loaded_certificate_classifies_its_model_again(monkeypatch):
     # The report a certify call keeps lives on that call's derived view; a
     # loaded certificate gets a fresh one and is classified in full.
