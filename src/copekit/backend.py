@@ -58,7 +58,7 @@ class Backend:
                 return value
             if isinstance(value, (int, str, float)):
                 return Fraction(value)
-            raise BackendError(f"cannot coerce {value!r} to a rational entry")
+            raise BackendError(f"cannot coerce {_cut(repr(value))} to a rational entry")
         return float(value)
 
     def eq(self, a, b) -> bool:
@@ -116,6 +116,12 @@ def _canonical_literal(text: str) -> Optional[Fraction]:
     return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
+def _cut(text: str, limit: int = 80) -> str:
+    """``text`` cut to ``limit`` characters with an ellipsis, so that an
+    error message echoes a bounded part of any document value."""
+    return text if len(text) <= limit else text[:limit - 3] + "..."
+
+
 def parse_scalar(text, backend: Backend) -> Entry:
     """Parse a JSON-level scalar (``"p/q"`` string or number) for ``backend``.
 
@@ -139,15 +145,15 @@ def parse_scalar(text, backend: Backend) -> Entry:
                         raise ValueError("exponent out of range")
                 return Fraction(text) if value is None else value
             except (ValueError, ZeroDivisionError) as exc:
-                raise BackendError(f"bad rational literal {text!r}") from exc
+                raise BackendError(f"bad rational literal {_cut(repr(text))}") from exc
         if isinstance(text, int):
             return Fraction(text)
         raise BackendError(
-            f"rational documents encode entries as strings, got {text!r}"
+            f"rational documents encode entries as strings, got {_cut(repr(text))}"
         )
     if isinstance(text, (int, float)):
         return float(text)
-    raise BackendError(f"float documents encode entries as numbers, got {text!r}")
+    raise BackendError(f"float documents encode entries as numbers, got {_cut(repr(text))}")
 
 
 def format_scalar(value: Entry, backend: Backend):

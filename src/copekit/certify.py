@@ -13,11 +13,11 @@ matrix, and their order changes no verdict and no evidence:
    at most rank(C) distinct columns have the rank(C) - 1 zeros of a vertex;
 2. a unique-zero (Sperner) witness whose span bound exceeds the rank -
    contextual;
-3. the complete vertex-program decision (exact backend, within its
-   guards), the call's ``_Derived.decision``: solved once, or not at all
-   when Q is a simplex, whose vertices give the program's one solution; an
-   infeasible program comes with a Farkas vector excluding every inner
-   dimension - contextual;
+3. the complete decision over Q x Q* (exact backend, within its guards),
+   the call's ``_Derived.decision``: solved once, or not at all when Q is a
+   simplex, whose vertices give a model; an infeasible program's Farkas
+   vector is a noncontextuality inequality that every vertex pair obeys
+   and C' violates, excluding every inner dimension - contextual;
 4. a verified equirank model (noncontextual, constructive): ``enmf``'s
    model (``equirank_simplex_model``'s, if the decided one lies above
    rank), else the decided one with a note that it lies above the searched
@@ -28,10 +28,10 @@ matrix, and their order changes no verdict and no evidence:
    nothing the verdict is an honest Undetermined carrying the searched
    inner-dimension range.
 
-Q, the merged matrix, the rank and the decision are derived once per call
-and shared by every tier and by ``_check``, the one evidence checker, which
-re-derives a certificate from its matrix on the way out of ``certify`` and
-on load.
+Q, Q*, the merged matrix, the rank and the decision are derived once per
+call and shared by every tier and by ``_check``, the one evidence checker,
+which re-derives a certificate from its matrix on the way out of
+``certify`` and on load, an absence witness without a linear program.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
+from . import rational_linalg as rla
 from .cope import CopeMatrix, PreconditionError
 from .enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from .models import ModelFactorization, ModelKind, _report, _verified_model
@@ -61,7 +62,7 @@ _SIDEDNESS_NOTE = (
     "a column-only witness would still bound the span of the epistemic states"
 )
 _ABOVE_RANGE_NOTE = (
-    "model found by the complete vertex program; its inner dimension "
+    "model found by the complete decision over Q x Q*; its inner dimension "
     "may exceed the searched range"
 )
 
@@ -83,9 +84,8 @@ class SpernerSeparation:
     rank: int
 
 
-@dataclass(frozen=True)
-class ExhaustiveAbsence:
-    log: tuple
+# The decision's absence witness is the certificate's evidence as it is.
+ExhaustiveAbsence = AbsenceResult
 
 
 Evidence = Union[EnmfModel, VertexForcing, SpernerSeparation, ExhaustiveAbsence, None]
@@ -143,8 +143,8 @@ def _check(d: _Derived, cert: Certificate) -> Optional[tuple[str, str]]:
     """(field, message) of the first claim of ``cert`` not re-derived from ``d``, else None.
 
     Checks the verdict of the evidence, the rank, the searched range, the
-    model, the forcing polytope and the Sperner witness; not an absence log.
-    A model that ``d`` already accepted is not classified again.
+    model, the forcing polytope, the Sperner witness and the absence
+    witness.  A model that ``d`` already accepted is not classified again.
     """
     evidence, r = cert.evidence, d.rank
     if cert.verdict != _VERDICT_OF_EVIDENCE.get(type(evidence)):
@@ -181,12 +181,32 @@ def _check(d: _Derived, cert: Certificate) -> Optional[tuple[str, str]]:
             return "evidence", "witness bounds do not re-verify"
         if evidence.rank != r or w.factor_span_lower_bound <= r:
             return "evidence", "span bound does not exceed the rank"
+    elif isinstance(evidence, ExhaustiveAbsence):
+        # Sound for any distinct rows I and columns J: were C' = sum theta_ab
+        # q_a w_b^T with theta >= 0, <M, C'[I, J]> = sum theta_ab q_a[I]^T M
+        # w_b[J] <= 0.  In integers, on positive multiples of q[I], w[J] and
+        # C'[I, J]: u = q^T M once per q, then one dot per w.
+        rows, cols, m = evidence.rows, evidence.cols, evidence.inequality
+        bounds = ((rows, d.merged.n_rows), (cols, d.merged.n_preparations))
+        if not (len(set(rows)) == len(rows) == len(set(cols)) == len(cols) == len(m) == r
+                and all(len(row) == r and all(type(v) is int for v in row) for row in m)
+                and all(type(i) is int and 0 <= i < n for indices, n in bounds for i in indices)):
+            return "evidence", f"witness is not {r} x {r} integers on {r} distinct rows and columns in range"
+        try:
+            q_vertices, w_vertices = d.polytope.vertices, d.state_polytope.vertices
+        except (GuardExceeded, PreconditionError) as exc:
+            return "evidence", f"span-simplex polytopes not rebuilt: {exc}"
+        stacked = d.merged.stacked()
+        c_ij, _ = rla._integer_row([stacked[i][j] for i in rows for j in cols])
+        if sum(v * x for v, x in zip((v for row in m for v in row), c_ij)) <= 0:
+            return "evidence", "the matrix does not violate the witness inequality"
+        ws = [rla._integer_row([w[j] for j in cols])[0] for w in w_vertices]
+        for q in q_vertices:
+            x, _ = rla._integer_row([q[i] for i in rows])
+            u = [sum(xi * row[j] for xi, row in zip(x, m)) for j in range(r)]
+            if any(sum(a * b for a, b in zip(u, z)) > 0 for z in ws):
+                return "evidence", "a vertex pair of Q x Q* violates the witness inequality"
     return None
-
-
-def _absence_log(decision: AbsenceResult) -> tuple:
-    """The proof log of an infeasible vertex program, ending in its Farkas vector."""
-    return decision.log + ("farkas: " + " ".join(str(y) for y in decision.farkas),)
 
 
 @dataclass(frozen=True)
@@ -211,8 +231,8 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
 
     Guarded: rows + columns <= 10 and k <= 5, exact backend.  Positive
     answers carry a verified model: ``equirank_simplex_model``'s, padded
-    to k, else the vertex program's if at most k.  Negative answers carry
-    a proof log; ``all_k`` marks proofs (an infeasible vertex program)
+    to k, else the complete decision's if at most k.  Negative answers
+    carry a proof log; ``all_k`` marks proofs (an absence witness)
     that exclude every inner dimension, not just those up to k.  The
     residual window where a model exists at some larger dimension but
     dimension k itself cannot be settled raises GuardExceeded rather than
@@ -242,7 +262,7 @@ def exhaustive_enmf_decision(c: CopeMatrix, k: int) -> Decision:
 
     decision = decide_enmf_existence(d)
     if isinstance(decision, AbsenceResult):
-        return NotExists(log=_absence_log(decision), all_k=True)
+        return NotExists(log=(f"{decision} excludes every inner dimension",), all_k=True)
     if decision.model.inner_dim <= k:
         return Exists(decision.model)
 
@@ -284,15 +304,14 @@ def certify(
     """Full certification pipeline.
 
     Tier order: vertex forcing (contextual, exact backend), Sperner
-    separation (contextual), the complete vertex-program decision (exact
+    separation (contextual), the complete decision over Q x Q* (exact
     backend, within its guards; solved once, or not at all when Q is a
-    simplex), equirank model search
-    (noncontextual), otherwise Undetermined with the searched range.  The
-    two contextual tiers are sound, so they never fire on a noncontextual
-    matrix and running them first changes no verdict.  A proven absence is
-    returned at once; a decided model is returned as it is, unless
-    ``equirank_simplex_model`` gives one at inner dimension rank(C).
-    It carries a note when its inner dimension exceeds ``max_k``.  Only
+    simplex), equirank model search (noncontextual), otherwise
+    Undetermined with the searched range.  The two contextual tiers are
+    sound, so they never fire on a noncontextual matrix and running them
+    first changes no verdict.  A proven absence is returned at once; a
+    decided model is returned as it is, unless ``equirank_simplex_model``
+    gives one at rank(C), with a note if above ``max_k``.  Only
     float matrices and guard-hit exact ones run the heuristic restarts:
     at rank(C) alone, then at rank(C) + 1 .. ``max_k`` as one batch.
     A certificate that ``_check`` does not re-derive raises AssertionError.
@@ -321,7 +340,7 @@ def certify(
         return issue(CONTEXTUAL, SpernerSeparation(witness, r), _SIDEDNESS_NOTE)
 
     if isinstance(d.decision, AbsenceResult):
-        return issue(CONTEXTUAL, ExhaustiveAbsence(_absence_log(d.decision)))
+        return issue(CONTEXTUAL, d.decision)
 
     model = enmf(d, opts, max_k=bound)
     if model is None and isinstance(d.decision, ExistenceResult):

@@ -1,39 +1,37 @@
 """Complete decision of equirank-nonnegative-factorization existence.
 
-Reduction.  Work with the merged (single-block) matrix C'.  Any equirank
-nonnegative factorization C = R P has left-factor columns inside
-Q = column-space(C') intersect the simplex, so each column of R/J is a
-convex combination of Q's vertex matrix V: R/J = V M with M nonnegative.
-Then C' = V (M P), and the new coefficient matrix M P is nonnegative,
-column stochastic, has rank exactly rank(C) (it ranges between rank(C) and
-rank(P) = rank(C); its rows stay inside the row space of the original P,
-which equals the row space of C).  Conversely any nonnegative column-
-stochastic P* with V P* = C' and rows inside row-space(C) yields an
-equirank model with R = J V.  Hence:
+Reduction.  Work with the merged (single-block) matrix C' of rank r, and
+let Q = column-space(C') and Q* = row-space(C'), each intersected with the
+simplex.  An equirank nonnegative model C' = F S has F's columns in Q, and
+each row of S is nonnegative and in the row space, a scaled point of Q*.
+So C' lies in cone{ q w^T : q a vertex of Q, w a vertex of Q* }; conversely
+any theta >= 0 with sum theta_ab q_a w_b^T = C' is a model, F the q_a with
+weight and S's row a the sum over b of theta_ab w_b^T.  Every q w^T lies in
+column-space (x) row-space, of dimension r^2, where restriction to the
+independent rows I and pivot columns J is one to one.  So an ENMF exists
+at some inner dimension iff the exact linear program
 
-    an ENMF exists at some inner dimension
-        iff
-    { P* >= 0 : V P* = C', 1^T P* = 1^T, P* K = 0 } is nonempty,
+    { theta >= 0 : sum theta_ab q_a[I] w_b[J]^T = C'[I, J] }
 
-where K spans the right kernel of C' (the kernel constraint pins the row
-space, forcing rank P* = rank C).  That set is an exact linear program;
-infeasibility comes with a Farkas vector, so negative answers are
-machine-checkable certificates, not search failures.
+with r^2 rows and |Q| |Q*| columns is feasible.  Its Farkas vector, read
+entry for entry as an r x r matrix M, is a noncontextuality inequality:
+q[I]^T M w[J] <= 0 on every vertex pair, while <M, C'[I, J]> > 0, which a
+loader checks with no program (``certify._check``).  The columns are built
+in integers: a positive scale of a column or of the right-hand side moves
+no sign of either answer, and theta absorbs it.
 
-A simplex Q needs no program.  Q has dimension r - 1 for r = rank(C), so
-when it has exactly r vertices they are affinely independent; they lie on
-the hyperplane sum = 1, which misses the origin, so they are linearly
-independent too.  Then V P = C' has exactly one solution P*: every column
-of C' lies in Q, so P* is nonnegative and column stochastic, its rows are
-combinations of the rows of C', and all r of them are nonzero because
-rank(C') = r.  The program can only return P*, which is the simplex model
-on Q's vertices (``_model_from_simplex``), the same bytes.
+A simplex Q needs no program.  Q has dimension r - 1, so r vertices are
+affinely independent; on the hyperplane sum = 1, which misses the origin,
+they are linearly independent too.  Each column of C' then has one
+representation on them, nonnegative as it lies in Q: the simplex model on
+Q's vertices (``_model_from_simplex``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional, Union
 
 from . import rational_linalg as rla
@@ -53,68 +51,16 @@ class ExistenceResult:
 
 @dataclass(frozen=True)
 class AbsenceResult:
-    """Negative answer for every inner dimension, with a Farkas certificate."""
+    """Negative answer for every inner dimension: the noncontextuality
+    inequality M (``inequality``, r x r coprime integers) on the rows I
+    (``rows``) and the columns J (``cols``) of C'."""
 
-    log: tuple
-    farkas: tuple
+    rows: tuple
+    cols: tuple
+    inequality: tuple
 
 
 Existence = Union[ExistenceResult, AbsenceResult]
-
-
-def _vertex_lp(c: CopeMatrix, vertices) -> tuple:
-    """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }.
-
-    ``c`` is the merged matrix C' or a call's derived view, whose echelon
-    of C' (shared with the rank and Q's basis) gives the kernel K.  Variable P[l][j]
-    is column l n + j of k n.  Row i n + j is (V P)[i][j] = C'[i][j]; the n
-    stochastic rows follow, then P K = 0 kernel-vector-major: row t k + l
-    of that block is (P K)[l][t] = 0.  Rows are dense, with the ``int`` 0
-    wherever a row is zero, each filled from the support of its entries.
-    """
-    d = _derived(c)
-    k = len(vertices)
-    n = d.merged.n_preparations
-    stacked = d.merged.stacked()
-    kernel = rla._kernel(*d.echelon, n)
-    a_rows = []
-    b = []
-    for i, row_i in enumerate(stacked):
-        support = [(l * n, v[i]) for l, v in enumerate(vertices) if v[i]]
-        for j in range(n):
-            row = [0] * (k * n)
-            for offset, value in support:
-                row[offset + j] = value
-            a_rows.append(row)
-            b.append(row_i[j])
-    for j in range(n):
-        row = [0] * (k * n)
-        row[j::n] = [Fraction(1)] * k
-        a_rows.append(row)
-        b.append(Fraction(1))
-    for kv in kernel:
-        support = [(j, v) for j, v in enumerate(kv) if v]
-        for l in range(k):
-            row = [0] * (k * n)
-            for j, value in support:
-                row[l * n + j] = value
-            a_rows.append(row)
-            b.append(Fraction(0))
-    return a_rows, b
-
-
-def _model_from_vertex_coefficients(
-    d: _Derived, vertices, coefficients
-) -> Optional[ModelFactorization]:
-    """The verified model on the vertices that carry weight: it is equirank, as
-    the vertices lie in column-space(C') and the rows of P in row-space(C)."""
-    c = d.c
-    n = c.n_preparations
-    p_rows = [[coefficients[l * n + j] for j in range(n)] for l in range(len(vertices))]
-    used = [l for l, row in enumerate(p_rows) if any(row)]
-    effects = [[vertices[l][i] * c.n_measurements for l in used] for i in range(c.n_rows)]
-    states = [p_rows[l] for l in used]
-    return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
 
 
 def _model_from_simplex(d: _Derived, points, points_at_rows) -> Optional[tuple]:
@@ -157,13 +103,10 @@ def decide_enmf_existence(c: CopeMatrix) -> Existence:
     """Does any equirank nonnegative factorization of ``c`` exist?
 
     Exact backend only.  Complete: a positive answer carries a verified
-    model, a negative answer carries a Farkas vector certifying that the
-    vertex linear program is empty, which excludes every inner dimension.
-    When Q has exactly rank(C) vertices the program's one solution is the
-    simplex model on them, returned without building the program; this
-    comes before the program's variable cap, which limits only the
-    program.  Raises GuardExceeded when the instance is too large for
-    exact vertex enumeration or, Q not a simplex, for the program.
+    model, a negative answer the witness M, which excludes every inner
+    dimension.  A simplex Q gives its model before Q* or the program is
+    built, and so before the program's cap on |Q| |Q*|.  Raises
+    GuardExceeded past the polytopes' guard or, Q not a simplex, the cap.
     """
     d = _derived(c)
     if not d.c.backend.is_exact:
@@ -171,29 +114,33 @@ def decide_enmf_existence(c: CopeMatrix) -> Existence:
     vertices = list(d.polytope.vertices)
     if len(vertices) == d.rank:
         pair = _model_from_simplex(d, vertices, d.at_rows(vertices))
-        model = pair and _verified_model(d, *pair, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
-        if model is None:
-            raise AssertionError("a simplex Q must yield a verifiable model")
-        return ExistenceResult(model)
-    n = d.merged.n_preparations
-    if len(vertices) * n > _LP_VARIABLE_CAP:
-        raise GuardExceeded(
-            f"vertex program with {len(vertices) * n} variables exceeds the cap"
-        )
-    a_rows, b = _vertex_lp(d, vertices)
-    solution, farkas = rla.lp_feasibility(a_rows, b)
-    if solution is None:
-        return AbsenceResult(
-            log=(
-                f"span-simplex polytope has {len(vertices)} vertices",
-                "no nonnegative column-stochastic coefficient matrix with rows in "
-                "the row space maps them onto the columns",
-                "by convexity this excludes an equirank nonnegative factorization "
-                "at every inner dimension",
-            ),
-            farkas=tuple(farkas),
-        )
-    model = _model_from_vertex_coefficients(d, vertices, solution)
+    else:
+        states = d.state_polytope.vertices
+        if len(vertices) * len(states) > _LP_VARIABLE_CAP:
+            raise GuardExceeded(f"product program with {len(vertices) * len(states)} variables exceeds the cap")
+        rows, cols = d.independent_rows, d.echelon[1]
+        # Column (a, b) is s_a q_a[I] (x) t_b w_b[J], with q_a = x_a / s_a and
+        # w_b = z_b / t_b in integers, and the right-hand side is D C'[I, J].
+        qs = [rla._integer_row(q) for q in vertices]
+        ws = [rla._integer_row(w) for w in states]
+        a_rows = [[x[i] * z[j] for x, _ in qs for z, _ in ws] for i in rows for j in cols]
+        stacked = d.merged.stacked()
+        b, scale = rla._integer_row([stacked[i][j] for i in rows for j in cols])
+        theta, farkas = rla.lp_feasibility(a_rows, b)
+        if theta is None:
+            m, _ = rla._integer_row(farkas)
+            g, r = gcd(*m), len(cols)
+            return AbsenceResult(tuple(rows), tuple(cols), tuple(tuple(v // g for v in m[i:i + r]) for i in range(0, r * r, r)))
+        # C' is the sum of theta_ab s_a t_b / D q_a w_b^T: F is the q_a with
+        # weight, and S's row a is the sum over b of those weights times w_b.
+        effects, s_rows = [], []
+        for a, (q, (_, s)) in enumerate(zip(vertices, qs)):
+            weights = [(v * s * t, w) for v, w, (_, t) in zip(theta[a * len(ws):], states, ws) if v]
+            if weights:
+                effects.append([x * d.c.n_measurements for x in q])
+                s_rows.append([sum(v * w[j] for v, w in weights) / scale for j in range(len(states[0]))])
+        pair = [list(row) for row in zip(*effects)], s_rows
+    model = pair and _verified_model(d, *pair, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
     if model is None:
-        raise AssertionError("feasible vertex program must yield a verifiable model")
+        raise AssertionError("the decided model must verify")
     return ExistenceResult(model)

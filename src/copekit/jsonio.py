@@ -13,6 +13,7 @@ embedded matrix.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Optional, Union
 
 from .certify import (
@@ -24,7 +25,7 @@ from .certify import (
     VertexForcing,
     _check,
 )
-from .backend import Backend, BackendError, floating, format_scalar, parse_scalar, rational
+from .backend import Backend, BackendError, _cut, floating, format_scalar, parse_scalar, rational
 from .cope import CopeMatrix, PreconditionError, cope_matrix, validate
 from .models import ModelFactorization, ModelKind
 from .polytope import SpanSimplexPolytope, _Derived
@@ -49,7 +50,7 @@ def _loads(data: Union[bytes, str]):
             raise ParseError(f"document is not UTF-8: {exc}", field="") from exc
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # a JSONDecodeError, an int of too many digits, or nesting too deep
         raise ParseError(f"malformed JSON: {exc}", field="") from exc
 
 
@@ -68,7 +69,7 @@ def _require_header(doc: dict, doc_type: str) -> None:
     for field, expected in (("type", doc_type), ("format_version", FORMAT_VERSION)):
         value = _require(doc, field)
         if value != expected:
-            raise ParseError(f"{field}: expected {expected!r}, got {value!r}", field=field)
+            raise ParseError(f"{field}: expected {expected!r}, got {_cut(repr(value))}", field=field)
 
 
 def _array(value, field: str) -> list:
@@ -81,7 +82,7 @@ def _int(value, field: str, limit: Optional[int] = None) -> int:
     """A JSON integer (not a bool, float, string or null), in range(limit) if given."""
     if type(value) is not int or (limit is not None and not 0 <= value < limit):
         expected = "an integer" if limit is None else f"an index below {limit}"
-        raise ParseError(f"{field}: expected {expected}, got {value!r}", field=field)
+        raise ParseError(f"{field}: expected {expected}, got {_cut(repr(value))}", field=field)
     return value
 
 
@@ -100,9 +101,9 @@ def _backend_of(doc: dict) -> Backend:
     if kind == "float":
         eps = doc.get("eps", 1e-9)
         if not isinstance(eps, (int, float)) or not (0 < eps < 1):
-            raise ParseError(f"bad eps {eps!r}", field="eps")
+            raise ParseError(f"bad eps {_cut(repr(eps))}", field="eps")
         return floating(float(eps))
-    raise ParseError(f"unknown backend {kind!r}", field="backend")
+    raise ParseError(f"unknown backend {_cut(repr(kind))}", field="backend")
 
 
 def _parse_matrix_rows(rows, backend: Backend, field: str):
@@ -189,7 +190,7 @@ def doc_to_cope(doc) -> CopeMatrix:
     if violations:
         v = violations[0]
         field = f"blocks[{v.block}]" if v.block is not None else "blocks"
-        raise ParseError(f"invalid matrix: {v.message}", field=field)
+        raise ParseError(f"invalid matrix: {_cut(v.message)}", field=field)
     return c
 
 
@@ -231,7 +232,7 @@ def doc_to_model(doc) -> ModelFactorization:
     try:
         kind = ModelKind(kind_raw)
     except ValueError as exc:
-        raise ParseError(f"unknown model kind {kind_raw!r}", field="kind") from exc
+        raise ParseError(f"unknown model kind {_cut(repr(kind_raw))}", field="kind") from exc
     effects = _parse_matrix_rows(_require(doc, "effects"), backend, "effects")
     states = _parse_matrix_rows(_require(doc, "states"), backend, "states")
     try:
@@ -291,7 +292,7 @@ def certificate_to_doc(
         }
     elif isinstance(evidence, ExhaustiveAbsence):
         kind = "ExhaustiveAbsence"
-        payload = {"log": list(evidence.log)}
+        payload = asdict(evidence)  # rows, cols and inequality
     else:
         kind = "None"
         payload = {}
@@ -357,12 +358,15 @@ def parse_certificate(data: Union[bytes, str]):
         )
         evidence = SpernerSeparation(witness, rank)
     elif kind == "ExhaustiveAbsence":
-        log = _array(_require(payload, "log"), "log")
-        evidence = ExhaustiveAbsence(tuple(str(x) for x in log))
+        if not {"rows", "cols", "inequality"} <= payload.keys():
+            raise ParseError("absence evidence carries no witness (rows, cols, inequality)", field="evidence")
+        rows = _array(payload["inequality"], "evidence")
+        evidence = ExhaustiveAbsence(_ints(payload["rows"], "evidence"), _ints(payload["cols"], "evidence"),
+                                     tuple(_ints(row, "evidence") for row in rows))
     elif kind == "None":
         evidence = None
     else:
-        raise ParseError(f"unknown evidence kind {kind!r}", field="evidence_kind")
+        raise ParseError(f"unknown evidence kind {_cut(repr(kind))}", field="evidence_kind")
 
     raw_range = doc.get("searched_k_range")
     k_range = None if raw_range is None else _ints(raw_range, "searched_k_range")

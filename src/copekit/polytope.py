@@ -5,9 +5,11 @@ For a merged (single-block) column-stochastic matrix C, the polytope
     Q = column-space(C)  intersect  { x : x >= 0, sum(x) = 1 }
 
 contains every column of C, and every column of any equirank nonnegative
-left factor of C must lie inside it.  Vertices are enumerated with the
-double description method on the pointed cone { t : B t >= 0 }, where B is
-a column basis of C.  The arithmetic is exact: the double description runs
+left factor of C must lie inside it; its twin Q* = row-space(C) intersect
+the simplex holds every normalized row of such a right factor.  Vertices
+are enumerated with the double description method on the pointed cone
+{ t : B t >= 0 }, where B is a basis of the span.  The arithmetic is
+exact: the double description runs
 on integer-scaled constraint rows and primitive integer rays, and each
 vertex is an integer vector divided by its integer sum.
 """
@@ -125,51 +127,50 @@ def span_simplex_polytope(c: CopeMatrix) -> SpanSimplexPolytope:
         raise PreconditionError("vertex enumeration requires the exact backend")
     if not isinstance(c, _Derived) and c.n_measurements != 1:
         raise PreconditionError("merge measurements before enumerating vertices")
-    ambient = d.merged.n_rows
-    if ambient > AMBIENT_LIMIT:
+    if (ambient := d.merged.n_rows) > AMBIENT_LIMIT:
         raise GuardExceeded(f"ambient dimension {ambient} exceeds {AMBIENT_LIMIT}")
     stacked = d.merged.stacked()
     _, pivots = d.echelon
-    basis = [[stacked[i][j] for j in pivots] for i in range(ambient)]
-    # B = B_int / den with one positive den, so the vertex B t / sum(B t) of
-    # a ray t is (B_int t) / sum(B_int t): integers until the last division.
-    b_int, _ = rla._integer_matrix(basis)
-    rays = extreme_rays(b_int)
+    basis = tuple(tuple(row[j] for j in pivots) for row in stacked)
+    # B = B_int / den with one positive den: the same cone, in integers.
+    return _simplex_section(basis, rla._integer_matrix(basis)[0])
+
+
+def _simplex_section(basis: tuple, b_int) -> SpanSimplexPolytope:
+    """{ B t : B t >= 0, sum(B t) = 1 } for ``basis``, enumerated on ``b_int``,
+    whose columns are positive multiples of B's: the same cone and image, so
+    a ray t gives the vertex (B_int t) / sum(B_int t), integers until then."""
     vertices = set()
-    for ray in rays:
+    for ray in extreme_rays(b_int):
         x = [sum(b * t for b, t in zip(row, ray)) for row in b_int]
         total = sum(x)
         if total <= 0:
             raise AssertionError("unbounded direction in a subset of the simplex")
         vertices.add(tuple(Fraction(v, total) for v in x))
-    ordered = tuple(sorted(vertices))
-    return SpanSimplexPolytope(
-        ambient_dim=ambient,
-        basis=tuple(tuple(row) for row in basis),
-        vertices=ordered,
-    )
+    return SpanSimplexPolytope(ambient_dim=len(b_int), basis=basis, vertices=tuple(sorted(vertices)))
 
 
 class _Derived:
-    """rank(c), the merged matrix C', its echelon, Q and the
-    vertex-program decision of one matrix, each built on first use.
+    """rank(c), the merged matrix C', its echelon, Q, Q* and the decision
+    of one matrix, each built on first use.
 
     A top-level call makes one and drops it on return, so nothing derived
     outlives the call.  The tiers and ``classify_model`` take it in place
     of the matrix, so one call shares it; given a plain matrix, each makes
     its own.  An exact C is converted to integers once (``integer_rows``),
-    and its ``echelon``, independent rows, forcing gate and model checks
-    read that: each integer row is a positive multiple of a row of C' (C's
-    rows over J, in order), so both share rank, reduced row echelon form and
-    independent rows.  One Gauss-Jordan in integers (``echelon``) gives the
-    exact rank, Q's basis and the vertex program's kernel.  ``reports`` maps
-    the ``id`` of each model ``models._verified_model`` accepted to (model,
-    report); the model is kept so its id is not reused, and rejected
-    candidates are not kept.  Q's guard raises again on every ask, as no
-    exception is cached; a guard hit by the decision leaves ``decision``
-    None.  For the simplex routes of ``nmf`` and the decision on a simplex
-    Q it also holds the first rank-many independent rows I of C' and the
-    merged columns restricted to I; at rank 3, ``plane``.
+    and its ``echelon``, independent rows, Q*'s basis, forcing gate and
+    model checks read that: each integer row is a positive multiple of a
+    row of C' (C's rows over J, in order), so both share rank, reduced row
+    echelon form and independent rows.  One Gauss-Jordan in integers
+    (``echelon``) gives the exact rank, Q's basis and the pivot columns J.
+    ``reports`` maps the ``id`` of each model ``models._verified_model``
+    accepted to (model, report); the model is kept so its id is not
+    reused, and rejected candidates are not kept.  The polytope guards
+    raise again on every ask, as no exception is cached; a guard hit by
+    the decision leaves ``decision`` None.  For the simplex routes of
+    ``nmf`` and the decision it also holds the first rank-many independent
+    rows I of C' and the merged columns restricted to I; at rank 3,
+    ``plane``.
     """
 
     def __init__(self, c: CopeMatrix):
@@ -219,6 +220,15 @@ class _Derived:
         checked before any elimination, and an exception is not cached, so a
         hit raises again, at no cost, on every ask."""
         return span_simplex_polytope(self)
+
+    @cached_property
+    def state_polytope(self) -> SpanSimplexPolytope:
+        """Q* = row-space(C') intersected with the simplex, on the basis of the
+        integer rows I of C, positive multiples of C'[I, :], under Q's guard."""
+        if (ambient := self.c.n_preparations) > AMBIENT_LIMIT:
+            raise GuardExceeded(f"ambient dimension {ambient} exceeds {AMBIENT_LIMIT}")
+        b_int = tuple(zip(*(self.integer_rows[i][0] for i in self.independent_rows)))
+        return _simplex_section(b_int, b_int)
 
     @cached_property
     def plane(self) -> tuple:

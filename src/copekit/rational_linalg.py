@@ -12,8 +12,8 @@ kernels, solves, inverses and ``independent_rows``, and the simplex of
 A kernel row is sparse and fraction-free: a dict from
 column index to its nonzero ``int`` numerator, over one positive ``int``
 denominator.  The matrices met here stay mostly zero while they are
-eliminated (the vertex program of the existence decision reaches a few
-hundred rows and columns), so an update touches only the pivot row's
+eliminated (the simplex of the existence decision reaches a few hundred
+columns), so an update touches only the pivot row's
 nonzeros.  An update scales the row by a positive factor and keeps any
 common factor it brings: the row is divided by the gcd of its numerators
 and denominator only once the denominator has more than ``_REDUCE_BITS``
@@ -55,6 +55,10 @@ F1 = Fraction(1)
 # update.  Dense Gauss-Jordan (12-20 square, 16-60-bit fractions) kept its
 # time at 1024 and took up to twice as long when never reduced.
 _REDUCE_BITS = 1024
+
+
+# Consecutive degenerate pivots after which ``lp_feasibility`` enters by Bland's rule.
+_DEGENERATE_RUN = 50
 
 
 def identity(n: int) -> Matrix:
@@ -216,13 +220,10 @@ def rank_factorization(a: Matrix) -> tuple[Matrix, Matrix]:
 
 
 def nullspace(a: Matrix) -> list[Row]:
-    """Basis of the right kernel of ``a``."""
-    return _kernel(*_echelon(a), len(a[0]) if a else 0)
-
-
-def _kernel(rows: list, pivots: list[int], n_cols: int) -> list[Row]:
-    """Basis of the right kernel of a matrix with ``n_cols`` columns, read off
-    its ``_echelon`` (rows, pivots): its RREF's R[i][j] is row[j] / row[pc]."""
+    """Basis of the right kernel of ``a``, read off its ``_echelon`` (rows,
+    pivots): its RREF's R[i][j] is row[j] / row[pc]."""
+    rows, pivots = _echelon(a)
+    n_cols = len(a[0]) if a else 0
     free = [j for j in range(n_cols) if j not in pivots]
     basis = []
     for j in free:
@@ -355,20 +356,27 @@ def _check_primal(a_eq: Matrix, b_eq: Sequence, x: Row) -> None:
 def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optional[Row]]:
     """Exact feasibility of {x >= 0 : a_eq x = b_eq} with dual certificate.
 
-    Phase-1 simplex with Bland's rule (guaranteed termination).  The given
-    rows are converted once (``_integer_rows``) and kept.  Each tableau row
-    is a kernel row, and each pivot makes one pass over the rows: it runs
-    the ratio test and collects the rows with a nonzero in the entering
-    column, the only ones updated.  The pivot row is divided by its pivot
-    entry and reduced; any other row only past ``_REDUCE_BITS`` (see
-    ``_eliminate``).  Positive scaling keeps each sign and each ratio within
-    a row, which are all the ratio test and the entering column read, so
-    Bland's choices, the pivots and the answer are exactly those of the
-    textbook all-``Fraction`` tableau.  Returns (x, None) on feasibility and
-    (None, y) on infeasibility, where y is a Farkas vector: y^T a_eq <= 0
-    componentwise and y^T b_eq > 0.  Both are verified exactly before they
-    are returned: y, as integers over the cost row's denominator, on the
-    kept rows, and x by ``_check_primal`` on the caller's.
+    Phase-1 simplex.  The entering column has the most negative reduced
+    cost (Dantzig's rule, ties to the lowest index); after ``_DEGENERATE_RUN``
+    consecutive degenerate pivots, the lowest index with a negative one
+    (Bland's rule) until the next nondegenerate pivot.  The leaving row has
+    the least ratio, ties to the lowest basic variable.  It terminates: a
+    nondegenerate pivot lowers the phase-1 objective, so no basis recurs
+    after one and there are finitely many; Bland's rule cannot cycle, so
+    each degenerate run ends.  The given rows are converted once
+    (``_integer_rows``) and kept.  Each tableau row is a kernel row, and
+    each pivot makes one pass over the rows: it runs the ratio test and
+    collects the rows with a nonzero in the entering column, the only ones
+    updated.  The pivot row is divided by its pivot entry and reduced; any
+    other row only past ``_REDUCE_BITS`` (see ``_eliminate``).  Positive
+    scaling keeps each sign and each ratio within a row, and the cost row
+    is over one denominator, which is all the ratio test and the entering
+    column read, so the choices, the pivots and the answer are exactly
+    those of the textbook all-``Fraction`` tableau.  Returns (x, None) on
+    feasibility and (None, y) on infeasibility, where y is a Farkas vector:
+    y^T a_eq <= 0 componentwise and y^T b_eq > 0.  Both are verified
+    exactly before they are returned: y, as integers over the cost row's
+    denominator, on the kept rows, and x by ``_check_primal`` on the caller's.
     """
     m = len(a_eq)
     if m == 0:
@@ -400,10 +408,15 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
         sums[j] += cost_den
     cost, cost_den = _reduced({j: v for j, v in enumerate(sums) if v}, cost_den)
 
+    degenerate = 0
     while True:
-        enter = min((j for j, v in cost.items() if v < 0 and j < total), default=None)
-        if enter is None:
+        negative = [j for j, v in cost.items() if v < 0 and j < total]
+        if not negative:
             break
+        if degenerate < _DEGENERATE_RUN:
+            enter = min(negative, key=lambda j: (cost[j], j))
+        else:
+            enter = min(negative)
         # One pass: the rows to update, and the ratio test rhs_i / a_i,enter by
         # cross-multiplication (the row denominator cancels), ties by Bland.
         hits, leave = [], None
@@ -425,6 +438,7 @@ def lp_feasibility(a_eq: Matrix, b_eq: Sequence) -> tuple[Optional[Row], Optiona
         # The pivot row divided by its (positive) pivot entry.
         rows[leave], dens[leave] = _reduced(pivot_row, leave_a)
         basis[leave] = enter
+        degenerate = degenerate + 1 if leave_b == 0 else 0
 
     if cost.get(total):
         # Duals from the artificial reduced costs, cost[n+i] = D (1 - s_i y_i)

@@ -18,8 +18,8 @@ import scipy.optimize
 from copekit import rational_linalg as rla
 from copekit.backend import rational
 from copekit.cope import Violation, cope_matrix
-from copekit.models import ModelKind, VerificationReport
-from copekit.polytope import extreme_rays
+from copekit.models import ModelKind, VerificationReport, _verified_model
+from copekit.polytope import _derived, extreme_rays
 
 
 def in_convex_hull(vectors, target) -> bool:
@@ -116,21 +116,73 @@ def reference_model_from_simplex(d, points):
     return effects, states_t
 
 
+def vertex_lp(c, vertices) -> tuple:
+    """Equality system for { P >= 0 : V P = C', columns stochastic, P K = 0 }.
+
+    The vertex program, the complete decision before the product program
+    over Q x Q* replaced it, kept as a reference.  ``c`` is the merged
+    matrix C' or a derived view; K spans the right kernel of C'.  Variable
+    P[l][j] is column l n + j of k n.  Row i n + j is (V P)[i][j] =
+    C'[i][j]; the n stochastic rows follow, then P K = 0
+    kernel-vector-major: row t k + l of that block is (P K)[l][t] = 0.
+    Rows are dense, with the ``int`` 0 wherever a row is zero.
+    """
+    d = _derived(c)
+    k = len(vertices)
+    n = d.merged.n_preparations
+    stacked = d.merged.stacked()
+    kernel = rla.nullspace(stacked)
+    a_rows = []
+    b = []
+    for i, row_i in enumerate(stacked):
+        support = [(l * n, v[i]) for l, v in enumerate(vertices) if v[i]]
+        for j in range(n):
+            row = [0] * (k * n)
+            for offset, value in support:
+                row[offset + j] = value
+            a_rows.append(row)
+            b.append(row_i[j])
+    for j in range(n):
+        row = [0] * (k * n)
+        row[j::n] = [Fraction(1)] * k
+        a_rows.append(row)
+        b.append(Fraction(1))
+    for kv in kernel:
+        support = [(j, v) for j, v in enumerate(kv) if v]
+        for l in range(k):
+            row = [0] * (k * n)
+            for j, value in support:
+                row[l * n + j] = value
+            a_rows.append(row)
+            b.append(Fraction(0))
+    return a_rows, b
+
+
+def model_from_vertex_coefficients(d, vertices, coefficients):
+    """The verified model of a solution of ``vertex_lp``, on the vertices
+    that carry weight, or None when it does not verify."""
+    c = d.c
+    n = c.n_preparations
+    p_rows = [[coefficients[l * n + j] for j in range(n)] for l in range(len(vertices))]
+    used = [l for l, row in enumerate(p_rows) if any(row)]
+    effects = [[vertices[l][i] * c.n_measurements for l in used] for i in range(c.n_rows)]
+    states = [p_rows[l] for l in used]
+    return _verified_model(d, effects, states, ModelKind.NONCONTEXTUAL_ONTOLOGICAL)
+
+
 def reference_vertex_decision(d):
     """(model, farkas) of the vertex program, solved by the LP on every Q.
 
-    The reference for ``enmf_decision.decide_enmf_existence``, which skips
-    the program when Q is a simplex: ``_vertex_lp``, then the exact LP, then
-    ``_model_from_vertex_coefficients``.  The model is None when the program
+    The reference verdict for ``enmf_decision.decide_enmf_existence``:
+    ``vertex_lp``, then the exact LP, then
+    ``model_from_vertex_coefficients``.  The model is None when the program
     is infeasible, and the Farkas vector None when it is feasible.
     """
-    from copekit.enmf_decision import _model_from_vertex_coefficients, _vertex_lp
-
     vertices = list(d.polytope.vertices)
-    solution, farkas = rla.lp_feasibility(*_vertex_lp(d, vertices))
+    solution, farkas = rla.lp_feasibility(*vertex_lp(d, vertices))
     if solution is None:
         return None, farkas
-    return _model_from_vertex_coefficients(d, vertices, solution), None
+    return model_from_vertex_coefficients(d, vertices, solution), None
 
 
 def reference_simplex_pairs(d):
@@ -305,7 +357,8 @@ def reference_validate(c):
 
 
 def reference_lp_feasibility(a_eq, b_eq):
-    """Dense all-Fraction phase-1 simplex with Bland's rule.
+    """Dense all-Fraction phase-1 simplex, Dantzig's rule with Bland's after
+    ``rational_linalg._DEGENERATE_RUN`` consecutive degenerate pivots.
 
     The reference for ``rational_linalg.lp_feasibility``: the same pivot
     rule on the textbook tableau, with every entry a Fraction, so the
@@ -341,14 +394,15 @@ def reference_lp_feasibility(a_eq, b_eq):
         cost[j] += Fraction(1)
 
     total = n + m
+    degenerate = 0
     while True:
-        enter = None
-        for j in range(total):
-            if cost[j] < 0:
-                enter = j
-                break
-        if enter is None:
+        negative = [j for j in range(total) if cost[j] < 0]
+        if not negative:
             break
+        if degenerate < rla._DEGENERATE_RUN:
+            enter = min(negative, key=lambda j: cost[j])  # the first of the most negative
+        else:
+            enter = negative[0]
         leave = None
         best = None
         for i in range(m):
@@ -369,6 +423,7 @@ def reference_lp_feasibility(a_eq, b_eq):
             f = cost[enter]
             cost = [x - f * y for x, y in zip(cost, tab[leave])]
         basis[leave] = enter
+        degenerate = degenerate + 1 if best == 0 else 0
 
     objective = -cost[-1]
     if objective != 0:

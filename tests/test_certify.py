@@ -244,7 +244,7 @@ def test_noncontextual_certificates_always_reverify():
             assert cert.evidence is not None
 
 
-# --- one vertex program per certify ----------------------------------------------
+# --- one decision program per certify --------------------------------------------
 
 
 def _count_lp_solves(monkeypatch):
@@ -263,7 +263,8 @@ def _count_lp_solves(monkeypatch):
 
 def test_absence_solves_the_vertex_program_once(monkeypatch):
     # Drawn by the acceptance-8 recipe (random_cope at seed 808): neither
-    # vertex forcing nor a Sperner witness decides it.
+    # vertex forcing nor a Sperner witness decides it, so the decision's one
+    # program over Q x Q* does, solved once.
     c = cope_matrix(
         [
             [[1, H, 1, 0, 0], [0, H, 0, 1, 1]],
@@ -368,15 +369,16 @@ def _count_calls(monkeypatch, module_name, fn_name):
 
 
 def test_certify_builds_q_and_rank_once_per_call(monkeypatch):
-    # The exact rank, Q's basis and the vertex program's kernel read one
-    # echelon of C', taken from the call's integer rows of C.
+    # The exact rank, Q's basis and the pivot columns J read one echelon of
+    # C', taken from the call's integer rows of C.  Spekkens reaches the
+    # decision, which enumerates Q and Q* once each.
     c = spekkens()
     rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
     eliminations = _count_calls(monkeypatch, "copekit.rational_linalg", "_echelon")
     assert certify(c).verdict == NONCONTEXTUAL
-    assert (len(rays), len(eliminations)) == (1, 1)
+    assert (len(rays), len(eliminations)) == (2, 1)
     certify(c)  # a second call of the same object redoes the work
-    assert (len(rays), len(eliminations)) == (2, 2)
+    assert (len(rays), len(eliminations)) == (4, 2)
 
 
 def test_the_decision_is_one_slot_of_the_call(monkeypatch, perfbench_corpus, rational_qubit_2):
@@ -427,7 +429,7 @@ def test_certify_converts_the_rows_of_c_once(monkeypatch):
 
 
 def test_certify_eliminates_the_merged_matrix_once(monkeypatch):
-    # Q's basis and the vertex program's kernel read one echelon form of C',
+    # Q's basis, Q*'s rows and the program's columns read one echelon form of C',
     # taken from the call's integer rows of C; no rref or rank eliminates again.
     c = spekkens()
     eliminations = _count_calls(monkeypatch, "copekit.rational_linalg", "_echelon")
@@ -470,7 +472,8 @@ def test_only_accepted_models_keep_their_report(spekkens_matrix, perfbench_corpu
 
 
 def test_absence_builds_q_once(monkeypatch):
-    # The instance of test_absence_solves_the_vertex_program_once.
+    # The instance of test_absence_solves_the_vertex_program_once: Q and Q*
+    # are enumerated once each, for the decision and the witness check.
     c = cope_matrix(
         [
             [[1, H, 1, 0, 0], [0, H, 0, 1, 1]],
@@ -480,13 +483,14 @@ def test_absence_builds_q_once(monkeypatch):
     )
     rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
     assert isinstance(certify(c).evidence, ExhaustiveAbsence)
-    assert len(rays) == 1
+    assert len(rays) == 2
 
 
 def test_exhaustive_decision_builds_q_once(monkeypatch):
+    # Q and Q* once each: boxworld's absence is the product program's.
     rays = _count_calls(monkeypatch, "copekit.polytope", "extreme_rays")
     exhaustive_enmf_decision(boxworld(), 3)
-    assert len(rays) == 1
+    assert len(rays) == 2
 
 
 def _exact_corpus(corpus, name):
@@ -538,7 +542,7 @@ def test_the_exhaustive_window_asks_the_nested_triangle_once(monkeypatch, ration
 
 def test_a_square_matrix_decided_above_rank_gets_its_extremal_simplex(monkeypatch):
     # The first random_cope(random.Random(7)) draw with n = rank(C) whose
-    # decided model lies above rank (draw 74: 5 x 4, rank 4, decided at 5).
+    # decided model lies above rank (draw 19: 6 x 4, rank 4, decided at 5).
     # Its n merged columns are independent points on the plane sum = 1, so
     # all are extremal, and the extremal route gives the model with effects
     # C and identity states: no trivial pair is padded for it.
@@ -560,7 +564,7 @@ def test_a_square_matrix_decided_above_rank_gets_its_extremal_simplex(monkeypatc
     assert model.inner_dim == c.n_preparations
     assert [list(row) for row in model.effects] == c.stacked()
     digest = hashlib.sha256(emit_certificate(cert, c)).hexdigest()
-    assert digest == "cf0826d665181fd4b3d87eb1661732fb182964ff95970e8c87367d7585b82033"
+    assert digest == "8de9c494d385e0b3c344971838d6b00e3dcb6f9769f2c20386965027e39bb293"
 
 
 def test_the_exhaustive_window_beyond_the_routes_raises():
@@ -588,27 +592,27 @@ def test_forcing_gate_leaves_q_unbuilt_when_sperner_decides(monkeypatch, perfben
 # --- certificate bytes -----------------------------------------------------------
 
 # sha256 of emit_certificate(certify(c), c) (no wall time), recorded before the
-# vertex-program kernel and the tier order changed: faster must mean the same
-# certificate, sooner.
+# kernel and the tier order changed: faster must mean the same certificate,
+# sooner.  Absences were re-pinned once when their evidence became a witness.
 CERTIFICATE_DIGESTS = {
     "spekkens": "e46ef10000273e01a77a728bd03f80bf699d7a9f57fc9a5886fce5cdeceaf638",
     "boxworld": "06c1803575e1c98ee0a659f448fe9b2f945de302e3f5221021e66589d6410abf",
     "extended_boxworld": "adf8908e34693b1bcf5b41c8eadda092814a4a6fe919f830b2465a02362aff96",
     "cardinal_qubit": "b4f7a3680945060e865d5f9d57cf90f573d4289000cd2d44c68fbccd631fff63",
     # The rational qubits of the exact-corpus benchmark pool.  The model of
-    # 3 pairs is the vertex program's primal point (inner dimension 7); the
-    # absence log of 4 pairs carries Bland's Farkas vector of a 120 x 96
-    # program, and 5 pairs are decided by a Sperner witness.
+    # 3 pairs has inner dimension 7; the absence of 4 pairs carries a 4 x 4
+    # integer noncontextuality inequality, the Farkas vector of the 16 x 144
+    # program over Q x Q*; 5 pairs are decided by a Sperner witness.
     "rational_qubit_2": "51fdeabd58003f407761da5efafeb3770d36977ddf6eb4fafc7fae2e851b5559",
     "rational_qubit_3": "c64d5a25717158028b554a436b229e24db708b2fbd66ad7557c5031b074c5e0b",
-    "rational_qubit_4": "fc05e4045ebfe98511b72e3fa2a5fc7c3812447b0b445044c58abb08857995f9",
+    "rational_qubit_4": "5d22cdcd32aeb05c0fb450a801d39ab33952cda086429a10aea98052232b120c",
     "rational_qubit_5": "4ab2f5cb9c5562b300508e883d9dbd622a79b7d52419b123d4e9fbec64c39f9b",
 }
 
 
 # sha256 over the concatenated certificates of the acceptance-8 batch (the
 # first 200 draws of random_cope at seed 808 with rows + columns <= 10).
-ACCEPTANCE_8_DIGEST = "bd5090322c3f56faf03c780254201edcca2986174e794220a76f48f584be10e9"
+ACCEPTANCE_8_DIGEST = "c619259541a0d9b70043a72bb590256b8c3208584c016f42a347a498ada669ab"
 
 # sha256 over emit_model(enmf(c, NmfOptions())) of the same batch, b"None" for
 # a None, recorded before the model constructors of nmf, enmf_decision and
@@ -809,7 +813,7 @@ def test_certify_batches_the_restarts_above_rank(monkeypatch):
 
 
 def test_lp_guard_hit_certifies_spekkens_by_the_simplex_route(monkeypatch, spekkens_matrix):
-    # The vertex program is over its variable cap, so the decision raises
+    # The product program is over its variable cap, so the decision raises
     # before building it and enmf scans inner dimensions; at k = rank the
     # simplex route of search_candidates finds the model before any restart.
     def no_restarts(arr, widths, seeds, iterations):
@@ -817,17 +821,17 @@ def test_lp_guard_hit_certifies_spekkens_by_the_simplex_route(monkeypatch, spekk
 
     monkeypatch.setattr(importlib.import_module("copekit.enmf_decision"), "_LP_VARIABLE_CAP", 0)
     monkeypatch.setattr(importlib.import_module("copekit.nmf"), "_restarts", no_restarts)
-    programs = _count_calls(monkeypatch, "copekit.enmf_decision", "_vertex_lp")
+    solves = _count_lp_solves(monkeypatch)
     cert = certify(spekkens_matrix)
-    assert programs == []
+    # The extremality tests solve programs of 7 rows; the decision's would have rank**2.
+    assert solves and rank(spekkens_matrix) ** 2 not in solves
     assert cert.verdict == NONCONTEXTUAL
     assert cert.evidence.model.inner_dim == rank(spekkens_matrix)
     assert cert.evidence.model.kind == ModelKind.NONCONTEXTUAL_ONTOLOGICAL
 
 
 def test_polytope_guard_hit_leaves_boxworld_undetermined(monkeypatch, boxworld_matrix):
-    # Q cannot be built, so neither vertex forcing nor the vertex program
-    # runs; the restarts and their exact lifts find no equirank model.
+    # Q cannot be built, so neither vertex forcing nor the decision runs; the restarts and their exact lifts find no equirank model.
     monkeypatch.setattr(importlib.import_module("copekit.polytope"), "AMBIENT_LIMIT", 3)
     lifts = _count_calls(monkeypatch, "copekit.nmf", "_exact_from_floats")
     cert = certify(boxworld_matrix)

@@ -378,6 +378,25 @@ def test_check_exits_2_on_a_document_that_does_not_load(tmp_path, capsysbinary):
         assert field is None or f"(field: {field})".encode() in err, err
 
 
+def test_hostile_documents_exit_2_with_a_bounded_message(tmp_path, capsysbinary):
+    # 1000 nested arrays exceed json's recursion limit; a rejected literal of
+    # 10 001 characters, and a JSON integer past Python's digit limit, are
+    # echoed in at most 80 characters.
+    nested = tmp_path / "nested.json"
+    nested.write_bytes(b"[" * 1000 + b"]" * 1000)
+    literal = tmp_path / "literal.json"
+    doc = json.loads(emit_cope(spekkens()))
+    doc["blocks"][0][0][0] = "1" * 10_000 + "x"
+    literal.write_text(json.dumps(doc))
+    huge_int = tmp_path / "huge-int.json"
+    huge_int.write_bytes(b'{"rank": ' + b"9" * 5000 + b"}")
+    for path in (nested, literal, huge_int):
+        for command in ("certify", "check"):
+            code, out, err = _run(capsysbinary, [command, str(path)])
+            assert (code, out) == (2, b"") and err.startswith(b"error: "), (path, command)
+            assert b"Traceback" not in err and len(err) < 250, (path, command, err)
+
+
 def test_commands_refuse_the_flags_they_never_read(tmp_path, capsysbinary):
     # Only factorize and certify run the factorization search, so only they
     # take its flags; generate reads no document, so it takes no --backend.

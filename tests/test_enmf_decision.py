@@ -40,10 +40,21 @@ def test_spekkens_existence(spekkens_matrix):
 
 
 def test_boxworld_absence_with_farkas(boxworld_matrix):
+    # The Farkas vector of the product program, read as a 3 x 3 matrix M on
+    # the independent rows and pivot columns of C': every vertex pair of
+    # Q x Q* obeys q^T M w <= 0 and C' violates it, checked here in Fractions.
     d = decide_enmf_existence(boxworld_matrix)
     assert isinstance(d, AbsenceResult)
-    assert len(d.farkas) > 0
-    assert any("every inner dimension" in line for line in d.log)
+    assert (d.rows, d.cols) == ((0, 1, 2), (0, 1, 2))
+    assert d.inequality == ((-1, 0, -1), (-3, -1, 1), (1, -1, 1))
+    derived = _Derived(boxworld_matrix)
+    merged = derived.merged.stacked()
+
+    pairs = [(i, j, m) for i, row in zip(d.rows, d.inequality) for j, m in zip(d.cols, row)]
+    for q in derived.polytope.vertices:
+        for w in derived.state_polytope.vertices:
+            assert sum(q[i] * m * w[j] for i, j, m in pairs) <= 0
+    assert sum(m * merged[i][j] for i, j, m in pairs) > 0
 
 
 def test_extended_boxworld_absence(ebw_matrix):

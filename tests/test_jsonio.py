@@ -1,13 +1,17 @@
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from copekit import (
+    ExhaustiveAbsence,
     NmfOptions,
     ParseError,
     boxworld,
     cardinal_directions,
     certify,
+    cope_matrix,
     discrete_qubit,
     emit_certificate,
     emit_cope,
@@ -284,14 +288,96 @@ def test_verdict_contradicting_evidence_rejected(spekkens_matrix, verdict, kind)
     assert err.value.field == "verdict"
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 1: absence evidence is an unchecked log")
 def test_forged_exhaustive_absence_rejected(spekkens_matrix):
     # Spekkens is noncontextual, so no absence of an equirank model is true
-    # of it; a loader that re-derives absence evidence must refuse this log.
+    # of it; a loader that re-derives absence evidence must refuse this log,
+    # and any witness of the right shape.
     doc = _spekkens_certificate_doc(spekkens_matrix)
     doc.update(verdict="Contextual", evidence_kind="ExhaustiveAbsence", evidence={"log": ["trust me"]})
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as err:
         parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    doc["evidence"] = {"rows": [0, 1, 2, 4], "cols": [0, 1, 2, 3], "inequality": identity}
+    with pytest.raises(ParseError, match="vertex pair") as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+
+
+def _absence_certificate_doc():
+    # Drawn by the acceptance-8 recipe: rank 3, decided by the product program.
+    h = Fraction(1, 2)
+    c = cope_matrix([[[1, h, 1, 0, 0], [0, h, 0, 1, 1]], [[h, 1, h, 1, h], [h, 0, h, 0, h]]])
+    doc = json.loads(emit_certificate(certify(c), c))
+    assert doc["evidence_kind"] == "ExhaustiveAbsence"
+    return doc
+
+
+@pytest.mark.parametrize("edit", [
+    lambda e: e.pop("inequality"),
+    lambda e: e.update(inequality=e["inequality"][:-1]),
+    lambda e: e.update(inequality=[row + [0] for row in e["inequality"]]),
+    lambda e: e.update(rows=e["rows"][:-1]),
+    lambda e: e.update(rows=[e["rows"][0]] * len(e["rows"])),
+    lambda e: e.update(cols=e["cols"][:-1] + [e["cols"][0]]),
+    lambda e: e.update(rows=e["rows"][:-1] + [4]),
+    lambda e: e.update(cols=e["cols"][:-1] + [-1]),
+    lambda e: e.update(cols=e["cols"][:-1] + [True]),
+    lambda e: e["inequality"][0].__setitem__(0, "1"),
+    lambda e: e["inequality"][0].__setitem__(0, 0.5),
+    lambda e: e["inequality"].__setitem__(0, 7),
+    lambda e: e.update(inequality=[[0] * len(row) for row in e["inequality"]]),
+    lambda e: e.update(inequality=[[-v for v in row] for row in e["inequality"]]),
+], ids=["no inequality", "short M", "wide M", "short rows", "repeated row", "repeated column",
+        "row out of range", "negative column", "boolean column", "string entry", "float entry",
+        "entry row not an array", "M = 0", "M negated"])
+def test_malformed_absence_witness_raises_parse_error(edit):
+    doc = _absence_certificate_doc()
+    parse_certificate(json.dumps(doc).encode())
+    edit(doc["evidence"])
+    with pytest.raises(ParseError) as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+
+
+def test_loading_an_absence_solves_no_linear_program(monkeypatch):
+    from copekit import rational_linalg as rla
+
+    data = json.dumps(_absence_certificate_doc()).encode()
+    calls = []
+    solve = rla.lp_feasibility
+    monkeypatch.setattr(rla, "lp_feasibility", lambda *args: calls.append(args) or solve(*args))
+    cert, _ = parse_certificate(data)
+    assert cert.verdict == "Contextual" and calls == []
+
+
+_MUTATIONS = [0, 1, -1, 2, "1", 1.5, True, None, [], {}, 10**30]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_a_mutated_absence_certificate_is_refused_or_still_proves_absence(data):
+    # One field of a genuine absence certificate, or one witness entry, is
+    # replaced or moved by one.  A mutated witness that still checks is still
+    # a proof (some sign flips do), so the loader may accept it; anything
+    # else must be a ParseError.
+    doc = _absence_certificate_doc()
+    evidence = doc["evidence"]
+    target = data.draw(st.sampled_from(["entry", "rows", "cols", "verdict", "rank", "evidence_kind"]))
+    if target == "entry":
+        row = evidence["inequality"][data.draw(st.integers(0, len(evidence["inequality"]) - 1))]
+        j = data.draw(st.integers(0, len(row) - 1))
+        row[j] = data.draw(st.sampled_from([row[j] + 1, row[j] - 1, -row[j], *_MUTATIONS]))
+    elif target in ("rows", "cols"):
+        indices = evidence[target]
+        indices[data.draw(st.integers(0, len(indices) - 1))] = data.draw(st.sampled_from(_MUTATIONS))
+    else:
+        doc[target] = data.draw(st.sampled_from([*_MUTATIONS, "Noncontextual", "EnmfModel"]))
+    try:
+        cert, _ = parse_certificate(json.dumps(doc).encode())
+    except ParseError:
+        return
+    assert cert.verdict == "Contextual" and isinstance(cert.evidence, ExhaustiveAbsence)
 
 
 def test_forged_vertex_forcing_rejected(spekkens_matrix):

@@ -5,8 +5,10 @@ One seeded sweep of 1000 generated instances (up to 6x6, denominators up to
 invariants of the matrix operations with shrinking.  Three seeded sweeps
 check the certifier's evidence: every certificate survives the wire format
 byte for byte, the exhaustive decision agrees with the complete one, and
-the complete one gives the vertex program's bytes without solving it when
-Q is a simplex.  One more, over the exact benchmark pools and seeded
+the complete one gives the reference vertex program's bytes without solving
+it when Q is a simplex and its verdict elsewhere.  Seeded hypothesis draws
+check that every absence witness checks on its matrix and fails on a noisy
+copy that has a model.  One more, over the exact benchmark pools and seeded
 draws, checks that the exact work certify skips could not have changed an
 answer: every vertex of Q has rank - 1 zeros or more, the forcing gate
 agrees with ungated forcing, and the pruned rank-r search proposes the
@@ -47,7 +49,14 @@ from copekit import (
 from copekit import cope as cope_mod
 from copekit import rational_linalg as rla
 from copekit.backend import floating, rational
-from copekit.certify import Exists, NotExists, vertex_forcing_certificate
+from copekit.certify import (
+    Certificate,
+    ExhaustiveAbsence,
+    Exists,
+    NotExists,
+    _check,
+    vertex_forcing_certificate,
+)
 from copekit.cope import cope_matrix
 from copekit.enmf_decision import AbsenceResult, ExistenceResult, decide_enmf_existence
 from copekit.nmf import _plane_extremal, _simplex_pairs, equirank_simplex_model
@@ -195,29 +204,63 @@ def test_exhaustive_decision_agrees_with_the_complete_decision():
 
 
 def test_simplex_q_decision_is_identical_to_the_vertex_program():
-    # On a simplex Q the decision builds no vertex program; its model must
-    # be the bytes of the program's one solution.  Draws whose Q has more
-    # vertices than the rank must agree too, so the shortcut fires on
-    # nothing else.
+    # On a simplex Q the decision builds no program; its model must be the
+    # bytes of the reference vertex program's one solution.  Draws whose Q
+    # has more vertices than the rank are decided by the product program
+    # over Q x Q*, whose verdict must be the vertex program's.
     rng = random.Random(1717)
     simplex_ranks = []
     compared = 0
     while len(simplex_ranks) < 150:
         c = random_cope(rng, max_blocks=2, max_outcomes=3, max_cols=5, max_den=3)
         d = _Derived(c)
-        model, farkas = reference_vertex_decision(d)
+        model, _ = reference_vertex_decision(d)
         decision = decide_enmf_existence(c)
-        if model is None:
-            assert isinstance(decision, AbsenceResult), compared
-            assert list(decision.farkas) == farkas, compared
-        else:
-            assert isinstance(decision, ExistenceResult), compared
-            assert emit_model(decision.model) == emit_model(model), compared
+        assert isinstance(decision, AbsenceResult if model is None else ExistenceResult), compared
         if len(d.polytope.vertices) == d.rank:
+            assert emit_model(decision.model) == emit_model(model), compared
             simplex_ranks.append(d.rank)
         compared += 1
     assert set(simplex_ranks) == {1, 2, 3}
     assert compared > len(simplex_ranks)
+
+
+def _white_noise(c, lam):
+    """(1 - lam) C + lam times each block's mean column: the same shape, and
+    for lam < 1 the same rank, as C is multiplied by an invertible matrix."""
+    n = c.n_preparations
+    blocks = [
+        [[(1 - lam) * x + lam * sum(row) / n for x in row] for row in block] for block in c.blocks
+    ]
+    return cope_matrix(blocks, backend=rational())
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(st.integers(0, 2**32 - 1))
+def test_the_product_program_decides_as_the_vertex_program_and_its_witness_checks(seed):
+    # Seeded draws up to the first absence: each product verdict is the
+    # reference vertex program's.  The absence's witness checks on its
+    # matrix, and fails on a noisy copy of it that has a model, as a sound
+    # witness must.
+    rng = random.Random(seed)
+    for _ in range(100):
+        c = random_cope(rng, max_blocks=3, max_outcomes=2, max_cols=6, max_den=3)
+        d = _Derived(c)
+        model, _ = reference_vertex_decision(d)
+        assert isinstance(d.decision, AbsenceResult if model is None else ExistenceResult)
+        if model is None:
+            break
+    else:
+        return
+    evidence = ExhaustiveAbsence(d.decision.rows, d.decision.cols, d.decision.inequality)
+    cert = Certificate("Contextual", evidence, d.rank)
+    assert _check(d, cert) is None
+    for lam in (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)):
+        noisy = _Derived(_white_noise(c, lam))
+        if isinstance(noisy.decision, ExistenceResult):
+            assert noisy.rank == d.rank
+            assert _check(noisy, cert)[0] == "evidence"
+            break
 
 
 # --- pruning that changes no answer -------------------------------------------
@@ -254,14 +297,8 @@ def test_integer_rows_read_as_the_merged_matrix(face_draws):
         red, pivots = reference_rref(merged)
         assert d.echelon[1] == pivots and d.rank == len(pivots), case
         n = len(merged[0])
-        kernel = []
-        for j in (j for j in range(n) if j not in pivots):
-            v = [Fraction(0)] * n
-            v[j] = Fraction(1)
-            for i, pc in enumerate(pivots):
-                v[pc] = -red[i][j]
-            kernel.append(v)
-        assert rla._kernel(*d.echelon, n) == kernel, case
+        rows = [[Fraction(row.get(j, 0), row[pc]) for j in range(n)] for (row, _), pc in zip(d.echelon[0], pivots)]
+        assert rows == red[:len(pivots)], case
         assert d.independent_rows == reference_independent_rows(merged), case
         columns = set(zip(*merged))
         integer_columns = set(zip(*(row for row, _ in d.integer_rows)))

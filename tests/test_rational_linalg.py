@@ -7,13 +7,12 @@ import pytest
 
 from copekit import boxworld, extended_boxworld, merge_measurements, spekkens, span_simplex_polytope
 from copekit import rational_linalg as rla
-from copekit.enmf_decision import _vertex_lp
-
 from oracles import (
     reference_independent_rows,
     reference_integer_inverse,
     reference_lp_feasibility,
     reference_rref,
+    vertex_lp,
 )
 
 
@@ -373,7 +372,7 @@ def test_vertex_programs_do_not_depend_on_the_reduction_bound(pairs, perfbench_c
     # shipped bound, with every update reduced, and in between.
     corpus = perfbench_corpus
     merged = merge_measurements(corpus.rational_qubit(corpus.rational_directions(pairs, span=40)))
-    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    a, b = vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
     reference = reference_lp_feasibility(a, b)
     for bits in (rla._REDUCE_BITS, 64, 0):
         monkeypatch.setattr(rla, "_REDUCE_BITS", bits)
@@ -384,7 +383,7 @@ def test_vertex_programs_do_not_depend_on_the_reduction_bound(pairs, perfbench_c
 @pytest.mark.parametrize("theory", [spekkens, boxworld, extended_boxworld])
 def test_lp_feasibility_is_identical_on_vertex_programs(theory):
     merged = merge_measurements(theory())
-    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    a, b = vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
     assert rla.lp_feasibility(a, b) == reference_lp_feasibility(a, b)
 
 
@@ -393,7 +392,7 @@ def test_lp_feasibility_converts_each_row_once(theory, feasible, monkeypatch):
     # The kernel and the Farkas check share one conversion per row; the
     # primal check reads the rows on its own and converts none.
     merged = merge_measurements(theory())
-    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    a, b = vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
     calls = {"all": 0, "primal": 0}
     in_primal = []
     integer_row, check_primal = rla._integer_row, rla._check_primal
@@ -443,7 +442,7 @@ def test_checks_reject_corrupted_answers_to_vertex_programs_with_int_zeros():
     # The vertex program writes its zeros as the int 0, and both checks read
     # only the nonzeros; a corrupted answer must still fail them.
     merged = merge_measurements(spekkens())
-    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    a, b = vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
     assert any(type(v) is int for v in a[0])
     x, _ = rla.lp_feasibility(a, b)
     j = next(j for j, v in enumerate(x) if v)
@@ -453,7 +452,7 @@ def test_checks_reject_corrupted_answers_to_vertex_programs_with_int_zeros():
         rla._check_primal(a, b, x[:j] + [-x[j]] + x[j + 1:])
 
     merged = merge_measurements(boxworld())
-    a, b = _vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
+    a, b = vertex_lp(merged, list(span_simplex_polytope(merged).vertices))
     _, y = rla.lp_feasibility(a, b)
     rla._check_farkas(a, b, y)
     with pytest.raises(AssertionError, match="Farkas certificate .column"):
@@ -487,3 +486,49 @@ def test_convex_combination_basic():
     assert w is not None and sum(w) == 1
     outside = [Fraction(2), Fraction(-1)]
     assert rla.convex_combination(cols, outside) is None
+
+
+def _decision_programs(matrices, monkeypatch):
+    """The (a_eq, b_eq) of every program the complete decision solves on ``matrices``."""
+    from copekit.enmf_decision import decide_enmf_existence
+
+    programs = []
+    solve = rla.lp_feasibility
+
+    def recorded(a_eq, b_eq):
+        programs.append((a_eq, b_eq))
+        return solve(a_eq, b_eq)
+
+    monkeypatch.setattr(rla, "lp_feasibility", recorded)
+    for c in matrices:
+        decide_enmf_existence(c)
+    monkeypatch.setattr(rla, "lp_feasibility", solve)
+    return programs
+
+
+def test_the_pivot_rule_gives_the_same_answer_as_pure_bland(perfbench_corpus, monkeypatch):
+    # Seeded small programs and the product programs of the random-exact
+    # pool, its three absences among them, solved with Bland's rule from the
+    # first pivot (threshold 0), with a switch after every degenerate pivot
+    # (1) and with the shipped threshold: one feasibility answer, and a
+    # certificate that passes its exact check.  Under each, the answer is
+    # the Fraction reference's, which follows the same rule.
+    pool = [inst.matrix for inst in perfbench_corpus.build("random-exact")]
+    programs = _decision_programs(pool, monkeypatch)
+    rng = random.Random(3131)
+    programs += [_random_lp(rng) for _ in range(200)]
+    infeasible = 0
+    for a, b in programs:
+        answers = set()
+        for run in (0, 1, rla._DEGENERATE_RUN):
+            monkeypatch.setattr(rla, "_DEGENERATE_RUN", run)
+            x, y = rla.lp_feasibility(a, b)
+            if x is None:
+                rla._check_farkas(a, b, y)
+            else:
+                rla._check_primal(a, b, x)
+            assert (x, y) == reference_lp_feasibility(a, b)
+            answers.add(x is None)
+        assert len(answers) == 1
+        infeasible += answers.pop()
+    assert len(programs) == 217 and infeasible >= 3 + 50
