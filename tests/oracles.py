@@ -185,6 +185,22 @@ def reference_vertex_decision(d):
     return model_from_vertex_coefficients(d, vertices, solution), None
 
 
+def reference_witness_holds(c, rows, cols, inequality) -> bool:
+    """Does the inequality M on rows I and columns J of C' prove absence?
+
+    The reference for the absence branch of ``certify._check``: every
+    vertex pair of Q x Q* is tested with Fraction sums, q[I]^T M w[J] <= 0,
+    and so is <M, C'[I, J]> > 0.  Index lists are taken as they are.
+    """
+    d = _derived(c)
+    merged = d.merged.stacked()
+    terms = [(i, j, v) for i, row in zip(rows, inequality) for j, v in zip(cols, row)]
+    if sum(v * merged[i][j] for i, j, v in terms) <= 0:
+        return False
+    states = d.state_polytope.vertices
+    return all(sum(q[i] * v * w[j] for i, j, v in terms) <= 0 for q in d.polytope.vertices for w in states)
+
+
 def reference_simplex_pairs(d):
     """``nmf._simplex_pairs`` as it was before it pruned, kept verbatim.
 

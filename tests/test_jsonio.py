@@ -26,6 +26,8 @@ from copekit import (
 )
 from copekit.certify import SpernerSeparation, VertexForcing
 
+from oracles import reference_witness_holds
+
 
 def test_cope_round_trip_exact(spekkens_matrix):
     data = emit_cope(spekkens_matrix)
@@ -340,6 +342,51 @@ def test_malformed_absence_witness_raises_parse_error(edit):
     assert err.value.field == "evidence"
 
 
+def test_a_repeated_index_is_refused_even_where_the_inequality_holds():
+    # Draw 56 of random_cope(random.Random(2026)): its witness has a zero
+    # column, so the inequality still holds with that column's index
+    # repeated; the loader asks for distinct indices all the same.
+    blocks = [[["1"] * 5], [["0", "1/4", "0", "0", "1"], ["1", "3/4", "1", "1", "0"]],
+              [["1/2", "1", "1/2", "0", "0"], ["0", "0", "1/2", "1", "1"], ["1/2", "0", "0", "0", "0"]]]
+    c = cope_matrix([[[Fraction(x) for x in row] for row in block] for block in blocks])
+    doc = json.loads(emit_certificate(certify(c), c))
+    evidence = doc["evidence"]
+    assert [row[0] for row in evidence["inequality"]] == [0, 0, 0, 0]
+    evidence["cols"][0] = evidence["cols"][1]
+    assert reference_witness_holds(c, evidence["rows"], evidence["cols"], evidence["inequality"])
+    with pytest.raises(ParseError) as err:
+        parse_certificate(json.dumps(doc).encode())
+    assert err.value.field == "evidence"
+
+
+@pytest.mark.parametrize("name", ["acceptance_8_absence", "rational_qubit_4"])
+def test_a_witness_loads_exactly_when_it_proves_absence(name, perfbench_corpus):
+    # Each entry of a genuine witness moved by one either way, or negated:
+    # the loader accepts the witness exactly when the Fraction reference
+    # finds every vertex pair of Q x Q* obeying it and C' violating it.
+    if name == "rational_qubit_4":
+        c = perfbench_corpus.rational_qubit(perfbench_corpus.rational_directions(4))
+        doc = json.loads(emit_certificate(certify(c), c))
+    else:
+        doc = _absence_certificate_doc()
+        c = parse_cope(json.dumps(doc["cope"]))
+    evidence, outcomes = doc["evidence"], set()
+    for row in evidence["inequality"]:
+        for j, value in enumerate(row):
+            for row[j] in (value + 1, value - 1, -value):
+                try:
+                    parse_certificate(json.dumps(doc).encode())
+                    loaded = True
+                except ParseError as err:
+                    assert err.field == "evidence"
+                    loaded = False
+                holds = reference_witness_holds(c, evidence["rows"], evidence["cols"], evidence["inequality"])
+                assert loaded == holds, (row, j)
+                outcomes.add(loaded)
+            row[j] = value
+    assert outcomes == {True, False}
+
+
 def test_loading_an_absence_solves_no_linear_program(monkeypatch):
     from copekit import rational_linalg as rla
 
@@ -374,10 +421,11 @@ def test_a_mutated_absence_certificate_is_refused_or_still_proves_absence(data):
     else:
         doc[target] = data.draw(st.sampled_from([*_MUTATIONS, "Noncontextual", "EnmfModel"]))
     try:
-        cert, _ = parse_certificate(json.dumps(doc).encode())
+        cert, c = parse_certificate(json.dumps(doc).encode())
     except ParseError:
         return
     assert cert.verdict == "Contextual" and isinstance(cert.evidence, ExhaustiveAbsence)
+    assert reference_witness_holds(c, cert.evidence.rows, cert.evidence.cols, cert.evidence.inequality)
 
 
 def test_forged_vertex_forcing_rejected(spekkens_matrix):
