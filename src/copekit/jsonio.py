@@ -360,9 +360,9 @@ def parse_certificate(data: Union[bytes, str]):
     elif kind == "ExhaustiveAbsence":
         if not {"rows", "cols", "inequality"} <= payload.keys():
             raise ParseError("absence evidence carries no witness (rows, cols, inequality)", field="evidence")
-        rows = _array(payload["inequality"], "evidence")
+        inequality = _array(payload["inequality"], "evidence")
         evidence = ExhaustiveAbsence(_ints(payload["rows"], "evidence"), _ints(payload["cols"], "evidence"),
-                                     tuple(_ints(row, "evidence") for row in rows))
+                                     tuple(_ints(row, "evidence") for row in inequality))
     elif kind == "None":
         evidence = None
     else:

@@ -831,7 +831,8 @@ def test_lp_guard_hit_certifies_spekkens_by_the_simplex_route(monkeypatch, spekk
 
 
 def test_polytope_guard_hit_leaves_boxworld_undetermined(monkeypatch, boxworld_matrix):
-    # Q cannot be built, so neither vertex forcing nor the decision runs; the restarts and their exact lifts find no equirank model.
+    # Q cannot be built, so neither vertex forcing nor the decision runs;
+    # the restarts and their exact lifts find no equirank model.
     monkeypatch.setattr(importlib.import_module("copekit.polytope"), "AMBIENT_LIMIT", 3)
     lifts = _count_calls(monkeypatch, "copekit.nmf", "_exact_from_floats")
     cert = certify(boxworld_matrix)

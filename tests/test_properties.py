@@ -51,7 +51,6 @@ from copekit import rational_linalg as rla
 from copekit.backend import floating, rational
 from copekit.certify import (
     Certificate,
-    ExhaustiveAbsence,
     Exists,
     NotExists,
     _check,
@@ -252,8 +251,7 @@ def test_the_product_program_decides_as_the_vertex_program_and_its_witness_check
             break
     else:
         return
-    evidence = ExhaustiveAbsence(d.decision.rows, d.decision.cols, d.decision.inequality)
-    cert = Certificate("Contextual", evidence, d.rank)
+    cert = Certificate("Contextual", d.decision, d.rank)
     assert _check(d, cert) is None
     for lam in (Fraction(1, 2), Fraction(9, 10), Fraction(99, 100)):
         noisy = _Derived(_white_noise(c, lam))
